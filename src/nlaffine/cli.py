@@ -17,8 +17,7 @@ import numpy as np
 
 from .conditions import uniqueness_gate
 from .config import ConfigError, ExperimentConfig
-from .montecarlo import bundle_to_csv, simulate_paths, estimate_expectation
-from .params import enumerate_vertices
+from .montecarlo import bundle_to_csv, lower_bound_sublinear
 from .pide import CFLError, NonFiniteError, dpp_gap, solve
 from . import __version__
 
@@ -98,7 +97,6 @@ def cmd_solve(args) -> int:
             "nodes": list(grid.shape),
         },
         "uniqueness_certified": bool(gate is not None and gate.status != "fail"),
-        "threads": args.threads,
         "wall_time_s": time.perf_counter() - started,
     }
     if gate is not None:
@@ -122,28 +120,21 @@ def cmd_simulate(args) -> int:
     x0 = cfg.sim_x0()
     payoff = cfg.payoff()
     t = sim.horizon
-    vertices = enumerate_vertices(theta_set)
-    means, ses = [], []
-    for theta in vertices:
-        m, s = estimate_expectation(theta, x0, payoff, t, sim, mode)
-        means.append(m)
-        ses.append(s)
-    best = int(np.argmax(means))
-    bundle = simulate_paths(vertices[best], x0, sim, mode)
-    bundle_to_csv(bundle, os.path.join(out, "bundle.csv"))
+    lb = lower_bound_sublinear(theta_set, x0, payoff, t, sim, mode)
+    bundle_to_csv(lb.bundle, os.path.join(out, "bundle.csv"))
     estimate = {
         "config_hash": cfg.config_hash(),
-        "mean": means[best],
-        "se": ses[best],
-        "vertex": best,
-        "all_means": means,
-        "all_ses": ses,
+        "mean": lb.mean,
+        "se": lb.se,
+        "vertex": lb.vertex,
+        "all_means": lb.all_means,
+        "all_ses": lb.all_ses,
         "t": t,
         "x0": x0.tolist(),
         "n_paths": sim.n_paths,
         "seed": sim.seed,
-        "flagged_paths": bundle.flagged_count,
-        "no_jump_exits": bundle.no_jump_exit_count,
+        "flagged_paths": lb.bundle.flagged_count,
+        "no_jump_exits": lb.bundle.no_jump_exit_count,
         "payoff": payoff.name,
         "mode": mode.kind,
     }
@@ -250,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "solve the nonlinear Kolmogorov equation, simulate "
                     "lower bounds, check hypotheses, compare results.",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="parallelism budget for vectorised kernels")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the worst-case equation")

@@ -388,7 +388,7 @@ class ExperimentConfig:
 
 # fields whose values are genuine strings; everything else that looks like a
 # decimal string is coerced to float (exact round-trip via shortest repr)
-_STRING_FIELDS = {"mode", "output_dir", "kind", "name", "boundary"}
+_STRING_FIELDS = {"mode", "output_dir", "kind", "name"}
 
 
 def _normalize(obj, key=None):

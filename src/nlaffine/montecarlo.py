@@ -38,6 +38,7 @@ from .params import (
     ParameterSet,
     TruncationFunction,
     combined_atom_table,
+    min_eigenvalue,
 )
 
 
@@ -137,19 +138,15 @@ class _Dynamics:
 
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
         xa = np.maximum(x, 0.0) if self.mode.is_hat else x
-        if self.d == 1:
-            a = self.a0[0, 0] + xa[:, 0] * self.a_lin[0, 0, 0]
-            if np.any(a < -PSD_TOL):
-                bad = x[np.argmin(a)]
-                raise ValueError(f"diffusion coefficient negative at state {bad}")
-            return np.sqrt(np.clip(a, 0.0, None))[:, None, None]
         A = self.a0[None, :, :] + np.tensordot(xa, self.a_lin, axes=(1, 0))
-        tr = A[:, 0, 0] + A[:, 1, 1]
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        mineig = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+        mineig = min_eigenvalue(A)
         if np.any(mineig < -PSD_TOL):
             bad = x[np.argmin(mineig)]
             raise ValueError(f"diffusion matrix not PSD at state {bad}")
+        if self.d == 1:
+            return np.sqrt(np.clip(A, 0.0, None))
+        tr = A[:, 0, 0] + A[:, 1, 1]
+        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
         s = np.sqrt(np.clip(det, 0.0, None))
         denom = np.sqrt(np.clip(tr + 2.0 * s, 0.0, None))
         denom = np.where(denom > 0, denom, 1.0)
@@ -323,18 +320,21 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     return bundle
 
 
-def estimate_expectation(theta: AffineParameter, x0, payoff: TestFunction,
-                         t: float, cfg: SimConfig,
-                         mode: GeneratorMode) -> tuple[float, float]:
-    """Sample mean and standard error of payoff(X_t) under one parameter."""
-    cfg = replace(cfg, horizon=t)
-    bundle = simulate_paths(theta, x0, cfg, mode)
+def _payoff_moments(payoff: TestFunction, bundle: PathBundle) -> tuple[float, float]:
     vals = np.array([payoff.value(x) for x in bundle.terminal])
     if np.all(vals == vals[0]):
         return float(vals[0]), 0.0
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
     return mean, se
+
+
+def estimate_expectation(theta: AffineParameter, x0, payoff: TestFunction,
+                         t: float, cfg: SimConfig,
+                         mode: GeneratorMode) -> tuple[float, float]:
+    """Sample mean and standard error of payoff(X_t) under one parameter."""
+    bundle = simulate_paths(theta, x0, replace(cfg, horizon=t), mode)
+    return _payoff_moments(payoff, bundle)
 
 
 @dataclass
@@ -344,6 +344,7 @@ class LowerBoundResult:
     se: float
     all_means: list[float]
     all_ses: list[float]
+    bundle: PathBundle  # the paths simulated under the winning vertex
 
 
 def lower_bound_sublinear(theta_set: ParameterSet, x0, payoff: TestFunction,
@@ -351,14 +352,19 @@ def lower_bound_sublinear(theta_set: ParameterSet, x0, payoff: TestFunction,
                           mode: GeneratorMode) -> LowerBoundResult:
     """Best constant-parameter estimate over the vertex enumeration.  Every
     fixed-parameter law is feasible for the uncertainty set, so this is a
-    statistical lower bound for the worst-case expectation."""
+    statistical lower bound for the worst-case expectation.  One simulation
+    per vertex; ties go to the first vertex."""
+    cfg = replace(cfg, horizon=t)
     means, ses = [], []
-    for theta in theta_set.vertices():
-        m, s = estimate_expectation(theta, x0, payoff, t, cfg, mode)
+    best, winner = 0, None
+    for k, theta in enumerate(theta_set.vertices()):
+        bundle = simulate_paths(theta, x0, cfg, mode)
+        m, s = _payoff_moments(payoff, bundle)
         means.append(m)
         ses.append(s)
-    best = int(np.argmax(means))
-    return LowerBoundResult(means[best], best, ses[best], means, ses)
+        if winner is None or m > means[best]:
+            best, winner = k, bundle
+    return LowerBoundResult(means[best], best, ses[best], means, ses, winner)
 
 
 @dataclass

@@ -45,10 +45,19 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    if a.shape == (1, 1):
-        return float(a[0, 0])
-    return float(np.linalg.eigvalsh(a)[0])
+def min_eigenvalue(a: np.ndarray):
+    """Smallest eigenvalue of a symmetric matrix (a float), or of each matrix
+    in a stack (..., d, d) (an array); closed form for d <= 2."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 1:
+        m = a[..., 0, 0]
+    elif a.shape[-1] == 2:
+        tr = a[..., 0, 0] + a[..., 1, 1]
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        m = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+    else:
+        m = np.linalg.eigvalsh(a)[..., 0]
+    return float(m) if a.ndim == 2 else m
 
 
 # ---------------------------------------------------------------------------

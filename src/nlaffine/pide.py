@@ -2,21 +2,34 @@
 equation  d/dt v = sup over the parameter set of the affine generator,
 with initial condition v(0, .) = payoff.
 
-Scheme: forward Euler in time; sign-adapted upwind first differences for the
-drift, central second differences for the diffusion (plus the sign-adapted
-diagonal stencil for the 2-D cross term), and an exact atom sum for the jump
-part with linearly interpolated off-grid targets.  The per-atom compensator
-is folded into an effective drift, which keeps every jump weight nonnegative
-and the whole update monotone under the time-step bound below.
+Scheme: forward Euler in time, v <- v + dt * max_k L_k v, with one discrete
+generator per vertex written as coefficients times difference stencils,
 
-Boundary policy is constant extension; accuracy statements are made on an
-interior core a configurable margin away from the boundary.
+    L_k v(x) = sum_g C[g, k, x] * sum_{(o, w) in D_g} w * (v(x + o) - v(x)),
+
+the same construction in one and two dimensions.  The stencils are upwind
+first differences per axis and sign (carrying the drift and the central
+diffusion share), the two diagonal pairs of the 2-D cross term, sign-adapted,
+and the (bi)linear interpolation corners of each atom, weighted by the atom's
+intensity.  The per-atom compensator is folded into the drift, so every jump
+weight stays nonnegative.
+
+Monotonicity is checked on the assembled operator: C >= 0 on admissible
+nodes (only a cross term stronger than the diagonal terms can break it), and
+dt * rate <= cfl <= 1 with rate = sum_g C_g * mass(D_g).  Together they make
+every weight of the update nonnegative, so payoff and set ordering and
+sublinearity hold exactly.
+
+Boundary policy is constant extension (offsets are clipped to the grid);
+accuracy statements are made on an interior core a configurable margin away
+from the boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +43,7 @@ from .params import (
     TruncationFunction,
     combined_atom_table,
     growth_bound,
+    min_eigenvalue,
 )
 
 
@@ -118,13 +132,10 @@ class SchemeConfig:
     dt: float | None = None             # explicit step; must satisfy the bound
     min_time_steps: int = 256           # accuracy floor for forward Euler
     r_jump: float | None = None         # interior-core margin; default: max atom size
-    boundary: str = "constant"          # constant extension is the only policy
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl safety factor must lie in (0, 1]")
-        if self.boundary != "constant":
-            raise ValueError("only constant-extension boundaries are shipped")
 
 
 @dataclass
@@ -199,178 +210,129 @@ class ValueSurface:
 
 
 # ---------------------------------------------------------------------------
-# vertex coefficient tables on the grid
+# the discrete generator: nonnegative coefficients times difference stencils
 
 
-class _VertexTables:
-    """Per-vertex coefficients evaluated on every node, with the jump
-    compensator folded into the effective drift."""
+def _atom_table(theta: AffineParameter, mode: GeneratorMode):
+    """Atoms (m, d) and affine weights (m, d + 1), w_z(x) = W[z, 0] + W[z, 1:] . x;
+    hat mode freezes the jump measure at nu_0."""
+    if mode.is_hat:
+        m = theta.nu[0]
+        return m.atoms, np.column_stack([m.weights, np.zeros((m.n_atoms, theta.dim))])
+    return combined_atom_table(theta.nu)
 
-    def __init__(self, theta: AffineParameter, grid: Grid, mode: GeneratorMode,
+
+def _interpolation_stencil(offset: np.ndarray) -> tuple:
+    """Multilinear interpolation at x + offset (in grid steps) as
+    (corner offset, weight) pairs."""
+    base = np.floor(offset)
+    frac = offset - base
+    out = []
+    for corner in itertools.product((0, 1), repeat=offset.shape[0]):
+        w = 1.0
+        for f, c in zip(frac, corner):
+            w *= f if c else 1.0 - f
+        if w:
+            out.append((tuple(int(b) + c for b, c in zip(base, corner)), float(w)))
+    return tuple(out)
+
+
+class _Operator:
+    """L_k v(x) = sum_g C[g, k, x] (D_g v)(x) for every vertex k, where each
+    stencil D_g v(x) = sum of weight * (v(clip(x + offset)) - v(x)) over its
+    (offset, weight) pairs; clipping to the grid is constant extension.
+
+    Stencils: one per axis and sign (upwind drift plus the central diffusion
+    share), the two diagonal pairs of every cross term, and one multilinear
+    corner stencil per distinct atom.  Identical stencils share one row.
+    Inadmissible (vertex, node) pairs get zero coefficients and a -inf
+    penalty, so they never attain the max."""
+
+    def __init__(self, vertices, grid: Grid, mode: GeneratorMode,
                  h: TruncationFunction):
-        d = grid.dim
-        pts = grid.points()
-        x = pts  # (n, d)
-        if mode.is_hat:
-            in_s = np.ones(x.shape[0], dtype=bool)
-            xa = np.maximum(x, 0.0)
-        else:
-            in_s = mode.space.contains_many(x)
-            xa = x
-        b = theta.beta[0][None, :] + x @ theta.beta[1:]
-        a = theta.alpha[0][None, :, :] + np.tensordot(xa, theta.alpha[1:], axes=(1, 0))
-        if mode.is_hat:
-            atoms = theta.nu[0].atoms
-            w = np.broadcast_to(theta.nu[0].weights[None, :],
-                                (x.shape[0], theta.nu[0].n_atoms)).copy()
-        else:
-            atoms, W = combined_atom_table(theta.nu)
-            w = W[None, :, 0] + np.einsum("nd,md->nm", x, W[:, 1:])
-        ind = in_s.astype(float)
-        b *= ind[:, None]
-        a *= ind[:, None, None]
-        w *= ind[:, None]
-        hz = np.array([h(z) for z in atoms]).reshape(-1, d)
-        b_eff = b - w @ hz
-        # admissibility: PSD diffusion and nonnegative merged jump weights
-        if d == 1:
-            adm = a[:, 0, 0] >= -PSD_TOL
-        else:
-            tr = a[:, 0, 0] + a[:, 1, 1]
-            det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
-            mineig = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-            adm = mineig >= -PSD_TOL
-        if w.shape[1]:
-            adm &= np.min(w, axis=1) >= -WEIGHT_TOL
-        self.in_s = in_s
-        self.adm = adm
-        self.b_eff = b_eff
-        self.w = np.clip(w, 0.0, None)
-        self.w[~adm] = 0.0
-        self.atoms = atoms
-        self.grid = grid
+        d, n, dx = grid.dim, grid.n_nodes, grid.dx
+        eye = np.eye(d, dtype=int)
+        stencils: dict = {}
 
-        if d == 1:
-            n = grid.shape[0]
-            dx = grid.dx[0]
-            self.a1 = np.clip(a[:, 0, 0], 0.0, None)
-            self.a1[~adm] = 0.0
-            off = atoms[:, 0] / dx if atoms.shape[0] else np.zeros(0)
-            base = np.floor(off).astype(int)
-            self.frac = off - base
-            rng = np.arange(n)
-            self.idx0 = np.clip(rng[None, :] + base[:, None], 0, n - 1)
-            self.idx1 = np.clip(rng[None, :] + base[:, None] + 1, 0, n - 1)
-            rate = (
-                self.a1 / dx**2
-                + np.abs(b_eff[:, 0]) / dx
-                + np.sum(self.w, axis=1)
-            )
-        else:
-            nx, ny = grid.shape
-            dx, dy = grid.dx
-            self.a11 = np.clip(a[:, 0, 0], 0.0, None).reshape(nx, ny)
-            self.a22 = np.clip(a[:, 1, 1], 0.0, None).reshape(nx, ny)
-            self.a12 = a[:, 0, 1].copy().reshape(nx, ny)
-            self.a12[~adm.reshape(nx, ny)] = 0.0
-            cross = np.abs(self.a12) / (dx * dy)
-            dom = np.minimum(self.a11 / dx**2 - cross, self.a22 / dy**2 - cross)
-            if np.any(dom[adm.reshape(nx, ny)] < -1e-9):
+        def register(stencil) -> int:
+            return stencils.setdefault(stencil, len(stencils))
+
+        def unit_weights(*offsets) -> tuple:
+            return tuple((tuple(int(c) for c in o), 1.0) for o in offsets)
+
+        for e in eye:
+            register(unit_weights(e))
+            register(unit_weights(-e))
+        pairs = list(itertools.combinations(range(d), 2))
+        for i, j in pairs:
+            register(unit_weights(eye[i] + eye[j], -eye[i] - eye[j]))
+            register(unit_weights(eye[i] - eye[j], eye[j] - eye[i]))
+        tables = [_atom_table(theta, mode) for theta in vertices]
+        atom_rows = [[register(_interpolation_stencil(z / dx)) for z in atoms]
+                     for atoms, _ in tables]
+
+        pts = grid.points()
+        self.in_s = (np.ones(n, dtype=bool) if mode.is_hat
+                     else mode.space.contains_many(pts))
+        ind = self.in_s.astype(float)
+        xa = np.maximum(pts, 0.0) if mode.is_hat else pts
+        self.C = np.zeros((len(stencils), len(vertices), n))
+        adm = np.empty((len(vertices), n), dtype=bool)
+        for k, (theta, (atoms, W), rows) in enumerate(zip(vertices, tables, atom_rows)):
+            a = theta.alpha[0][None, :, :] + np.tensordot(xa, theta.alpha[1:], axes=(1, 0))
+            a *= ind[:, None, None]
+            w = (W[None, :, 0] + pts @ W[:, 1:].T) * ind[:, None]
+            hz = np.array([h(z) for z in atoms]).reshape(-1, d)
+            b = (theta.beta[0][None, :] + pts @ theta.beta[1:]) * ind[:, None] - w @ hz
+            adm[k] = min_eigenvalue(a) >= -PSD_TOL
+            if atoms.shape[0]:
+                adm[k] &= np.min(w, axis=1) >= -WEIGHT_TOL
+            c = self.C[:, k]
+            diag = 0.5 * np.clip(np.diagonal(a, axis1=1, axis2=2), 0.0, None) / dx**2
+            for p, (i, j) in enumerate(pairs):
+                cross = 0.5 * a[:, i, j] / (dx[i] * dx[j])
+                diag[:, [i, j]] -= np.abs(cross)[:, None]
+                c[2 * d + 2 * p] = np.maximum(cross, 0.0)
+                c[2 * d + 2 * p + 1] = np.maximum(-cross, 0.0)
+            for i in range(d):
+                c[2 * i] = diag[:, i] + np.maximum(b[:, i], 0.0) / dx[i]
+                c[2 * i + 1] = diag[:, i] + np.maximum(-b[:, i], 0.0) / dx[i]
+            for g, wz in zip(rows, np.clip(w, 0.0, None).T):
+                c[g] += wz
+            c[:, ~adm[k]] = 0.0
+            if np.any(c[:, adm[k]] < -1e-9):
                 raise ValueError(
                     "cross-diffusion exceeds the diagonal terms; the 2-D "
                     "stencil cannot stay monotone on this problem"
                 )
-            ix = np.arange(nx)
-            iy = np.arange(ny)
-            offs = atoms / grid.dx[None, :] if atoms.shape[0] else np.zeros((0, 2))
-            bx = np.floor(offs[:, 0]).astype(int)
-            by = np.floor(offs[:, 1]).astype(int)
-            self.fx = offs[:, 0] - bx
-            self.fy = offs[:, 1] - by
-            self.jx0 = [np.clip(ix + b, 0, nx - 1) for b in bx]
-            self.jx1 = [np.clip(ix + b + 1, 0, nx - 1) for b in bx]
-            self.jy0 = [np.clip(iy + b, 0, ny - 1) for b in by]
-            self.jy1 = [np.clip(iy + b + 1, 0, ny - 1) for b in by]
-            rate = (
-                self.a11.ravel() / dx**2
-                + self.a22.ravel() / dy**2
-                - cross.ravel()
-                + np.abs(b_eff[:, 0]) / dx
-                + np.abs(b_eff[:, 1]) / dy
-                + np.sum(self.w, axis=1)
-            )
-        rate[~adm] = 0.0
-        rate[~in_s] = 0.0
-        self.rate = rate
+        self.adm = adm
+        self.pen = np.where(adm, 0.0, -np.inf)
+        # dt * rate <= 1 keeps every weight of the explicit update nonnegative
+        mass = np.array([sum(w for _, w in s) for s in stencils])
+        self.max_rate = float(np.max(np.einsum("gkn,g->kn", self.C, mass)))
 
-    def increment(self, v: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return self._increment_1d(v)
-        return self._increment_2d(v)
+        offsets = sorted({o for s in stencils for o, _ in s})
+        column = {o: t for t, o in enumerate(offsets)}
+        self.S = np.zeros((len(stencils), len(offsets)))
+        for g, s in enumerate(stencils):
+            for o, w in s:
+                self.S[g, column[o]] += w
+        idx = np.indices(grid.shape).reshape(d, n)
+        top = np.array(grid.shape)[:, None] - 1
+        self.nbr = np.stack([
+            np.ravel_multi_index(np.clip(idx + np.array(o)[:, None], 0, top), grid.shape)
+            for o in offsets
+        ]).astype(np.int32)
+        self.diff = np.empty(self.nbr.shape)  # per-step buffer: v(x + offset) - v(x)
 
-    def _increment_1d(self, v: np.ndarray) -> np.ndarray:
-        dx = self.grid.dx[0]
-        p = np.empty(v.shape[0] + 2)
-        p[1:-1] = v
-        p[0] = v[0]
-        p[-1] = v[-1]
-        up = p[2:]
-        dn = p[:-2]
-        b = self.b_eff[:, 0]
-        inc = (
-            np.maximum(b, 0.0) * (up - v) / dx
-            + np.minimum(b, 0.0) * (v - dn) / dx
-            + 0.5 * self.a1 * (up - 2.0 * v + dn) / dx**2
-        )
-        if self.atoms.shape[0]:
-            for j in range(self.atoms.shape[0]):
-                target = (1.0 - self.frac[j]) * v[self.idx0[j]] + self.frac[j] * v[self.idx1[j]]
-                inc += self.w[:, j] * (target - v)
-        out = np.where(self.adm, inc, -np.inf)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(L_k v)(x) + pen for every vertex k and node x, shape (K, n)."""
+        for row, idx in zip(self.diff, self.nbr):
+            np.take(v, idx, out=row)
+        self.diff -= v
+        out = np.einsum("gkn,gn->kn", self.C, self.S @ self.diff)
+        out += self.pen
         return out
-
-    def _increment_2d(self, v: np.ndarray) -> np.ndarray:
-        nx, ny = self.grid.shape
-        dx, dy = self.grid.dx
-        V = v.reshape(nx, ny)
-        p = np.pad(V, 1, mode="edge")
-        c = p[1:-1, 1:-1]
-        xp = p[2:, 1:-1]
-        xm = p[:-2, 1:-1]
-        yp = p[1:-1, 2:]
-        ym = p[1:-1, :-2]
-        pp = p[2:, 2:]
-        mm = p[:-2, :-2]
-        pm = p[2:, :-2]
-        mp = p[:-2, 2:]
-        vxx = (xp - 2 * c + xm) / dx**2
-        vyy = (yp - 2 * c + ym) / dy**2
-        vxy_pos = (pp + mm + 2 * c - xp - xm - yp - ym) / (2 * dx * dy)
-        vxy_neg = (xp + xm + yp + ym - pm - mp - 2 * c) / (2 * dx * dy)
-        vxy = np.where(self.a12 >= 0.0, vxy_pos, vxy_neg)
-        b1 = self.b_eff[:, 0].reshape(nx, ny)
-        b2 = self.b_eff[:, 1].reshape(nx, ny)
-        inc = (
-            np.maximum(b1, 0.0) * (xp - c) / dx
-            + np.minimum(b1, 0.0) * (c - xm) / dx
-            + np.maximum(b2, 0.0) * (yp - c) / dy
-            + np.minimum(b2, 0.0) * (c - ym) / dy
-            + 0.5 * (self.a11 * vxx + self.a22 * vyy)
-            + self.a12 * vxy
-        )
-        inc = inc.ravel()
-        if self.atoms.shape[0]:
-            flat = V
-            for j in range(self.atoms.shape[0]):
-                fx, fy = self.fx[j], self.fy[j]
-                t = (
-                    (1 - fx) * (1 - fy) * flat[np.ix_(self.jx0[j], self.jy0[j])]
-                    + fx * (1 - fy) * flat[np.ix_(self.jx1[j], self.jy0[j])]
-                    + (1 - fx) * fy * flat[np.ix_(self.jx0[j], self.jy1[j])]
-                    + fx * fy * flat[np.ix_(self.jx1[j], self.jy1[j])]
-                )
-                inc += self.w[:, j] * (t.ravel() - v)
-        return np.where(self.adm, inc, -np.inf)
 
 
 def default_jump_radius(theta_set: ParameterSet) -> float:
@@ -391,9 +353,9 @@ def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
           payoff_name: str | None = None) -> ValueSurface:
     """March the explicit scheme from the payoff to the horizon.
 
-    The step satisfies  dt * (diffusion + drift + jump rate) <= cfl  at every
-    admissible node/vertex pair, which keeps the update monotone and implies
-    the per-mechanism bounds dt <= cfl * min(dx^2 / a, dx / |b|, 1 / mass).
+    The step satisfies  dt * rate <= cfl  at every admissible node/vertex
+    pair, where rate = sum_g C_g * mass(D_g) is the total outflow of the
+    operator; with C >= 0 this keeps the update monotone.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -402,16 +364,12 @@ def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
     if not mode.is_hat and mode.space.dim != grid.dim:
         raise ValueError("state space and grid dimensions differ")
 
-    tables = [_VertexTables(t, grid, mode, h) for t in theta_set.vertices()]
-    in_s = tables[0].in_s
-    any_adm = np.zeros(grid.n_nodes, dtype=bool)
-    for tab in tables:
-        any_adm |= tab.adm
-    if np.any(in_s & ~any_adm):
-        bad = grid.points()[in_s & ~any_adm][0]
-        raise ValueError(f"no admissible vertex at state {bad}")
+    op = _Operator(theta_set.vertices(), grid, mode, h)
+    uncovered = op.in_s & ~np.any(op.adm, axis=0)
+    if np.any(uncovered):
+        raise ValueError(f"no admissible vertex at state {grid.points()[uncovered][0]}")
 
-    max_rate = max(float(np.max(tab.rate)) for tab in tables)
+    max_rate = op.max_rate
     stable_dt = scheme.cfl / max_rate if max_rate > 0 else math.inf
     if scheme.dt is not None:
         if scheme.dt > stable_dt * (1 + 1e-12):
@@ -447,14 +405,11 @@ def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
     values[0] = v0
     argmax = np.zeros(grid.n_nodes, dtype=int)
     v = v0.copy()
-    frozen = ~in_s
-    inc = np.empty((len(tables), grid.n_nodes))
+    frozen = ~op.in_s
     for step in range(n_steps):
-        for k, tab in enumerate(tables):
-            inc[k] = tab.increment(v)
-        best = np.max(inc, axis=0)
+        inc = op.apply(v)
         argmax = np.argmax(inc, axis=0)
-        new = v + dt * best
+        new = v + dt * np.max(inc, axis=0)
         new[frozen] = v[frozen]
         if not np.all(np.isfinite(new)):
             raise NonFiniteError(f"non-finite value produced at step {step + 1}")

@@ -208,6 +208,19 @@ class TestMonotonicityAndBounds:
                                            0.5, cfg, FULL)
         assert res.mean == mean and res.se == se and res.vertex == 0
 
+    def test_winning_bundle_and_first_max(self):
+        thetas = [nl.AffineParameter.scalar(alpha0=a) for a in (0.25, 1.0, 1.0, 0.5)]
+        ps = nl.FiniteParameterSet(thetas)
+        cfg = nl.SimConfig(dt=0.02, horizon=0.5, n_paths=2000, seed=6)
+        res = nl.lower_bound_sublinear(ps, [0.0], nl.make_payoff("square"),
+                                       0.5, cfg, FULL)
+        # vertices 1 and 2 share their paths, so their means tie exactly
+        assert res.all_means[1] == res.all_means[2] == max(res.all_means)
+        assert res.vertex == 1
+        want = nl.simulate_paths(thetas[1], [0.0], cfg, FULL)
+        assert np.array_equal(res.bundle.terminal, want.terminal)
+        assert np.array_equal(res.bundle.running_sup, want.running_sup)
+
 
 class TestMomentBound:
     def test_zero_parameter_degenerate(self):

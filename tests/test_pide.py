@@ -250,14 +250,16 @@ class TestTwoDimensions:
         assert np.max(np.abs(surf.values[-1] - true)[mask]) < 1e-3
 
     def test_dominant_cross_term_rejected(self):
-        a0 = np.array([[0.1, 0.9], [0.9, 0.1]])  # indefinite-ish, dominates diagonals
+        # PSD, but on this anisotropic grid 0.5 a22 / dy^2 < 0.5 |a12| / (dx dy),
+        # so the y-axis stencil coefficient goes negative
+        a0 = np.array([[1.0, 0.9], [0.9, 1.0]])
         theta = nl.AffineParameter(np.zeros((3, 2)),
                                    np.stack([a0, np.zeros((2, 2)), np.zeros((2, 2))]),
                                    tuple(nl.AtomicLevyMeasure.empty(2) for _ in range(3)))
         ps = nl.FiniteParameterSet([theta])
-        grid = nl.Grid.rect([-2, -2], [2, 2], [41, 41])
+        grid = nl.Grid.rect([-2, -8], [2, 8], [41, 41])
         mode = nl.GeneratorMode.standard(nl.StateSpace.full(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cross-diffusion"):
             nl.solve(ps, grid, nl.make_payoff("square"), 0.1, mode)
 
     def test_jump_interpolation_2d(self):
@@ -297,3 +299,95 @@ class TestSurfaceExport:
         assert lines[0] == b"t,x1,v"
         assert len(lines) == 1 + 5 * 11 + 1  # header + rows + trailing newline
         assert b"\r" not in path.read_bytes()
+
+
+def golden_2d_problem():
+    """Standard half-space problem in 2-D: two vertices, a drift that changes
+    sign, an alpha_1 cross term that changes sign across the grid, and two
+    off-grid atoms with state-dependent weights; every node is admissible."""
+    za, zb = [0.37, -0.61], [-0.23, 0.44]
+    E = nl.AtomicLevyMeasure
+    nu = (E([za, zb], [0.3, 0.2], dim=2), E([za], [0.1], dim=2), E([zb], [0.05], dim=2))
+
+    def theta(s, c):
+        beta = np.array([[0.3 * s, -0.2 * s], [-0.2, 0.1], [0.05, -0.15 * s]])
+        alpha = np.array([
+            [[1.0 * c, 0.2], [0.2, 0.8 * c]],
+            [[0.2, -0.15], [-0.15, 0.2]],
+            [[0.1, 0.0], [0.0, 0.1]],
+        ])
+        return nl.AffineParameter(beta, alpha, nu)
+
+    ps = nl.FiniteParameterSet([theta(1.0, 1.0), theta(-1.0, 0.7)])
+    grid = nl.Grid.rect([-1.0, -1.0], [3.0, 3.0], [21, 21])
+    mode = nl.GeneratorMode.standard(nl.StateSpace.half(2))
+    f = nl.TestFunction("bump", lambda x: float(np.cos(x[0]) * np.sin(x[1] + 0.3)),
+                        lambda x: np.zeros(2), lambda x: np.zeros((2, 2)))
+    return nl.solve(ps, grid, f, 0.2, mode, scheme=nl.SchemeConfig(min_time_steps=64))
+
+
+class TestGoldenValues:
+    """Regression values recorded from the two-kernel solver this operator
+    replaced; they pin step count, CFL rate, worst-case vertex map and the
+    horizon layer."""
+
+    def check(self, surf, n_steps, max_rate, nodes):
+        assert surf.n_steps == n_steps
+        assert surf.meta["max_rate"] == pytest.approx(max_rate, rel=1e-12)
+        for idx, want in nodes.items():
+            assert surf.values[-1][idx] == pytest.approx(want, rel=1e-12)
+
+    def test_criterion1_problem(self):
+        h = nl.TruncationFunction(1.0)
+        theta = nl.AffineParameter.scalar(beta0=1.0,
+                                          nu0=nl.AtomicLevyMeasure([[1.0]], [1.0]))
+        surf = nl.solve(nl.FiniteParameterSet([theta]), nl.Grid.line(-5.0, 10.0, 601),
+                        nl.make_payoff("min_cap", c=2.0), 1.0, FULL,
+                        scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512), truncation=h)
+        self.check(surf, 512, 1.0, {
+            (100,): -1.5024815636584847,
+            (150,): -0.26844035299066943,
+            (200,): 0.896721109228067,
+            (220,): 1.2646006089867667,
+            (240,): 1.6324801087454643,
+            (260,): 1.8162400543727337,
+            (290,): 2.0,
+        })
+        assert np.all(surf.argmax_last == 0)
+
+    def test_half_space_2d_problem(self):
+        surf = golden_2d_problem()
+        self.check(surf, 64, 86.84749999999998, {
+            (5, 5): 0.2871286145322958,
+            (8, 12): 0.6893333063930314,
+            (12, 8): 0.19446961015011924,
+            (15, 15): -0.16223289486396275,
+            (20, 20): -0.1119581795142984,
+            (10, 3): -0.05394022521697594,  # outside the half-space: frozen
+            (6, 19): 0.18463762238717907,
+        })
+        argmax = [
+            "000000000000000000000",
+            "000000000000000000000",
+            "000000000000000000000",
+            "000000000000000000000",
+            "000000000000000000000",
+            "000001111111100000000",
+            "000001111111110000000",
+            "000001111111110000000",
+            "000001111111110000000",
+            "000001111111111000000",
+            "000001111111111100000",
+            "000001111111111110000",
+            "000001111111111111111",
+            "000001111111111111111",
+            "000001111111111111111",
+            "000001111111111111111",
+            "000001111111111111111",
+            "000000001111111111111",
+            "000000000011111111111",
+            "000000000001111111111",
+            "000000000000111111111",
+        ]
+        want = np.array([[int(c) for c in row] for row in argmax])
+        assert np.array_equal(surf.argmax_last, want)
