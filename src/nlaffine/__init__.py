@@ -17,11 +17,9 @@ from .params import (
     check_admissible,
     check_coefficient_bounds,
     check_linear_bound,
-    enumerate_vertices,
     growth_bound,
     growth_norm,
     hat_triplet_at,
-    levy_norm,
     small_jump_mass,
     triplet_at,
     truncation_constant,
@@ -83,7 +81,6 @@ __all__ = [
     "check_comparison_conditions",
     "check_linear_bound",
     "dpp_gap",
-    "enumerate_vertices",
     "estimate_expectation",
     "generator_value",
     "growth_bound",
@@ -91,7 +88,6 @@ __all__ = [
     "hat_triplet_at",
     "holder_exponent",
     "jump_integral",
-    "levy_norm",
     "lower_bound_sublinear",
     "make_payoff",
     "matrix_sqrt",

@@ -17,6 +17,7 @@ import numpy as np
 
 from .conditions import uniqueness_gate
 from .config import ConfigError, ExperimentConfig
+from .generator import NoAdmissibleVertexError
 from .montecarlo import bundle_to_csv, lower_bound_sublinear
 from .pide import CFLError, NonFiniteError, dpp_gap, solve
 from . import __version__
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NoAdmissibleVertexError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, NonFiniteError) as exc:

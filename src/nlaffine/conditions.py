@@ -10,15 +10,17 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .generator import sqrt_diffusion_lipschitz
+from .generator import GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (
+    PSD_TOL,
     ParameterSet,
+    affine_at,
+    atom_norms,
     check_coefficient_bounds,
     check_linear_bound,
-    hat_triplet_at,
+    jump_tails,
     linear_part_norm,
     min_eigenvalue,
-    spectral_norm,
 )
 
 SLOPE_CAP = 1e6  # sampled sqrt-Lipschitz slopes above this count as blow-up
@@ -82,24 +84,18 @@ def check_comparison_conditions(theta_set: ParameterSet, sample_box,
 
     # (i) boundedness
     local_sup = 0.0
-    for theta in vertices:
-        for x in xs:
-            t = hat_triplet_at(theta, x)
-            if min_eigenvalue(t.a) < -1e-10:
-                raise ValueError(f"diffusion not PSD at sampled state {x}")
-            ev = np.clip(np.linalg.eigvalsh(np.atleast_2d(t.a)), 0.0, None)
-            local_sup = max(
-                local_sup, float(np.linalg.norm(t.b)) + float(np.sqrt(ev[-1]))
-            )
     jump_sup = 0.0
+    hat = GeneratorMode.hat()
     for theta in vertices:
-        k = theta.nu[0]
-        if k.n_atoms:
-            n = np.linalg.norm(k.atoms, axis=1)
-            jump_sup = max(
-                jump_sup,
-                float(np.sum(k.weights * np.where(n <= 1.0, n * n, 1.0))),
-            )
+        a = hat.coefficients(theta).diffusion(xs)
+        bad = min_eigenvalue(a) < -PSD_TOL
+        if np.any(bad):
+            raise ValueError(f"diffusion not PSD at sampled state {xs[np.argmax(bad)]}")
+        top = np.clip(np.linalg.eigvalsh(a)[:, -1], 0.0, None)
+        b = affine_at(theta.beta, xs)
+        local_sup = max(local_sup, float(np.max(np.linalg.norm(b, axis=1) + np.sqrt(top),
+                                                initial=0.0)))
+        jump_sup = max(jump_sup, sum(jump_tails(theta.nu[0], 1.0)))
     clauses["boundedness"] = {
         "status": "pass" if np.isfinite(local_sup) and np.isfinite(jump_sup) else "fail",
         "local_sup": local_sup,
@@ -107,35 +103,19 @@ def check_comparison_conditions(theta_set: ParameterSet, sample_box,
     }
 
     # (ii) tightness: exact tails for atomic measures
-    norms = [
-        float(np.linalg.norm(z))
-        for theta in vertices
-        for z in theta.nu[0].atoms
-    ]
-    if norms:
-        small_grid = _dyadic_down(min(norms), 6)
-        large_grid = [max(norms) * 2.0**k for k in range(6)]
+    norms = atom_norms(theta.nu[0] for theta in vertices)
+    if norms.size:
+        small_grid = _dyadic_down(float(norms.min()), 6)
+        large_grid = [float(norms.max()) * 2.0**k for k in range(6)]
     else:
         small_grid = _dyadic_down(1.0, 6)
         large_grid = [2.0**k for k in range(6)]
-    small_tail = {}
-    for delta in small_grid:
-        val = 0.0
-        for theta in vertices:
-            k = theta.nu[0]
-            if k.n_atoms:
-                n = np.linalg.norm(k.atoms, axis=1)
-                val = max(val, float(np.sum(k.weights * n * n * (n <= delta))))
-        small_tail[delta] = val
-    large_tail = {}
-    for R in large_grid:
-        val = 0.0
-        for theta in vertices:
-            k = theta.nu[0]
-            if k.n_atoms:
-                n = np.linalg.norm(k.atoms, axis=1)
-                val = max(val, float(np.sum(k.weights * (n > R))))
-        large_tail[R] = val
+
+    def worst_tail(r: float, which: int) -> float:
+        return max([0.0] + [jump_tails(theta.nu[0], r)[which] for theta in vertices])
+
+    small_tail = {r: worst_tail(r, 0) for r in small_grid}
+    large_tail = {r: worst_tail(r, 1) for r in large_grid}
     tight_ok = (
         small_tail[min(small_tail)] == 0.0 and large_tail[max(large_tail)] == 0.0
     )

@@ -24,6 +24,7 @@ from .params import (
     ParameterSet,
     StateSpace,
     TruncationFunction,
+    truncation_moment,
 )
 from .payoffs import make_payoff
 from .pide import Grid, SchemeConfig
@@ -111,15 +112,6 @@ def theta_to_json(theta: AffineParameter) -> dict:
 # named example registry
 
 
-def _truncation_moment(measure: AtomicLevyMeasure, h: TruncationFunction) -> np.ndarray:
-    """integral of h against the measure: sum_i w_i h(z_i)."""
-    if measure.is_empty():
-        return np.zeros(measure.dim)
-    return np.sum(
-        measure.weights[:, None] * np.array([h(z) for z in measure.atoms]), axis=0
-    )
-
-
 def compound_poisson_set(lam_interval, measures, h: TruncationFunction) -> FiniteParameterSet:
     """Pure-jump family: intensity in an interval, jump law from the convex
     hull of a finite measure list; drift carries the h-moment of the scaled
@@ -130,7 +122,7 @@ def compound_poisson_set(lam_interval, measures, h: TruncationFunction) -> Finit
     for lam in lams:
         for m in measures:
             scaled = m.scaled(lam)
-            b0 = float(_truncation_moment(scaled, h)[0])
+            b0 = float(truncation_moment(scaled.atoms, scaled.weights, h)[0])
             params.append(AffineParameter.scalar(beta0=b0, nu0=scaled))
     return FiniteParameterSet(params)
 
@@ -150,8 +142,8 @@ def generalized_compound_poisson_set(lam0_interval, lam1_interval, measures,
                 m1 = m.scaled(l1)
                 params.append(
                     AffineParameter.scalar(
-                        beta0=float(_truncation_moment(m0, h)[0]),
-                        beta1=float(_truncation_moment(m1, h)[0]),
+                        beta0=float(truncation_moment(m0.atoms, m0.weights, h)[0]),
+                        beta1=float(truncation_moment(m1.atoms, m1.weights, h)[0]),
                         nu0=m0,
                         nu1=m1,
                     )
@@ -262,6 +254,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # building every object surfaces field errors early
+        if "horizon" in self.data:
+            self.horizon
         self.grid()
         self.mode()
         self.payoff()
@@ -287,9 +281,12 @@ class ExperimentConfig:
     @property
     def horizon(self) -> float:
         try:
-            return float(self.data["horizon"])
+            horizon = _num(self.data["horizon"])
         except KeyError as exc:
             raise ConfigError("missing field: horizon") from exc
+        if not horizon >= 0.0:
+            raise ConfigError(f"horizon must be nonnegative, got {horizon!r}")
+        return horizon
 
     @property
     def output_dir(self) -> str:
@@ -342,7 +339,12 @@ class ExperimentConfig:
         spec = self.data.get("parameter_set")
         if not isinstance(spec, dict):
             raise ConfigError("missing field: parameter_set")
-        return parameter_set_from_json(spec, self.dimension, self.truncation())
+        try:
+            return parameter_set_from_json(spec, self.dimension, self.truncation())
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad parameter_set: {exc}") from exc
 
     def scheme(self) -> SchemeConfig:
         spec = self.data.get("scheme", {})

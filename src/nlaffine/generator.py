@@ -18,9 +18,12 @@ from .params import (
     StateSpace,
     Triplet,
     TruncationFunction,
+    affine_at,
+    combined_atom_table,
     hat_triplet_at,
     min_eigenvalue,
     triplet_at,
+    truncation_moment,
 )
 
 
@@ -74,8 +77,59 @@ class GeneratorMode:
             return hat_triplet_at(theta, y)
         return triplet_at(theta, y, self.space)
 
+    def inside(self, xs: np.ndarray) -> np.ndarray:
+        """State-space indicator of each row of an (n, d) state array; hat
+        mode has no state space."""
+        if self.is_hat:
+            return np.ones(xs.shape[0], dtype=bool)
+        return self.space.contains_many(xs)
+
+    def coefficients(self, theta: AffineParameter,
+                     h: TruncationFunction | None = None) -> "CoefficientForm":
+        """theta's coefficient map under this mode as array forms."""
+        h = self.truncation(h)
+        if self.is_hat:
+            m = theta.nu[0]
+            atoms = m.atoms
+            W = np.column_stack([m.weights, np.zeros((m.n_atoms, theta.dim))])
+        else:
+            atoms, W = combined_atom_table(theta.nu)
+        compensation = np.array([truncation_moment(atoms, w, h) for w in W.T])
+        return CoefficientForm(self, atoms, W, theta.beta - compensation, theta.alpha)
+
     def __repr__(self) -> str:
         return f"GeneratorMode({self.kind})"
+
+
+@dataclass(frozen=True)
+class CoefficientForm:
+    """One vertex's coefficients as affine forms in the state, evaluated on
+    (n, d) state arrays: atoms z_j (m, d) with weights
+    w_j(x) = W[j, 0] + sum_i x^i W[j, i], the compensated drift
+    beta - sum_j W_j h(z_j) as (d+1, d) rows, and alpha.  Hat mode takes
+    alpha on the positive part x+ and freezes the jump measure at nu_0."""
+
+    mode: GeneratorMode
+    atoms: np.ndarray
+    W: np.ndarray
+    net_drift: np.ndarray
+    alpha: np.ndarray
+
+    def drift(self, xs: np.ndarray) -> np.ndarray:
+        return affine_at(self.net_drift, xs)
+
+    def diffusion(self, xs: np.ndarray) -> np.ndarray:
+        return affine_at(self.alpha, np.maximum(xs, 0.0) if self.mode.is_hat else xs)
+
+    def jump_weights(self, xs: np.ndarray) -> np.ndarray:
+        return affine_at(self.W.T, xs)
+
+    def at(self, xs: np.ndarray):
+        """(drift, diffusion, jump weights) times the state-space indicator:
+        triplet_at / hat_triplet_at on arrays, with the drift compensated."""
+        ind = self.mode.inside(xs).astype(float)
+        return (self.drift(xs) * ind[:, None], self.diffusion(xs) * ind[:, None, None],
+                self.jump_weights(xs) * ind[:, None])
 
 
 def jump_integral(k: AtomicLevyMeasure, f: TestFunction, x,
@@ -146,16 +200,18 @@ def worst_case_generator(theta_set: ParameterSet, y, f: TestFunction, x,
 
 
 def matrix_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition; eigenvalues in
-    [-PSD_TOL, 0) are clipped to zero, anything below raises."""
+    """Symmetric PSD square root via eigendecomposition, of one matrix or of
+    each matrix in a stack (..., d, d); eigenvalues in [-PSD_TOL, 0) are
+    clipped to zero, anything below raises."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1] or np.max(np.abs(a - a.T)) > 1e-9:
+    at = np.swapaxes(a, -1, -2)
+    if a.shape[-1] != a.shape[-2] or np.max(np.abs(a - at), initial=0.0) > 1e-9:
         raise ValueError("matrix_sqrt expects a symmetric matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    if vals[0] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {vals[0]:.3e})")
-    s = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return 0.5 * (s + s.T)
+    vals, vecs = np.linalg.eigh(0.5 * (a + at))
+    if np.any(vals[..., 0] < -PSD_TOL):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {np.min(vals[..., 0]):.3e})")
+    s = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 @dataclass
@@ -199,45 +255,40 @@ def sqrt_diffusion_lipschitz(theta_set: ParameterSet, sample_box,
                 probes.append(q)
     pts = np.vstack([pts, probes])
 
-    pairs = []
-    for i in range(pts.shape[0] - 1):
-        pairs.append((pts[i], pts[i + 1]))
-    for i in range(pts.shape[0]):
-        for axis in range(d):
-            scale = width[axis] if width[axis] > 0 else 1.0
-            for k in (2, 5, 8, 11, 14):
-                q = pts[i].copy()
-                q[axis] = min(q[axis] + scale * 10.0**-k, hi[axis])
-                if np.any(q != pts[i]):
-                    pairs.append((pts[i], q))
+    # pairs (I, J) into pts: consecutive points, then each point with graded
+    # offsets along every axis
+    n = pts.shape[0]
+    scale = np.where(width > 0, width, 1.0)
+    steps = scale[:, None] * np.array([10.0**-k for k in (2, 5, 8, 11, 14)])
+    q = np.repeat(pts[:, None, None, :], d, axis=1).repeat(steps.shape[1], axis=2)
+    axis = np.arange(d)
+    q[:, axis, :, axis] = np.minimum(pts.T[:, :, None] + steps[:, None, :],
+                                     hi[:, None, None])
+    q = q.reshape(-1, d)
+    owner = np.repeat(np.arange(n), q.shape[0] // n)
+    moved = np.any(q != pts[owner], axis=1)
+    I = np.concatenate([np.arange(n - 1), owner[moved]])
+    J = np.concatenate([np.arange(1, n), n + np.arange(int(moved.sum()))])
+    pts = np.vstack([pts, q[moved]])
+    gap = np.linalg.norm(pts[I] - pts[J], axis=1)
+    I, J, gap = I[gap > 0], J[gap > 0], gap[gap > 0]
 
-    vertices = theta_set.vertices()
-    roots: dict[int, dict[bytes, np.ndarray]] = {i: {} for i in range(len(vertices))}
-
-    def root_at(vi: int, x: np.ndarray) -> np.ndarray:
-        key = x.tobytes()
-        cache = roots[vi]
-        if key not in cache:
-            a = hat_triplet_at(vertices[vi], x).a
-            if min_eigenvalue(a) < -PSD_TOL:
-                raise ValueError(
-                    f"diffusion map is not PSD at x = {x} (vertex {vi})"
-                )
-            cache[key] = matrix_sqrt(a)
-        return cache[key]
-
+    hat = GeneratorMode.hat()
     best = 0.0
     best_pair = (pts[0], pts[0])
     best_vertex = 0
-    for vi in range(len(vertices)):
-        for x, y in pairs:
-            gap = float(np.linalg.norm(x - y))
-            if gap == 0.0:
-                continue
-            diff = root_at(vi, x) - root_at(vi, y)
-            slope = float(np.max(np.abs(np.linalg.eigvalsh(diff)))) / gap
-            if slope > best:
-                best, best_pair, best_vertex = slope, (x, y), vi
+    for vi, theta in enumerate(theta_set.vertices()):
+        a = hat.coefficients(theta).diffusion(pts)
+        bad = min_eigenvalue(a) < -PSD_TOL
+        if np.any(bad):
+            raise ValueError(
+                f"diffusion map is not PSD at x = {pts[np.argmax(bad)]} (vertex {vi})"
+            )
+        root = matrix_sqrt(a)
+        slope = np.max(np.abs(np.linalg.eigvalsh(root[I] - root[J])), axis=-1) / gap
+        k = int(np.argmax(slope)) if slope.size else 0
+        if slope.size and slope[k] > best:
+            best, best_pair, best_vertex = float(slope[k]), (pts[I[k]], pts[J[k]]), vi
     return LipschitzEstimate(
         constant=best,
         pair=best_pair,

@@ -18,6 +18,13 @@ jump martingale and the compensator are recombined into raw jumps.  Authors
 of a coefficient tuple must therefore use the same h here as in the drift
 specification; the solver/simulator agreement tests pin this convention.
 
+The compensated drift, the diffusion and the jump weights come from
+GeneratorMode.coefficients, the one array coefficient form that the PIDE
+operator and the hypothesis gate read as well.  The compensation and the
+registry's drift authoring share params.truncation_moment, so a registry
+tuple has a net drift of exactly zero and a path started on the boundary of
+the half-line leaves it only by a jump.
+
 Each path owns a counter-based random stream keyed by (base seed, path
 index): results are bitwise reproducible and independent of the number of
 paths simulated alongside.
@@ -25,19 +32,20 @@ paths simulated alongside.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .generator import GeneratorMode, TestFunction
+from .generator import CoefficientForm, GeneratorMode, TestFunction
 from .params import (
     PSD_TOL,
     WEIGHT_TOL,
     AffineParameter,
     ParameterSet,
     TruncationFunction,
-    combined_atom_table,
+    affine_at,
     min_eigenvalue,
 )
 
@@ -100,70 +108,30 @@ def _path_seed_labels(seed: int, start: int, count: int) -> np.ndarray:
         return (np.uint64(seed % 2**64) * mix + idx) * mix
 
 
-class _Dynamics:
-    """Affine coefficient forms used by the stepping loop."""
-
-    def __init__(self, theta: AffineParameter, mode: GeneratorMode,
-                 h: TruncationFunction, clamp_lo, clamp_hi):
-        d = theta.dim
-        self.d = d
-        self.mode = mode
-        if mode.is_hat:
-            h = TruncationFunction(1.0)
-            atoms = theta.nu[0].atoms
-            self.W0 = theta.nu[0].weights.copy()
-            self.W1 = np.zeros((atoms.shape[0], d))
-        else:
-            atoms, W = combined_atom_table(theta.nu)
-            self.W0 = W[:, 0].copy()
-            self.W1 = W[:, 1:].copy()
-        self.atoms = atoms
-        hz = np.array([h(z) for z in atoms]).reshape(-1, d)
-        self.net0 = theta.beta[0] - hz.T @ self.W0
-        self.net1 = theta.beta[1:].T - hz.T @ self.W1
-        self.a0 = theta.alpha[0]
-        self.a_lin = theta.alpha[1:]
-        self.has_diffusion = bool(np.any(theta.alpha))
-        # intensity bound over the clamp box: per atom, max over corners of
-        # the affine weight, positive part
-        lam = 0.0
-        if atoms.shape[0]:
-            corners = _box_corners(clamp_lo, clamp_hi)
-            vals = self.W0[None, :] + corners @ self.W1.T  # (2^d, m)
-            lam = float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
-        self.lam_bar = lam
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return self.net0[None, :] + x @ self.net1.T
-
-    def diffusion_root(self, x: np.ndarray) -> np.ndarray:
-        xa = np.maximum(x, 0.0) if self.mode.is_hat else x
-        A = self.a0[None, :, :] + np.tensordot(xa, self.a_lin, axes=(1, 0))
-        mineig = min_eigenvalue(A)
-        if np.any(mineig < -PSD_TOL):
-            bad = x[np.argmin(mineig)]
-            raise ValueError(f"diffusion matrix not PSD at state {bad}")
-        if self.d == 1:
-            return np.sqrt(np.clip(A, 0.0, None))
-        tr = A[:, 0, 0] + A[:, 1, 1]
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        s = np.sqrt(np.clip(det, 0.0, None))
-        denom = np.sqrt(np.clip(tr + 2.0 * s, 0.0, None))
-        denom = np.where(denom > 0, denom, 1.0)
-        root = (A + s[:, None, None] * np.eye(2)[None, :, :]) / denom[:, None, None]
-        return root
-
-    def jump_weights(self, x: np.ndarray) -> np.ndarray:
-        return self.W0[None, :] + x @ self.W1.T
+def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Intensity bound over the clamp box: per atom, the largest affine
+    weight over the box corners, positive part, summed."""
+    if not form.atoms.shape[0]:
+        return 0.0
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    vals = affine_at(form.W.T, corners)  # (2^d, m)
+    return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
 
 
-def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    d = lo.shape[0]
-    out = np.zeros((2**d, d))
-    for v in range(2**d):
-        for i in range(d):
-            out[v, i] = hi[i] if (v >> i) & 1 else lo[i]
-    return out
+def _diffusion_root(A: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Closed-form PSD square root of each (1x1 or 2x2) diffusion matrix."""
+    mineig = min_eigenvalue(A)
+    if np.any(mineig < -PSD_TOL):
+        bad = xs[np.argmin(mineig)]
+        raise ValueError(f"diffusion matrix not PSD at state {bad}")
+    if A.shape[-1] == 1:
+        return np.sqrt(np.clip(A, 0.0, None))
+    tr = A[:, 0, 0] + A[:, 1, 1]
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    s = np.sqrt(np.clip(det, 0.0, None))
+    denom = np.sqrt(np.clip(tr + 2.0 * s, 0.0, None))
+    denom = np.where(denom > 0, denom, 1.0)
+    return (A + s[:, None, None] * np.eye(2)[None, :, :]) / denom[:, None, None]
 
 
 def default_clamp_box(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +151,14 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("clamp box must contain the initial point")
-    dyn = _Dynamics(theta, mode, cfg.truncation, lo, hi)
+    form = mode.coefficients(theta, cfg.truncation)
+    lam_bar = _lam_bar(form, lo, hi)
+    has_diffusion = bool(np.any(theta.alpha))
     n_steps = max(1, math.ceil(cfg.horizon / cfg.dt - 1e-12)) if cfg.horizon > 0 else 0
     dt = cfg.horizon / n_steps if n_steps else 0.0
     times = dt * np.arange(n_steps + 1)
-    start_outside = (not mode.is_hat) and (not mode.space.contains(x0))
-    jumps_active = dyn.lam_bar > 0.0 and dyn.atoms.shape[0] > 0
+    start_outside = not mode.inside(x0[None, :])[0]
+    jumps_active = lam_bar > 0.0
 
     N = cfg.n_paths
     terminal = np.empty((N, d))
@@ -209,7 +179,7 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
         pool = None
         pool_off = np.zeros(B, dtype=np.int64)
         if n_steps:
-            if dyn.has_diffusion:
+            if has_diffusion:
                 Z = np.empty((n_steps, B, d))
             if jumps_active:
                 counts = np.zeros((n_steps, B), dtype=np.int64)
@@ -218,10 +188,10 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                 rng = np.random.Generator(
                     np.random.Philox(key=np.array([cfg.seed, b0 + i], dtype=np.uint64))
                 )
-                if dyn.has_diffusion:
+                if has_diffusion:
                     Z[:, i, :] = rng.standard_normal((n_steps, d))
                 if jumps_active:
-                    c = rng.poisson(dyn.lam_bar * dt, n_steps)
+                    c = rng.poisson(lam_bar * dt, n_steps)
                     counts[:, i] = c
                     pools.append(rng.random(2 * int(c.sum())))
             if jumps_active:
@@ -244,9 +214,9 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
             if np.any(alive):
                 idx = np.nonzero(alive)[0]
                 xa = X[idx]
-                newx = xa + dt * dyn.drift(xa)
-                if dyn.has_diffusion:
-                    root = dyn.diffusion_root(xa)
+                newx = xa + dt * form.drift(xa)
+                if has_diffusion:
+                    root = _diffusion_root(form.diffusion(xa), xa)
                     newx = newx + sqdt * np.einsum("nij,nj->ni", root, Z[j, idx])
                 Xn = X.copy()
                 Xn[idx] = newx
@@ -260,7 +230,7 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                         if m.size == 0:
                             break
                         xm = Xn[m]
-                        w = dyn.jump_weights(xm)
+                        w = form.jump_weights(xm)
                         if w.size and np.min(w) < -WEIGHT_TOL:
                             bad = xm[np.argmin(np.min(w, axis=1))]
                             raise ValueError(
@@ -271,22 +241,20 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                         u1 = pool[pool_off[m] + 2 * used[m]]
                         u2 = pool[pool_off[m] + 2 * used[m] + 1]
                         used[m] += 1
-                        acc = u1 * dyn.lam_bar < lam
+                        acc = u1 * lam_bar < lam
                         am = m[acc]
                         if am.size:
                             cw = np.cumsum(wpos[acc], axis=1)
                             r2 = (u2[acc] * lam[acc])[:, None]
                             choice = np.argmax(cw > r2, axis=1)
-                            Xn[am] += dyn.atoms[choice]
+                            Xn[am] += form.atoms[choice]
                             jumped[am] = True
                 # exits (standard mode): post-step membership; never re-enter
-                if not mode.is_hat and not mode.space.is_full:
-                    inside = mode.space.contains_many(Xn)
-                    newly = alive & ~inside
-                    if np.any(newly):
-                        exit_time[b0:b1][newly] = (j + 1) * dt
-                        frozen[newly] = True
-                        no_jump_exits += int(np.sum(newly & ~jumped))
+                newly = alive & ~mode.inside(Xn)
+                if np.any(newly):
+                    exit_time[b0:b1][newly] = (j + 1) * dt
+                    frozen[newly] = True
+                    no_jump_exits += int(np.sum(newly & ~jumped))
                 # clamp box
                 inbox = np.all((Xn >= lo) & (Xn <= hi), axis=1)
                 out = alive & ~inbox & ~frozen

@@ -191,10 +191,6 @@ def _merge_atoms(z: np.ndarray, w: np.ndarray):
     return np.ascontiguousarray(zm), np.ascontiguousarray(wm)
 
 
-def levy_norm(k: AtomicLevyMeasure) -> float:
-    return k.norm()
-
-
 def combined_atom_table(measures) -> tuple[np.ndarray, np.ndarray]:
     """Union atom list for a family of measures sharing a dimension.
 
@@ -219,6 +215,21 @@ def combined_atom_table(measures) -> tuple[np.ndarray, np.ndarray]:
                 raise AssertionError("atom missing from union table")
             W[idx, j] += wi
     return union, W
+
+
+def atom_norms(measures) -> np.ndarray:
+    """Euclidean norm of every atom of the given measures, in order."""
+    return np.array([np.linalg.norm(z) for m in measures for z in m.atoms])
+
+
+def jump_tails(k: AtomicLevyMeasure, r: float) -> tuple[float, float]:
+    """Tails of an atomic measure at radius r: the small-jump second moment
+    sum w |z|^2 1{|z| <= r} and the large-jump mass sum w 1{|z| > r}."""
+    if k.is_empty():
+        return 0.0, 0.0
+    n = np.linalg.norm(k.atoms, axis=1)
+    return (float(np.sum(k.weights * (n * n) * (n <= r))),
+            float(np.sum(k.weights * (n > r))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +294,15 @@ class TruncationFunction:
     @property
     def sup_norm(self) -> float:
         return self.radius
+
+
+def truncation_moment(atoms: np.ndarray, weights: np.ndarray,
+                      h: TruncationFunction) -> np.ndarray:
+    """sum_j w_j h(z_j): an elementwise product, then a sum over the atoms in
+    order.  Authoring a drift and compensating one both go through here, so
+    a tuple authored with h has a compensated drift of exactly zero."""
+    hz = np.array([h(z) for z in atoms]).reshape(-1, atoms.shape[1])
+    return np.sum(weights[:, None] * hz, axis=0)
 
 
 def truncation_constant(h: TruncationFunction) -> float:
@@ -388,6 +408,12 @@ class Triplet:
     @property
     def dim(self) -> int:
         return self.b.shape[0]
+
+
+def affine_at(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """c_0 + sum_i x^i c_i for every row x of an (n, d) state array, where c
+    stacks the d+1 coefficients (vectors, matrices or weight rows)."""
+    return c[0] + np.tensordot(xs, c[1:], axes=(1, 0))
 
 
 def triplet_at(theta: AffineParameter, x, space: StateSpace) -> Triplet:
@@ -542,10 +568,6 @@ class CoefficientBox(ParameterSet):
         return out
 
 
-def enumerate_vertices(theta_set: ParameterSet) -> list[AffineParameter]:
-    return theta_set.vertices()
-
-
 # ---------------------------------------------------------------------------
 # growth norms: sup_x ||c0 + C x|| / (||x|| + 1)
 
@@ -611,52 +633,11 @@ def _direction_sup(g, d: int, directions: int | None = None) -> float:
     return best
 
 
-def growth_norm(theta: AffineParameter, component: str,
-                directions: int | None = None) -> float:
-    """sup_x ||c0 + C x|| / (||x|| + 1) for one component of theta.
-
-    Equals max(||c0||, ||C||_op): the ratio r -> (||c0|| + r ||C||_op)/(1 + r)
-    is monotone between its values at r = 0 and r -> infinity.  The operator
-    norm of the linear part is exact for the drift (spectral norm) and for
-    d = 1; otherwise it is a mesh-plus-refinement supremum over directions.
-    """
-    d = theta.dim
-    if component == "beta":
-        c0 = float(np.linalg.norm(theta.beta[0]))
-        lin = theta.beta[1:].T
-        cop = float(np.linalg.norm(lin, 2)) if np.any(lin) else 0.0
-        return max(c0, cop)
-    if component == "alpha":
-        c0 = spectral_norm(theta.alpha[0])
-        lin = theta.alpha[1:]
-        if not np.any(lin):
-            return c0
-        if d == 1:
-            return max(c0, spectral_norm(lin[0]))
-
-        def g(u):
-            return spectral_norm(np.tensordot(u, lin, axes=(0, 0)))
-
-        return max(c0, _direction_sup(g, d, directions))
-    if component == "nu":
-        c0 = theta.nu[0].norm()
-        lin = theta.nu[1:]
-        if all(m.is_empty() for m in lin):
-            return c0
-        atoms, W = combined_atom_table(lin)
-        n = np.linalg.norm(atoms, axis=1)
-        fac = np.minimum(n * n, n)
-
-        def g(u):
-            return float(fac @ np.abs(W @ u))
-
-        return max(c0, _direction_sup(g, d, directions))
-    raise ValueError(f"unknown component {component!r}")
-
-
 def linear_part_norm(theta: AffineParameter, component: str,
                      directions: int | None = None) -> float:
-    """Operator norm of the linear part alone (the c0 = 0 case)."""
+    """Operator norm of the linear part of one component of theta.  Exact for
+    the drift (spectral norm) and for d = 1; otherwise a mesh-plus-refinement
+    supremum over directions."""
     d = theta.dim
     if component == "beta":
         lin = theta.beta[1:].T
@@ -681,6 +662,21 @@ def linear_part_norm(theta: AffineParameter, component: str,
     raise ValueError(f"unknown component {component!r}")
 
 
+def growth_norm(theta: AffineParameter, component: str,
+                directions: int | None = None) -> float:
+    """sup_x ||c0 + C x|| / (||x|| + 1) for one component of theta.
+
+    Equals max(||c0||, ||C||_op): the ratio r -> (||c0|| + r ||C||_op)/(1 + r)
+    is monotone between its values at r = 0 and r -> infinity.
+    """
+    lin = linear_part_norm(theta, component, directions)
+    if component == "beta":
+        return max(float(np.linalg.norm(theta.beta[0])), lin)
+    if component == "alpha":
+        return max(spectral_norm(theta.alpha[0]), lin)
+    return max(theta.nu[0].norm(), lin)
+
+
 def parameter_growth(theta: AffineParameter) -> float:
     return sum(growth_norm(theta, c) for c in ("beta", "alpha", "nu"))
 
@@ -700,12 +696,7 @@ def small_jump_mass(theta_set: ParameterSet, x, delta: float,
             k = hat_triplet_at(theta, x).k
         else:
             k = triplet_at(theta, x, space).k
-        if k.is_empty():
-            val = 0.0
-        else:
-            n = np.linalg.norm(k.atoms, axis=1)
-            val = float(np.sum(k.weights * (n * n) * (n <= delta)))
-        best = max(best, val)
+        best = max(best, jump_tails(k, delta)[0])
     return best
 
 
@@ -751,15 +742,10 @@ def check_coefficient_bounds(theta_set: ParameterSet,
     smallest atom norm, so the vanishing-limit requirement is exact."""
     d = theta_set.dim
     K = growth_bound(theta_set)
-    norms = [
-        float(np.linalg.norm(z))
-        for theta in theta_set.vertices()
-        for m in theta.nu
-        for z in m.atoms
-    ]
-    min_atom = min(norms) if norms else None
+    norms = atom_norms(m for theta in theta_set.vertices() for m in theta.nu)
+    min_atom = float(norms.min()) if norms.size else None
     if delta_grid is None:
-        top = max(norms) if norms else 1.0
+        top = float(norms.max()) if norms.size else 1.0
         delta_grid = [top * 2.0**-k for k in range(8)]
     if x_samples is None:
         x_samples = [np.zeros(d), np.ones(d)]

@@ -11,8 +11,10 @@ the same construction in one and two dimensions.  The stencils are upwind
 first differences per axis and sign (carrying the drift and the central
 diffusion share), the two diagonal pairs of the 2-D cross term, sign-adapted,
 and the (bi)linear interpolation corners of each atom, weighted by the atom's
-intensity.  The per-atom compensator is folded into the drift, so every jump
-weight stays nonnegative.
+intensity.  The coefficients come from GeneratorMode.coefficients, the one
+array coefficient form that the Monte Carlo stepper and the hypothesis gate
+read as well; its drift already carries the compensator -sum_j w_j h(z_j),
+so every jump weight stays nonnegative.
 
 Monotonicity is checked on the assembled operator: C >= 0 on admissible
 nodes (only a cross term stronger than the diagonal terms can break it), and
@@ -34,14 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .generator import GeneratorMode, TestFunction
+from .generator import GeneratorMode, NoAdmissibleVertexError, TestFunction
 from .params import (
     PSD_TOL,
     WEIGHT_TOL,
-    AffineParameter,
     ParameterSet,
     TruncationFunction,
-    combined_atom_table,
+    atom_norms,
     growth_bound,
     min_eigenvalue,
 )
@@ -81,10 +82,6 @@ class Grid:
     @classmethod
     def line(cls, lo: float, hi: float, n: int) -> "Grid":
         return cls([lo], [hi], [n])
-
-    @classmethod
-    def rect(cls, lo, hi, n) -> "Grid":
-        return cls(lo, hi, n)
 
     @property
     def dim(self) -> int:
@@ -213,15 +210,6 @@ class ValueSurface:
 # the discrete generator: nonnegative coefficients times difference stencils
 
 
-def _atom_table(theta: AffineParameter, mode: GeneratorMode):
-    """Atoms (m, d) and affine weights (m, d + 1), w_z(x) = W[z, 0] + W[z, 1:] . x;
-    hat mode freezes the jump measure at nu_0."""
-    if mode.is_hat:
-        m = theta.nu[0]
-        return m.atoms, np.column_stack([m.weights, np.zeros((m.n_atoms, theta.dim))])
-    return combined_atom_table(theta.nu)
-
-
 def _interpolation_stencil(offset: np.ndarray) -> tuple:
     """Multilinear interpolation at x + offset (in grid steps) as
     (corner offset, weight) pairs."""
@@ -267,25 +255,18 @@ class _Operator:
         for i, j in pairs:
             register(unit_weights(eye[i] + eye[j], -eye[i] - eye[j]))
             register(unit_weights(eye[i] - eye[j], eye[j] - eye[i]))
-        tables = [_atom_table(theta, mode) for theta in vertices]
-        atom_rows = [[register(_interpolation_stencil(z / dx)) for z in atoms]
-                     for atoms, _ in tables]
+        forms = [mode.coefficients(theta, h) for theta in vertices]
+        atom_rows = [[register(_interpolation_stencil(z / dx)) for z in f.atoms]
+                     for f in forms]
 
         pts = grid.points()
-        self.in_s = (np.ones(n, dtype=bool) if mode.is_hat
-                     else mode.space.contains_many(pts))
-        ind = self.in_s.astype(float)
-        xa = np.maximum(pts, 0.0) if mode.is_hat else pts
+        self.in_s = mode.inside(pts)
         self.C = np.zeros((len(stencils), len(vertices), n))
         adm = np.empty((len(vertices), n), dtype=bool)
-        for k, (theta, (atoms, W), rows) in enumerate(zip(vertices, tables, atom_rows)):
-            a = theta.alpha[0][None, :, :] + np.tensordot(xa, theta.alpha[1:], axes=(1, 0))
-            a *= ind[:, None, None]
-            w = (W[None, :, 0] + pts @ W[:, 1:].T) * ind[:, None]
-            hz = np.array([h(z) for z in atoms]).reshape(-1, d)
-            b = (theta.beta[0][None, :] + pts @ theta.beta[1:]) * ind[:, None] - w @ hz
+        for k, (form, rows) in enumerate(zip(forms, atom_rows)):
+            b, a, w = form.at(pts)
             adm[k] = min_eigenvalue(a) >= -PSD_TOL
-            if atoms.shape[0]:
+            if rows:
                 adm[k] &= np.min(w, axis=1) >= -WEIGHT_TOL
             c = self.C[:, k]
             diag = 0.5 * np.clip(np.diagonal(a, axis1=1, axis2=2), 0.0, None) / dx**2
@@ -336,13 +317,8 @@ class _Operator:
 
 
 def default_jump_radius(theta_set: ParameterSet) -> float:
-    norms = [
-        float(np.linalg.norm(z))
-        for theta in theta_set.vertices()
-        for m in theta.nu
-        for z in m.atoms
-    ]
-    return max(norms) if norms else 0.0
+    norms = atom_norms(m for theta in theta_set.vertices() for m in theta.nu)
+    return float(norms.max()) if norms.size else 0.0
 
 
 def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
@@ -367,7 +343,8 @@ def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
     op = _Operator(theta_set.vertices(), grid, mode, h)
     uncovered = op.in_s & ~np.any(op.adm, axis=0)
     if np.any(uncovered):
-        raise ValueError(f"no admissible vertex at state {grid.points()[uncovered][0]}")
+        raise NoAdmissibleVertexError(
+            f"no admissible vertex at state {grid.points()[uncovered][0]}")
 
     max_rate = op.max_rate
     stable_dt = scheme.cfl / max_rate if max_rate > 0 else math.inf

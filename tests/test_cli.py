@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,50 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--dpp-split", "0.25"]) == 0
         dpp = json.loads((out / "dpp.json").read_text())
         assert dpp["gap"] <= 5e-3
+
+
+def _atom_at_origin(raw):
+    raw["parameter_set"]["parameter"]["nu"] = [[[0.0, 1.0]], []]
+
+
+def _negative_variance(raw):
+    raw["parameter_set"]["parameter"]["alpha"] = [[[-1.0]], [[0.0]]]
+
+
+def _negative_horizon(raw):
+    raw["horizon"] = -1.0
+
+
+def _text_horizon(raw):
+    raw["horizon"] = "soon"
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("edit, message", [
+        (_atom_at_origin, "atom at the origin"),
+        (_negative_variance, "no admissible vertex"),
+        (_negative_horizon, "horizon must be nonnegative"),
+        (_text_horizon, "expected a number"),
+    ])
+    def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
+        raw = base_config(tmp_path / "out")
+        edit(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
+
+
+class TestReadmeLibraryUse:
+    def test_snippet_runs_as_written(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert float(lines[0]) == pytest.approx(1.0, abs=1e-2)
 
 
 class TestSimulateCommand:

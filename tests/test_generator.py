@@ -3,6 +3,7 @@ import pytest
 
 import nlaffine as nl
 from nlaffine.generator import NoAdmissibleVertexError
+from nlaffine.params import truncation_moment
 
 from test_params import random_theta
 
@@ -229,7 +230,51 @@ class TestDerivativeConsistency:
                 assert np.linalg.norm(H - Hfd) / hscale < 1e-4
 
 
+class TestCoefficientForm:
+    """The array form read by the solver, the simulator and the gate agrees
+    with the pointwise reference maps, with the drift compensated by
+    sum_j w_j(x) h(z_j)."""
+
+    @staticmethod
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["standard", "hat"])
+    def test_matches_pointwise_triplets(self, kind, d):
+        rng = np.random.default_rng(11 + d)
+        h = nl.TruncationFunction(1.3)
+        mode = (nl.GeneratorMode.standard(nl.StateSpace.half(d, 1)) if kind == "standard"
+                else nl.GeneratorMode.hat())
+        # half the states have a negative first coordinate: outside the
+        # half-space, and on the positive-part kink side in hat mode
+        xs = rng.uniform(-2.0, 2.0, size=(250, d))
+        assert np.sum(xs[:, 0] < 0) > 50
+        for _ in range(4):
+            theta = random_theta(rng, d=d)
+            form = mode.coefficients(theta, h)
+            b, a, w = form.at(xs)
+            hh = mode.truncation(h)
+            for i, x in enumerate(xs):
+                t = mode.triplet(theta, x)
+                want_w = dict(zip(map(tuple, t.k.atoms), t.k.weights))
+                assert set(want_w) <= set(map(tuple, form.atoms))
+                got_w = np.array([want_w.get(tuple(z), 0.0) for z in form.atoms])
+                net = t.b - truncation_moment(t.k.atoms, t.k.weights, hh)
+                assert self.close(b[i], net)
+                assert self.close(a[i], t.a)
+                assert self.close(w[i], got_w)
+
+
 class TestMatrixSqrt:
+    def test_stack_matches_single(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2):
+            m = rng.normal(size=(200, d, d))
+            a = m @ np.swapaxes(m, 1, 2)
+            single = np.array([nl.matrix_sqrt(x) for x in a])
+            assert np.array_equal(nl.matrix_sqrt(a), single)
+
     def test_identity_and_zero(self):
         assert np.allclose(nl.matrix_sqrt(np.eye(3)), np.eye(3))
         assert np.allclose(nl.matrix_sqrt(np.zeros((2, 2))), 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nlaffine as nl
+from nlaffine.config import generalized_compound_poisson_set
 from nlaffine.montecarlo import bundle_to_csv
 
 
@@ -106,6 +107,30 @@ class TestExitBehaviour:
             fractions.append(exits / 20000)
         assert fractions[0] > 0.01  # coarse grid does step across the boundary
         assert fractions[0] / max(fractions[1], 1e-12) >= 2.0
+
+    def test_zero_net_drift_holds_boundary_start(self):
+        # a registry tuple on the half-line has zero net drift, so a path
+        # started at the boundary x0 = 0 can leave only by a jump
+        h = nl.TruncationFunction(1.0)
+        m = nl.AtomicLevyMeasure([[0.4], [-0.2]], [0.3, 0.4])
+        theta = generalized_compound_poisson_set([0.15, 0.15], [0.05, 0.05], [m],
+                                                 h).vertices()[0]
+        cfg = nl.SimConfig(dt=0.01, horizon=0.5, n_paths=2000, seed=1, truncation=h)
+        b = nl.simulate_paths(theta, [0.0], cfg, HALF)
+        assert b.no_jump_exit_count == 0
+        assert 0 < np.sum(~np.isnan(b.exit_time)) < 2000
+
+    def test_registry_tuples_compensate_exactly(self):
+        rng = np.random.default_rng(0)
+        h = nl.TruncationFunction(1.0)
+        for _ in range(200):
+            m = nl.AtomicLevyMeasure(rng.uniform(-1.5, 1.5, size=(2, 1)),
+                                     rng.uniform(0.05, 1.0, size=2))
+            lam0, lam1 = rng.uniform(0.01, 1.0, size=2)
+            theta = generalized_compound_poisson_set([lam0, lam0], [lam1, lam1], [m],
+                                                     h).vertices()[0]
+            net = HALF.coefficients(theta, h).drift(np.zeros((1, 1)))
+            assert net[0, 0] == 0.0
 
     def test_clamp_box_flags_paths(self):
         theta = nl.AffineParameter.scalar(beta0=5.0)

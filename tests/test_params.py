@@ -48,11 +48,11 @@ class TestAtomicLevyMeasure:
         assert m.is_empty()
 
     def test_norm_examples(self):
-        assert nl.levy_norm(nl.AtomicLevyMeasure.empty(1)) == 0.0
+        assert nl.AtomicLevyMeasure.empty(1).norm() == 0.0
         m = nl.AtomicLevyMeasure([[0.5]], [4.0])
-        assert nl.levy_norm(m) == pytest.approx(1.0, abs=1e-15)
+        assert m.norm() == pytest.approx(1.0, abs=1e-15)
         m2 = nl.AtomicLevyMeasure([[2.0], [-0.1]], [1.0, -3.0])
-        assert nl.levy_norm(m2) == pytest.approx(2.03, abs=1e-14)
+        assert m2.norm() == pytest.approx(2.03, abs=1e-14)
 
     def test_norm_homogeneity_and_triangle(self):
         rng = np.random.default_rng(0)
@@ -60,10 +60,10 @@ class TestAtomicLevyMeasure:
             k = random_measure(rng)
             m = random_measure(rng)
             c = float(rng.normal())
-            assert nl.levy_norm(k.scaled(c)) == pytest.approx(
-                abs(c) * nl.levy_norm(k), rel=1e-12, abs=1e-14
+            assert k.scaled(c).norm() == pytest.approx(
+                abs(c) * k.norm(), rel=1e-12, abs=1e-14
             )
-            assert nl.levy_norm(k + m) <= nl.levy_norm(k) + nl.levy_norm(m) + 1e-12
+            assert (k + m).norm() <= k.norm() + m.norm() + 1e-12
 
     def test_addition_merges_atoms(self):
         a = nl.AtomicLevyMeasure([[1.0]], [2.0])
@@ -158,7 +158,7 @@ class TestGrowthNorms:
                         k = theta.nu[0]
                         for xi, m in zip(x, theta.nu[1:]):
                             k = k + m.scaled(float(xi))
-                        v = nl.levy_norm(k)
+                        v = k.norm()
                     best = max(best, v / (np.linalg.norm(x) + 1.0))
                 assert best <= cf + 1e-12
 
@@ -263,14 +263,14 @@ class TestVertexEnumeration:
         rng = np.random.default_rng(7)
         thetas = [random_theta(rng) for _ in range(3)]
         ps = nl.FiniteParameterSet(thetas)
-        assert nl.enumerate_vertices(ps) == thetas
+        assert ps.vertices() == thetas
 
     def test_box_two_free_intervals(self):
         ps = nl.CoefficientBox(
             beta_lo=[[0.0], [0.0]], beta_hi=[[1.0], [0.0]],
             alpha_lo=[[[0.25]], [[0.0]]], alpha_hi=[[[1.0]], [[0.0]]],
         )
-        vs = nl.enumerate_vertices(ps)
+        vs = ps.vertices()
         assert len(vs) == 4
         combos = {(v.beta[0, 0], v.alpha[0, 0, 0]) for v in vs}
         assert combos == {(0.0, 0.25), (1.0, 0.25), (0.0, 1.0), (1.0, 1.0)}
@@ -280,7 +280,7 @@ class TestVertexEnumeration:
             beta_lo=[[0.3], [0.1]], beta_hi=[[0.3], [0.1]],
             alpha_lo=[[[0.5]], [[0.0]]], alpha_hi=[[[0.5]], [[0.0]]],
         )
-        assert len(nl.enumerate_vertices(ps)) == 1
+        assert len(ps.vertices()) == 1
 
     def test_vertex_cap(self):
         lo = np.zeros((2, 1))

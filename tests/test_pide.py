@@ -223,7 +223,7 @@ class TestTwoDimensions:
         theta = nl.AffineParameter(np.zeros((3, 2)), a,
                                    tuple(nl.AtomicLevyMeasure.empty(2) for _ in range(3)))
         ps = nl.FiniteParameterSet([theta])
-        grid = nl.Grid.rect([-6, -6], [6, 6], [121, 121])
+        grid = nl.Grid([-6, -6], [6, 6], [121, 121])
         mode = nl.GeneratorMode.standard(nl.StateSpace.full(2))
         surf = nl.solve(ps, grid, nl.make_payoff("square"), 0.5, mode,
                         scheme=nl.SchemeConfig(min_time_steps=64))
@@ -238,7 +238,7 @@ class TestTwoDimensions:
                                    np.stack([a0, np.zeros((2, 2)), np.zeros((2, 2))]),
                                    tuple(nl.AtomicLevyMeasure.empty(2) for _ in range(3)))
         ps = nl.FiniteParameterSet([theta])
-        grid = nl.Grid.rect([-6, -6], [6, 6], [121, 121])
+        grid = nl.Grid([-6, -6], [6, 6], [121, 121])
         mode = nl.GeneratorMode.standard(nl.StateSpace.full(2))
         f = nl.TestFunction("sumsq", lambda x: (x[0] + x[1]) ** 2,
                             lambda x: 2 * (x[0] + x[1]) * np.ones(2),
@@ -257,7 +257,7 @@ class TestTwoDimensions:
                                    np.stack([a0, np.zeros((2, 2)), np.zeros((2, 2))]),
                                    tuple(nl.AtomicLevyMeasure.empty(2) for _ in range(3)))
         ps = nl.FiniteParameterSet([theta])
-        grid = nl.Grid.rect([-2, -8], [2, 8], [41, 41])
+        grid = nl.Grid([-2, -8], [2, 8], [41, 41])
         mode = nl.GeneratorMode.standard(nl.StateSpace.full(2))
         with pytest.raises(ValueError, match="cross-diffusion"):
             nl.solve(ps, grid, nl.make_payoff("square"), 0.1, mode)
@@ -270,7 +270,7 @@ class TestTwoDimensions:
                                    (m, nl.AtomicLevyMeasure.empty(2),
                                     nl.AtomicLevyMeasure.empty(2)))
         ps = nl.FiniteParameterSet([theta])
-        grid = nl.Grid.rect([-5, -5], [5, 5], [101, 101])
+        grid = nl.Grid([-5, -5], [5, 5], [101, 101])
         mode = nl.GeneratorMode.standard(nl.StateSpace.full(2))
         lin = nl.TestFunction("lin", lambda x: x[0] + 2 * x[1],
                               lambda x: np.array([1.0, 2.0]),
@@ -319,7 +319,7 @@ def golden_2d_problem():
         return nl.AffineParameter(beta, alpha, nu)
 
     ps = nl.FiniteParameterSet([theta(1.0, 1.0), theta(-1.0, 0.7)])
-    grid = nl.Grid.rect([-1.0, -1.0], [3.0, 3.0], [21, 21])
+    grid = nl.Grid([-1.0, -1.0], [3.0, 3.0], [21, 21])
     mode = nl.GeneratorMode.standard(nl.StateSpace.half(2))
     f = nl.TestFunction("bump", lambda x: float(np.cos(x[0]) * np.sin(x[1] + 0.3)),
                         lambda x: np.zeros(2), lambda x: np.zeros((2, 2)))
