@@ -19,6 +19,7 @@ from .conditions import uniqueness_gate
 from .config import ConfigError, ExperimentConfig
 from .generator import NoAdmissibleVertexError
 from .montecarlo import bundle_to_csv, lower_bound_sublinear
+from .params import CoefficientError, check_coefficient_bounds
 from .pide import CFLError, NonFiniteError, dpp_gap, solve
 from . import __version__
 
@@ -70,13 +71,11 @@ def cmd_solve(args) -> int:
         scheme=cfg.scheme(), truncation=cfg.truncation(),
     )
     surface.to_csv(os.path.join(out, "surface.csv"))
-    from .params import check_coefficient_bounds
-
     bounds = check_coefficient_bounds(theta_set)
     meta = {
         "version": __version__,
         "config_hash": cfg.config_hash(),
-        "growth_bound": surface.meta["growth_bound"],
+        "growth_bound": bounds.growth,
         "small_jump_table": {
             repr(k): {repr(x): v for x, v in row.items()}
             for k, row in bounds.small_jump_table.items()
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NoAdmissibleVertexError) as exc:
+    except (ConfigError, NoAdmissibleVertexError, CoefficientError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, NonFiniteError) as exc:

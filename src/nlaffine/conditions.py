@@ -9,10 +9,12 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .generator import GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (
     PSD_TOL,
+    CoefficientError,
     ParameterSet,
     affine_at,
     atom_norms,
@@ -90,7 +92,7 @@ def check_comparison_conditions(theta_set: ParameterSet, sample_box,
         a = hat.coefficients(theta).diffusion(xs)
         bad = min_eigenvalue(a) < -PSD_TOL
         if np.any(bad):
-            raise ValueError(f"diffusion not PSD at sampled state {xs[np.argmax(bad)]}")
+            raise CoefficientError(f"diffusion not PSD at sampled state {xs[np.argmax(bad)]}")
         top = np.clip(np.linalg.eigvalsh(a)[:, -1], 0.0, None)
         b = affine_at(theta.beta, xs)
         local_sup = max(local_sup, float(np.max(np.linalg.norm(b, axis=1) + np.sqrt(top),

@@ -7,12 +7,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .params import (
     PSD_TOL,
     WEIGHT_TOL,
     AffineParameter,
     AtomicLevyMeasure,
+    CoefficientError,
     DimensionError,
     ParameterSet,
     StateSpace,
@@ -281,7 +283,7 @@ def sqrt_diffusion_lipschitz(theta_set: ParameterSet, sample_box,
         a = hat.coefficients(theta).diffusion(pts)
         bad = min_eigenvalue(a) < -PSD_TOL
         if np.any(bad):
-            raise ValueError(
+            raise CoefficientError(
                 f"diffusion map is not PSD at x = {pts[np.argmax(bad)]} (vertex {vi})"
             )
         root = matrix_sqrt(a)

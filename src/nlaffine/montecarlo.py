@@ -37,12 +37,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .generator import CoefficientForm, GeneratorMode, TestFunction
 from .params import (
     PSD_TOL,
     WEIGHT_TOL,
     AffineParameter,
+    CoefficientError,
     ParameterSet,
     TruncationFunction,
     affine_at,
@@ -123,7 +125,7 @@ def _diffusion_root(A: np.ndarray, xs: np.ndarray) -> np.ndarray:
     mineig = min_eigenvalue(A)
     if np.any(mineig < -PSD_TOL):
         bad = xs[np.argmin(mineig)]
-        raise ValueError(f"diffusion matrix not PSD at state {bad}")
+        raise CoefficientError(f"diffusion matrix not PSD at state {bad}")
     if A.shape[-1] == 1:
         return np.sqrt(np.clip(A, 0.0, None))
     tr = A[:, 0, 0] + A[:, 1, 1]
@@ -233,9 +235,7 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                         w = form.jump_weights(xm)
                         if w.size and np.min(w) < -WEIGHT_TOL:
                             bad = xm[np.argmin(np.min(w, axis=1))]
-                            raise ValueError(
-                                f"negative jump weight at state {bad}"
-                            )
+                            raise CoefficientError(f"negative jump weight at state {bad}")
                         wpos = np.clip(w, 0.0, None)
                         lam = wpos.sum(axis=1)
                         u1 = pool[pool_off[m] + 2 * used[m]]

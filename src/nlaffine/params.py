@@ -1,8 +1,8 @@
 """Parameters, parameter sets, Levy measures and the growth norms built on them.
 
-An affine coefficient map is a tuple theta = (beta, alpha, nu) of d+1 drift
-vectors, d+1 symmetric matrices and d+1 finite atomic jump measures.  It is
-evaluated at a state x as
+An affine coefficient map in d = 1 or d = 2 space dimensions is a tuple
+theta = (beta, alpha, nu) of d+1 drift vectors, d+1 symmetric matrices and
+d+1 finite atomic jump measures.  It is evaluated at a state x as
 
     b(x) = (beta_0 + sum_i x^i beta_i) * 1_S(x)
     a(x) = (alpha_0 + sum_i x^i alpha_i) * 1_S(x)
@@ -17,18 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 ATOM_MERGE_TOL = 1e-12
 PSD_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 DEFAULT_VERTEX_CAP = 4096
-# direction-mesh resolution for operator norms without a closed form
-DEFAULT_DIRECTIONS = {2: 720, 3: 3000}
 
 
 class DimensionError(ValueError):
     pass
+
+
+class CoefficientError(ValueError):
+    """A coefficient map evaluated where it is not admissible: a diffusion
+    that is not positive semidefinite or a negative jump weight."""
 
 
 def _as_vector(x, d: int) -> np.ndarray:
@@ -46,17 +48,15 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def min_eigenvalue(a: np.ndarray):
-    """Smallest eigenvalue of a symmetric matrix (a float), or of each matrix
-    in a stack (..., d, d) (an array); closed form for d <= 2."""
+    """Smallest eigenvalue of a symmetric 1x1 or 2x2 matrix (a float), or of
+    each matrix in a stack (..., d, d) (an array), in closed form."""
     a = np.asarray(a, dtype=float)
     if a.shape[-1] == 1:
         m = a[..., 0, 0]
-    elif a.shape[-1] == 2:
+    else:
         tr = a[..., 0, 0] + a[..., 1, 1]
         det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
         m = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-    else:
-        m = np.linalg.eigvalsh(a)[..., 0]
     return float(m) if a.ndim == 2 else m
 
 
@@ -180,7 +180,7 @@ def _merge_atoms(z: np.ndarray, w: np.ndarray):
             if np.linalg.norm(z[i] - z[j]) <= ATOM_MERGE_TOL:
                 parent[find(j)] = find(i)
     roots = np.array([find(i) for i in range(n)])
-    uniq = np.unique(roots)
+    uniq = np.flatnonzero(roots == np.arange(n))
     zm = np.array([z[r] for r in uniq])
     wm = np.array([w[roots == r].sum() for r in uniq])
     keep = wm != 0.0
@@ -319,7 +319,8 @@ def truncation_constant(h: TruncationFunction) -> float:
 
 
 class AffineParameter:
-    """One coefficient tuple theta = (beta, alpha, nu).
+    """One coefficient tuple theta = (beta, alpha, nu) in d = 1 or d = 2
+    space dimensions.
 
     beta: (d+1, d) array, rows beta_0..beta_d
     alpha: (d+1, d, d) array of symmetric matrices alpha_0..alpha_d
@@ -335,6 +336,8 @@ class AffineParameter:
         d = beta.shape[1]
         if beta.shape != (d + 1, d):
             raise DimensionError(f"beta must have shape (d+1, d), got {beta.shape}")
+        if d not in (1, 2):
+            raise DimensionError(f"dimension must be 1 or 2, got {d}")
         alpha = np.asarray(alpha, dtype=float)
         if alpha.ndim == 1:
             alpha = alpha[:, None, None]
@@ -572,73 +575,45 @@ class CoefficientBox(ParameterSet):
 # growth norms: sup_x ||c0 + C x|| / (||x|| + 1)
 
 
-def _circle_mesh(n: int) -> np.ndarray:
-    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return np.column_stack([np.cos(ang), np.sin(ang)])
+def _alpha_sup_2d(lin: np.ndarray) -> float:
+    """sup over unit u of the spectral norm of u^1 A_1 + u^2 A_2.
+
+    A symmetric 2x2 matrix M has ||M|| = |tr M|/2 + ||((M11 - M22)/2, M12)||,
+    which here reads |p.u| + ||G u||, so the supremum is the maximum over
+    unit v of ||p + G^T v||.  Its square is a trigonometric polynomial of
+    degree 2 in the angle t of v; the critical angles are the arguments of
+    the roots of its derivative times e^{2it}, a quartic in e^{it}.  t = 0
+    is added for the constant case, where that quartic vanishes."""
+    p = 0.5 * (lin[:, 0, 0] + lin[:, 1, 1])
+    G = np.array([0.5 * (lin[:, 0, 0] - lin[:, 1, 1]), lin[:, 0, 1]])
+    g1, g2 = G
+    # ||p + G^T v||^2 = c + a1 cos t + b1 sin t + a2 cos 2t + b2 sin 2t
+    a1, b1 = 2.0 * (p @ g1), 2.0 * (p @ g2)
+    a2, b2 = 0.5 * (g1 @ g1 - g2 @ g2), g1 @ g2
+    quartic = [b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0, 0.5 * (b1 - 1j * a1), b2 - 1j * a2]
+    t = np.append(np.angle(np.roots(quartic)), 0.0)
+    v = np.column_stack([np.cos(t), np.sin(t)])
+    return float(np.max(np.linalg.norm(p + v @ G, axis=1)))
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n) + 0.5
-    phi = np.arccos(1 - 2 * i / n)
-    theta = np.pi * (1 + 5**0.5) * i
-    return np.column_stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-    )
+def _nu_sup_2d(fac: np.ndarray, W: np.ndarray) -> float:
+    """sup over unit u of sum_j fac_j |W_j . u| for W of shape (m, 2).
+
+    The sum is linear on each arc between consecutive zeros of the W_j . u,
+    where it equals g . u with g = sum_j s_j fac_j W_j for the arc's sign
+    pattern s; the supremum is the largest ||g||, probed once per arc."""
+    zeros = np.arctan2(W[:, 1], W[:, 0]) + 0.5 * np.pi
+    t = np.sort(np.concatenate([zeros, zeros + np.pi]))
+    mid = 0.5 * (t + np.append(t[1:], t[0] + 2.0 * np.pi))
+    s = np.sign(np.column_stack([np.cos(mid), np.sin(mid)]) @ W.T)
+    return float(np.max(np.linalg.norm((s * fac) @ W, axis=1)))
 
 
-def _refine_circle(g, mesh_vals: np.ndarray, n: int) -> float:
-    """Refine every local maximum of g(angle) found on a circular mesh."""
-    best = float(np.max(mesh_vals))
-    step = 2.0 * np.pi / n
-    left = np.roll(mesh_vals, 1)
-    right = np.roll(mesh_vals, -1)
-    for i in np.nonzero((mesh_vals >= left) & (mesh_vals >= right))[0]:
-        lo, hi = (i - 1) * step, (i + 1) * step
-        res = minimize_scalar(
-            lambda t: -g(np.array([np.cos(t), np.sin(t)])),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-14},
-        )
-        best = max(best, float(-res.fun))
-    return best
-
-
-def _direction_sup(g, d: int, directions: int | None = None) -> float:
-    """sup over unit vectors of g(u), via a deterministic mesh plus local
-    refinement.  Exact for d = 1."""
-    if d == 1:
-        return max(g(np.array([1.0])), g(np.array([-1.0])))
-    n = directions or DEFAULT_DIRECTIONS.get(d)
-    if n is None:
-        raise DimensionError("direction meshes are provided for d <= 3 only")
-    if d == 2:
-        mesh = _circle_mesh(n)
-        vals = np.array([g(u) for u in mesh])
-        return _refine_circle(g, vals, n)
-    mesh = _fibonacci_sphere(n)
-    vals = np.array([g(u) for u in mesh])
-    best = float(np.max(vals))
-    for i in np.argsort(vals)[-12:]:
-        u0 = mesh[i]
-        ang0 = np.array([np.arccos(np.clip(u0[2], -1, 1)), np.arctan2(u0[1], u0[0])])
-
-        def neg(ang):
-            s, t = ang
-            u = np.array([np.sin(s) * np.cos(t), np.sin(s) * np.sin(t), np.cos(s)])
-            return -g(u)
-
-        res = minimize(neg, ang0, method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-15})
-        best = max(best, float(-res.fun))
-    return best
-
-
-def linear_part_norm(theta: AffineParameter, component: str,
-                     directions: int | None = None) -> float:
-    """Operator norm of the linear part of one component of theta.  Exact for
-    the drift (spectral norm) and for d = 1; otherwise a mesh-plus-refinement
-    supremum over directions."""
-    d = theta.dim
+def linear_part_norm(theta: AffineParameter, component: str) -> float:
+    """Operator norm sup over unit u of ||sum_i u^i c_i||, the linear part of
+    one component of theta, in closed form: the spectral norm for the drift,
+    and for alpha and nu the exact supremum over the line (d = 1) or the
+    circle (d = 2)."""
     if component == "beta":
         lin = theta.beta[1:].T
         return float(np.linalg.norm(lin, 2)) if np.any(lin) else 0.0
@@ -646,11 +621,7 @@ def linear_part_norm(theta: AffineParameter, component: str,
         lin = theta.alpha[1:]
         if not np.any(lin):
             return 0.0
-        if d == 1:
-            return spectral_norm(lin[0])
-        return _direction_sup(
-            lambda u: spectral_norm(np.tensordot(u, lin, axes=(0, 0))), d, directions
-        )
+        return spectral_norm(lin[0]) if theta.dim == 1 else _alpha_sup_2d(lin)
     if component == "nu":
         lin = theta.nu[1:]
         if all(m.is_empty() for m in lin):
@@ -658,18 +629,17 @@ def linear_part_norm(theta: AffineParameter, component: str,
         atoms, W = combined_atom_table(lin)
         n = np.linalg.norm(atoms, axis=1)
         fac = np.minimum(n * n, n)
-        return _direction_sup(lambda u: float(fac @ np.abs(W @ u)), d, directions)
+        return float(fac @ np.abs(W[:, 0])) if theta.dim == 1 else _nu_sup_2d(fac, W)
     raise ValueError(f"unknown component {component!r}")
 
 
-def growth_norm(theta: AffineParameter, component: str,
-                directions: int | None = None) -> float:
+def growth_norm(theta: AffineParameter, component: str) -> float:
     """sup_x ||c0 + C x|| / (||x|| + 1) for one component of theta.
 
     Equals max(||c0||, ||C||_op): the ratio r -> (||c0|| + r ||C||_op)/(1 + r)
     is monotone between its values at r = 0 and r -> infinity.
     """
-    lin = linear_part_norm(theta, component, directions)
+    lin = linear_part_norm(theta, component)
     if component == "beta":
         return max(float(np.linalg.norm(theta.beta[0])), lin)
     if component == "alpha":

@@ -43,7 +43,6 @@ from .params import (
     ParameterSet,
     TruncationFunction,
     atom_norms,
-    growth_bound,
     min_eigenvalue,
 )
 
@@ -175,17 +174,8 @@ class ValueSurface:
             raise ValueError(f"time {t} is not aligned to the surface step {self.dt}")
         return self.values[j]
 
-    def value_at(self, t: float, x, interpolate: bool = False) -> float:
-        layer = self.layer(t)
-        if not interpolate:
-            return float(layer[self.grid.node_index(x)])
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.grid.dim == 1:
-            return float(np.interp(x[0], self.grid.axes[0], layer))
-        from scipy.interpolate import RegularGridInterpolator
-
-        f = RegularGridInterpolator(self.grid.axes, layer, bounds_error=True)
-        return float(f(x)[0])
+    def value_at(self, t: float, x) -> float:
+        return float(self.layer(t)[self.grid.node_index(x)])
 
     def interior_mask(self, extra_margin: float = 0.0) -> np.ndarray:
         margin = max(self.meta["r_jump"], 10.0 * float(np.max(self.grid.dx)))
@@ -395,7 +385,6 @@ def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
 
     r_jump = scheme.r_jump if scheme.r_jump is not None else default_jump_radius(theta_set)
     meta = {
-        "growth_bound": growth_bound(theta_set),
         "stable_dt": stable_dt,
         "dt": dt,
         "n_steps": n_steps,

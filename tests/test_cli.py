@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +206,10 @@ def _negative_variance(raw):
     raw["parameter_set"]["parameter"]["alpha"] = [[[-1.0]], [[0.0]]]
 
 
+def _negative_jump_weight(raw):
+    raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1.0], [2.0, -0.5]], []]
+
+
 def _negative_horizon(raw):
     raw["horizon"] = -1.0
 
@@ -226,6 +233,36 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
+
+
+    @pytest.mark.parametrize("command, mode, edit, message", [
+        ("solve", "hat", _negative_variance, "PSD"),
+        ("check", "standard", _negative_variance, "PSD"),
+        ("simulate", "standard", _negative_variance, "PSD"),
+        ("simulate", "standard", _negative_jump_weight, "negative jump weight"),
+    ])
+    def test_inadmissible_coefficients_exit_2(self, tmp_path, capsys, command,
+                                              mode, edit, message):
+        raw = base_config(tmp_path / "out")
+        raw["mode"] = mode
+        edit(raw)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
+
+
+def test_cli_import_loads_no_scipy_and_loads_numpy_random():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, nlaffine.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "True"]
 
 
 class TestReadmeLibraryUse:

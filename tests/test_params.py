@@ -3,6 +3,7 @@ import pytest
 
 import nlaffine as nl
 from nlaffine.params import (
+    DimensionError,
     combined_atom_table,
     linear_part_norm,
     parameter_growth,
@@ -125,7 +126,53 @@ class TestAffineEvaluation:
         assert t2.k == theta.nu[0]  # jump component frozen at nu0 exactly
 
 
+def theta_2d(alpha1, alpha2, nu1=(), nu2=()):
+    """A d = 2 tuple whose only nonzero parts are alpha_1, alpha_2, nu_1, nu_2,
+    the measures given as (atom, weight) pairs."""
+    nu = [nl.AtomicLevyMeasure(list(m), dim=2) if m else nl.AtomicLevyMeasure.empty(2)
+          for m in ((), nu1, nu2)]
+    return nl.AffineParameter(np.zeros((3, 2)),
+                              [np.zeros((2, 2)), alpha1, alpha2], nu)
+
+
+def mesh_sup(theta, comp, n=2**16):
+    """sup over 2^16 equally spaced unit directions of the linear part's norm."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    u = np.column_stack([np.cos(t), np.sin(t)])
+    if comp == "alpha":
+        a = np.tensordot(u, theta.alpha[1:], axes=(1, 0))
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    atoms, W = combined_atom_table(theta.nu[1:])
+    n_z = np.linalg.norm(atoms, axis=1)
+    return float(np.max(np.abs(u @ W.T) @ np.minimum(n_z * n_z, n_z)))
+
+
 class TestGrowthNorms:
+    @pytest.mark.parametrize("theta, comp, expected", [
+        (theta_2d(np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]), "alpha", 1.0),
+        (theta_2d(np.eye(2), np.diag([1.0, -1.0])), "alpha", np.sqrt(2.0)),
+        (theta_2d(np.zeros((2, 2)), np.zeros((2, 2)), [([2.0, 0.0], 1.0)],
+                  [([0.0, 3.0], 1.0)]), "nu", np.sqrt(13.0)),
+    ])
+    def test_hand_cases_2d(self, theta, comp, expected):
+        assert linear_part_norm(theta, comp) == pytest.approx(expected, rel=1e-15)
+
+    def test_closed_form_2d_vs_fine_mesh(self):
+        # the mesh misses a smooth maximum by O(h^2), about 1e-9 relative
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            theta = random_theta(rng, d=2)
+            for comp in ("alpha", "nu"):
+                cf = linear_part_norm(theta, comp)
+                mesh = mesh_sup(theta, comp) if cf else 0.0
+                assert mesh <= cf * (1.0 + 1e-12)
+                assert mesh >= cf * (1.0 - 1e-6)
+
+    def test_dimension_three_rejected(self):
+        with pytest.raises(DimensionError, match="1 or 2"):
+            nl.AffineParameter(np.zeros((4, 3)), np.zeros((4, 3, 3)),
+                               [nl.AtomicLevyMeasure.empty(3)] * 4)
+
     def test_zero_linear_part(self):
         theta = nl.AffineParameter.scalar(beta0=3.0, alpha0=-2.0)
         assert nl.growth_norm(theta, "beta") == pytest.approx(3.0)
