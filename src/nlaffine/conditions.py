@@ -9,7 +9,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .generator import GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .generator import CoefficientForm, GeneratorMode, TestFunction
 from .params import (

@@ -601,8 +601,9 @@ def _nu_sup_2d(fac: np.ndarray, W: np.ndarray) -> float:
 
     The sum is linear on each arc between consecutive zeros of the W_j . u,
     where it equals g . u with g = sum_j s_j fac_j W_j for the arc's sign
-    pattern s; the supremum is the largest ||g||, probed once per arc."""
-    zeros = np.arctan2(W[:, 1], W[:, 0]) + 0.5 * np.pi
+    pattern s; the supremum is the largest ||g||, probed once per arc.  The
+    zeros are taken modulo pi so that the 2m boundaries lie in [0, 2 pi)."""
+    zeros = np.mod(np.arctan2(W[:, 1], W[:, 0]) + 0.5 * np.pi, np.pi)
     t = np.sort(np.concatenate([zeros, zeros + np.pi]))
     mid = 0.5 * (t + np.append(t[1:], t[0] + 2.0 * np.pi))
     s = np.sign(np.column_stack([np.cos(mid), np.sin(mid)]) @ W.T)

@@ -33,6 +33,16 @@ def random_theta(rng, d=1, with_jumps=True, signed=True):
     return nl.AffineParameter(beta, alpha, nus)
 
 
+def shared_atom_theta(rng, d=2, max_atoms=5):
+    """Like random_theta, but nu_i = sum_j w_ij delta_{z_j} over one atom set
+    with signed weights, so the rows of the weight table point anywhere."""
+    theta = random_theta(rng, d=d, with_jumps=False)
+    z = rng.normal(size=(int(rng.integers(1, max_atoms + 1)), d)) * 1.5
+    w = rng.normal(size=(d + 1, z.shape[0]))
+    nus = tuple(nl.AtomicLevyMeasure(z, w_i, dim=d) for w_i in w)
+    return nl.AffineParameter(theta.beta, theta.alpha, nus)
+
+
 class TestAtomicLevyMeasure:
     def test_origin_atom_rejected(self):
         with pytest.raises(ValueError):
@@ -153,6 +163,12 @@ class TestGrowthNorms:
         (theta_2d(np.eye(2), np.diag([1.0, -1.0])), "alpha", np.sqrt(2.0)),
         (theta_2d(np.zeros((2, 2)), np.zeros((2, 2)), [([2.0, 0.0], 1.0)],
                   [([0.0, 3.0], 1.0)]), "nu", np.sqrt(13.0)),
+        # rows of W in the second and third quadrants: the sup 11 sits at
+        # u = (0, 1), on a thin arc between two nearby zero lines
+        (theta_2d(np.zeros((2, 2)), np.zeros((2, 2)),
+                  [([1.0, 0.0], -1.0), ([0.0, 1.0], -1.0)],
+                  [([1.0, 0.0], -0.5), ([0.0, 1.0], 0.5), ([0.0, -1.0], 10.0)]),
+         "nu", 11.0),
     ])
     def test_hand_cases_2d(self, theta, comp, expected):
         assert linear_part_norm(theta, comp) == pytest.approx(expected, rel=1e-15)
@@ -160,8 +176,9 @@ class TestGrowthNorms:
     def test_closed_form_2d_vs_fine_mesh(self):
         # the mesh misses a smooth maximum by O(h^2), about 1e-9 relative
         rng = np.random.default_rng(21)
-        for _ in range(50):
-            theta = random_theta(rng, d=2)
+        thetas = [random_theta(rng, d=2) for _ in range(50)]
+        thetas += [shared_atom_theta(rng) for _ in range(50)]
+        for theta in thetas:
             for comp in ("alpha", "nu"):
                 cf = linear_part_norm(theta, comp)
                 mesh = mesh_sup(theta, comp) if cf else 0.0
