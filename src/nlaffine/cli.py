@@ -66,11 +66,14 @@ def cmd_solve(args) -> int:
         if gate.status == "fail":
             print("warning: uniqueness gate failed; solution is not "
                   "certified unique", file=sys.stderr)
+    gated = time.perf_counter()
     surface = solve(
         theta_set, grid, cfg.payoff(), cfg.horizon, mode,
         scheme=cfg.scheme(), truncation=cfg.truncation(),
     )
+    marched = time.perf_counter()
     surface.to_csv(os.path.join(out, "surface.csv"))
+    written = time.perf_counter()
     bounds = check_coefficient_bounds(theta_set)
     meta = {
         "version": __version__,
@@ -98,6 +101,11 @@ def cmd_solve(args) -> int:
         },
         "uniqueness_certified": bool(gate is not None and gate.status != "fail"),
         "wall_time_s": time.perf_counter() - started,
+        "timings": {
+            "gate_s": gated - started,
+            "march_s": marched - gated,
+            "write_s": written - marched,
+        },
     }
     if gate is not None:
         meta["uniqueness_gate_status"] = gate.status
@@ -135,6 +143,8 @@ def cmd_simulate(args) -> int:
         "seed": sim.seed,
         "flagged_paths": lb.bundle.flagged_count,
         "no_jump_exits": lb.bundle.no_jump_exit_count,
+        "thinning_proposed": lb.bundle.thinning_proposed,
+        "thinning_accepted": lb.bundle.thinning_accepted,
         "payoff": payoff.name,
         "mode": mode.kind,
     }

@@ -65,6 +65,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < 0 or self.n_paths < 1:
             raise ValueError("need dt > 0, horizon >= 0 and at least one path")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -77,6 +81,8 @@ class PathBundle:
     seeds: np.ndarray             # (N,) per-path stream labels
     flagged: np.ndarray           # (N,) left the clamp box; frozen and counted
     no_jump_exit_count: int       # exits recorded on steps without a jump event
+    thinning_proposed: int        # candidate jump events at rate lam_bar on live paths
+    thinning_accepted: int        # of those, accepted as jumps
     skeletons: np.ndarray | None  # (N, steps+1, d) when store_paths
     sup_snapshots: dict | None    # step index -> (N,) running sup at that step
 
@@ -106,7 +112,7 @@ def _path_seed_labels(seed: int, start: int, count: int) -> np.ndarray:
     idx = np.arange(start, start + count, dtype=np.uint64)
     mix = np.uint64(0x9E3779B97F4A7C15)
     with np.errstate(over="ignore"):  # modular 64-bit mixing is intended
-        return (np.uint64(seed % 2**64) * mix + idx) * mix
+        return (np.uint64(seed) * mix + idx) * mix
 
 
 def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -169,36 +175,42 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     seeds = _path_seed_labels(cfg.seed, 0, N)
     skeletons = np.empty((N, n_steps + 1, d)) if cfg.store_paths else None
     snaps = {j: np.zeros(N) for j in snapshot_steps}
-    no_jump_exits = 0
+    no_jump_exits = proposed = accepted = 0
 
     for b0 in range(0, N, cfg.batch_size):
         b1 = min(b0 + cfg.batch_size, N)
         B = b1 - b0
-        # per-path counter-based streams, fixed draw pattern
         Z = None
         counts = None
         pool = None
         pool_off = np.zeros(B, dtype=np.int64)
         if n_steps:
             if has_diffusion:
-                Z = np.empty((n_steps, B, d))
+                Z = np.empty((B, n_steps, d))  # path-major: one draw fills a row
             if jumps_active:
-                counts = np.zeros((n_steps, B), dtype=np.int64)
+                counts = np.zeros((B, n_steps), dtype=np.int64)
                 pools = []
+            # per-path counter-based streams, fixed draw pattern: a Philox
+            # stream is fixed by its key alone, so one bit generator re-keyed
+            # to (seed, path) and reset to its fresh state per path draws
+            # exactly what a generator built for that path would
+            bitgen = np.random.Philox(key=np.array([cfg.seed, b0], dtype=np.uint64))
+            rng = np.random.Generator(bitgen)
+            fresh = bitgen.state
+            key = fresh["state"]["key"]
             for i in range(B):
-                rng = np.random.Generator(
-                    np.random.Philox(key=np.array([cfg.seed, b0 + i], dtype=np.uint64))
-                )
+                key[1] = b0 + i
+                bitgen.state = fresh
                 if has_diffusion:
-                    Z[:, i, :] = rng.standard_normal((n_steps, d))
+                    rng.standard_normal(out=Z[i])
                 if jumps_active:
                     c = rng.poisson(lam_bar * dt, n_steps)
-                    counts[:, i] = c
-                    pools.append(rng.random(2 * int(c.sum())))
+                    counts[i] = c
+                    pools.append(rng.random(2 * sum(c.tolist())))
             if jumps_active:
-                lens = np.array([p.shape[0] for p in pools], dtype=np.int64)
-                pool_off = np.concatenate([[0], np.cumsum(lens)[:-1]])
-                pool = np.concatenate(pools) if pools else np.zeros(0)
+                lens = 2 * counts.sum(axis=1)
+                pool_off = np.cumsum(lens) - lens
+                pool = np.concatenate(pools)
 
         X = np.tile(x0, (B, 1))
         frozen = np.zeros(B, dtype=bool)
@@ -218,12 +230,12 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                 newx = xa + dt * form.drift(xa)
                 if has_diffusion:
                     root = _diffusion_root(form.diffusion(xa), xa)
-                    newx = newx + sqdt * np.einsum("nij,nj->ni", root, Z[j, idx])
+                    newx = newx + sqdt * np.einsum("nij,nj->ni", root, Z[idx, j])
                 Xn = X.copy()
                 Xn[idx] = newx
                 jumped = np.zeros(B, dtype=bool)
                 if jumps_active:
-                    cnt = counts[j].copy()
+                    cnt = counts[:, j].copy()
                     cnt[frozen] = 0
                     max_c = int(cnt.max()) if cnt.size else 0
                     for r in range(max_c):
@@ -242,6 +254,8 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                         used[m] += 1
                         acc = u1 * lam_bar < lam
                         am = m[acc]
+                        proposed += m.size
+                        accepted += am.size
                         if am.size:
                             cw = np.cumsum(wpos[acc], axis=1)
                             r2 = (u2[acc] * lam[acc])[:, None]
@@ -279,6 +293,8 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
         seeds=seeds,
         flagged=flagged,
         no_jump_exit_count=no_jump_exits,
+        thinning_proposed=proposed,
+        thinning_accepted=accepted,
         skeletons=skeletons,
         sup_snapshots=snaps if snapshot_steps else None,
     )
@@ -381,18 +397,25 @@ def moment_bound_report(theta: AffineParameter, x0, p: float, t_grid,
     )
 
 
+_CSV_BLOCK = 4096  # rows formatted per write; bounds the writer's memory
+
+
 def bundle_to_csv(bundle: PathBundle, path) -> None:
     """Rows path_index,seed,terminal,running_sup,exit_time (terminal columns
-    expand per coordinate for d = 2); LF endings, 17 significant digits."""
+    expand per coordinate for d = 2); LF endings, 17 significant digits, an
+    empty exit_time for a path that never left.  Columns are formatted a
+    block of rows at a time."""
     d = bundle.terminal.shape[1]
     term_cols = ["terminal"] if d == 1 else [f"terminal{i+1}" for i in range(d)]
     header = ["path_index", "seed"] + term_cols + ["running_sup", "exit_time"]
+    row = "%d,%d," + "%.17g," * (d + 1) + "%s\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(bundle.n_paths):
-            term = ",".join("%.17g" % v for v in bundle.terminal[i])
-            et = "" if np.isnan(bundle.exit_time[i]) else "%.17g" % bundle.exit_time[i]
-            fh.write(
-                "%d,%d,%s,%.17g,%s\n"
-                % (i, int(bundle.seeds[i]), term, bundle.running_sup[i], et)
-            )
+        for b0 in range(0, bundle.n_paths, _CSV_BLOCK):
+            block = slice(b0, b0 + _CSV_BLOCK)
+            exits = ["" if math.isnan(e) else "%.17g" % e
+                     for e in bundle.exit_time[block].tolist()]
+            cols = zip(range(b0, b0 + len(exits)), bundle.seeds[block].tolist(),
+                       *bundle.terminal[block].T.tolist(),
+                       bundle.running_sup[block].tolist(), exits)
+            fh.write("".join(map(row.__mod__, cols)))

@@ -183,17 +183,18 @@ class ValueSurface:
 
     def to_csv(self, path) -> None:
         """Rows t,x1[,x2],v over all space-time nodes, 17 significant digits,
-        LF line endings, stable node order (x1 outer, x2 inner)."""
-        pts = self.grid.points()
+        LF line endings, stable node order (x1 outer, x2 inner).  The node
+        coordinates are formatted once, into a template with a time and a
+        value slot per node; each layer is one formatting pass and one write."""
+        fmt = b"%%s" + b"%.17g," * self.grid.dim + b"%%.17g\n"
+        template = b"".join(fmt % tuple(p) for p in self.grid.points().tolist())
         cols = ["t", "x1", "v"] if self.grid.dim == 1 else ["t", "x1", "x2", "v"]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for j in range(self.values.shape[0]):
-                t = j * self.dt
-                flat = self.values[j].ravel()
-                for p, v in zip(pts, flat):
-                    coords = ",".join("%.17g" % c for c in p)
-                    fh.write("%.17g,%s,%.17g\n" % (t, coords, v))
+        with open(path, "wb") as fh:
+            fh.write(",".join(cols).encode() + b"\n")
+            for j, layer in enumerate(self.values.reshape(self.values.shape[0], -1)):
+                slots = [b"%.17g," % (j * self.dt)] * (2 * layer.shape[0])
+                slots[1::2] = layer.tolist()
+                fh.write(template % tuple(slots))
 
 
 # ---------------------------------------------------------------------------

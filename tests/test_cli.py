@@ -139,6 +139,16 @@ class TestSolveCommand:
         assert float(first[0]) == 0.0
         assert float(first[2]) == min(-4.0, 1.0)
 
+    def test_meta_phase_timings(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", path]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        timings = meta["timings"]
+        assert set(timings) == {"gate_s", "march_s", "write_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= meta["wall_time_s"]
+
     def test_cfl_violation_exit_3(self, tmp_path, capsys):
         raw = base_config(tmp_path / "out")
         raw["scheme"]["dt"] = 0.25  # diffusion needs ~1e-3
@@ -252,6 +262,14 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["simulate", "--config", path, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert "seed must lie in [0, 2**64)" in err
+
 
 def test_cli_import_loads_no_scipy_and_loads_numpy_random():
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -297,6 +315,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path]) == 0
         assert main(["simulate", "--config", path, "--out", str(out2)]) == 0
         assert (out1 / "bundle.csv").read_bytes() == (out2 / "bundle.csv").read_bytes()
+
+    def test_thinning_counts_reported(self, tmp_path):
+        out = tmp_path / "out"
+        raw = base_config(out, paths=300)
+        raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 0.5]], []]
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", path]) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        # constant intensity: lam_bar is exact and every candidate is a jump
+        assert est["thinning_accepted"] == est["thinning_proposed"] > 0
 
 
 class TestCheckCommand:

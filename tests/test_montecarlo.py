@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,42 @@ def unit_jump_theta(lam=1.0, h=None):
     m = nl.AtomicLevyMeasure([[1.0]], [lam])
     b0 = lam * float(h(np.array([1.0]))[0])
     return nl.AffineParameter.scalar(beta0=b0, nu0=m)
+
+
+def jump_diffusion_stream(batch_size):
+    """Diffusion plus two atoms, one with a state-dependent weight, started
+    near the half-line boundary: thinning rejects and paths exit."""
+    theta = nl.AffineParameter.scalar(
+        beta0=0.1, alpha0=0.4,
+        nu0=nl.AtomicLevyMeasure([[0.5], [-0.3]], [0.4, 0.6]),
+        nu1=nl.AtomicLevyMeasure([[0.5]], [0.3]),
+    )
+    cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=250, seed=77, batch_size=batch_size)
+    return nl.simulate_paths(theta, [0.3], cfg, HALF)
+
+
+def stream_digest(bundle):
+    h = hashlib.sha256()
+    for a in (bundle.terminal, bundle.running_sup, bundle.exit_time):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("field, message", [
+        ({"seed": -1}, "seed must lie in"),
+        ({"seed": 2**64}, "seed must lie in"),
+        ({"batch_size": 0}, "batch_size must be at least 1"),
+        ({"batch_size": -3}, "batch_size must be at least 1"),
+    ])
+    def test_out_of_range_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            nl.SimConfig(dt=0.1, horizon=1.0, n_paths=10, **field)
+
+    def test_largest_seed_accepted(self):
+        cfg = nl.SimConfig(dt=0.1, horizon=0.2, n_paths=3, seed=2**64 - 1)
+        b = nl.simulate_paths(nl.AffineParameter.scalar(alpha0=1.0), [0.0], cfg, FULL)
+        assert np.all(np.isfinite(b.terminal))
 
 
 class TestDegenerateDynamics:
@@ -71,6 +108,27 @@ class TestReproducibility:
         ba = nl.simulate_paths(theta, [0.0], a, FULL)
         bb = nl.simulate_paths(theta, [0.0], bsz, FULL)
         assert np.array_equal(ba.terminal, bb.terminal)
+
+    @pytest.mark.parametrize("batch_size", [64, 250])
+    def test_stream_golden_digest(self, batch_size):
+        """Pins the draws of every path: recorded when each path built its
+        own Generator(Philox(key=(seed, index)))."""
+        b = jump_diffusion_stream(batch_size)
+        assert np.any(np.isnan(b.exit_time)) and not np.all(np.isnan(b.exit_time))
+        assert stream_digest(b) == (
+            "89b9f2f9a04b03fe878e6a38fb3b2f87ad8dc6481e9a34d94b8e859ad53eae20")
+
+    def test_one_bit_generator_per_batch(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        jump_diffusion_stream(64)
+        assert 1 <= len(built) <= math.ceil(250 / 64)
 
 
 class TestExitBehaviour:
@@ -247,6 +305,27 @@ class TestMonotonicityAndBounds:
         assert np.array_equal(res.bundle.running_sup, want.running_sup)
 
 
+class TestThinningCounts:
+    def test_constant_intensity_accepts_every_candidate(self):
+        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=2000, seed=2)
+        b = nl.simulate_paths(unit_jump_theta(lam=1.0), [0.0], cfg, FULL)
+        assert b.thinning_accepted == b.thinning_proposed
+        # about lam * T * n_paths candidate events
+        assert abs(b.thinning_proposed - 2000) <= 5 * math.sqrt(2000)
+
+    def test_state_dependent_intensity_rejects_some(self):
+        b = jump_diffusion_stream(64)
+        again = jump_diffusion_stream(250)
+        assert 0 < b.thinning_accepted < b.thinning_proposed
+        assert (again.thinning_proposed, again.thinning_accepted) == (
+            b.thinning_proposed, b.thinning_accepted)
+
+    def test_no_jumps_no_candidates(self):
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=50, seed=2)
+        b = nl.simulate_paths(nl.AffineParameter.scalar(alpha0=1.0), [0.0], cfg, FULL)
+        assert b.thinning_proposed == b.thinning_accepted == 0
+
+
 class TestMomentBound:
     def test_zero_parameter_degenerate(self):
         cfg = nl.SimConfig(dt=0.001, horizon=0.1, n_paths=500, seed=1)
@@ -291,3 +370,33 @@ class TestBundleCsv:
         assert lines[0] == b"path_index,seed,terminal,running_sup,exit_time"
         assert len(lines) == 22  # header + 20 rows + trailing newline
         assert b"\r" not in raw
+
+    def test_golden_bytes_half_line_with_exits(self, tmp_path):
+        """sha256 recorded from the row-at-a-time writer; 124 of the 300 paths
+        exit, so the file mixes filled and empty exit_time fields."""
+        theta = nl.AffineParameter.scalar(
+            beta0=0.1, alpha0=0.3, nu0=nl.AtomicLevyMeasure([[-0.5], [0.3]], [0.6, 0.4]))
+        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=300, seed=21)
+        b = nl.simulate_paths(theta, [0.4], cfg, HALF)
+        assert int(np.sum(~np.isnan(b.exit_time))) == 124
+        p = tmp_path / "bundle.csv"
+        bundle_to_csv(b, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "8cdf7cd47c5a3326e79e06583fd0e278db4cdc035357fc5e26363a39676ee182")
+
+    def test_golden_bytes_2d(self, tmp_path):
+        theta = nl.AffineParameter(
+            [[0.1, -0.2], [0.0, 0.0], [0.0, 0.0]],
+            [[[0.5, 0.1], [0.1, 0.3]], np.zeros((2, 2)), np.zeros((2, 2))],
+            (nl.AtomicLevyMeasure([[0.3, -0.2]], [0.7], dim=2),
+             nl.AtomicLevyMeasure.empty(2), nl.AtomicLevyMeasure.empty(2)),
+        )
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=200, seed=5)
+        b = nl.simulate_paths(theta, [0.0, 0.0], cfg,
+                              nl.GeneratorMode.standard(nl.StateSpace.full(2)))
+        p = tmp_path / "bundle.csv"
+        bundle_to_csv(b, p)
+        assert p.read_bytes().startswith(
+            b"path_index,seed,terminal1,terminal2,running_sup,exit_time\n")
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "0a95e04d1e438b367cbeb15d5242382971aee1ebef47e0a55413c84fcd6d5ad5")

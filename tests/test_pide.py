@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -299,6 +300,29 @@ class TestSurfaceExport:
         assert lines[0] == b"t,x1,v"
         assert len(lines) == 1 + 5 * 11 + 1  # header + rows + trailing newline
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("problem, digest", [
+        ("criterion1", "7b0dbe2eea5c50dd7e9f5e997ace20d87b61a7101c8bb6ce157c0c6d041b3469"),
+        ("half_space_2d", "8bdf014016390e4453b7db21c52a1212131016892c0add24eeb08e1e02627a9f"),
+    ])
+    def test_golden_bytes(self, tmp_path, problem, digest):
+        """sha256 of surface.csv as written by the row-at-a-time writer that
+        the per-layer writer replaced."""
+        surf = criterion1_surface() if problem == "criterion1" else golden_2d_problem()
+        path = tmp_path / "surface.csv"
+        surf.to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def criterion1_surface():
+    """The criterion-1 problem of TestGoldenValues: compound Poisson with unit
+    jumps and intensity 1 on 601 nodes, 512 steps."""
+    theta = nl.AffineParameter.scalar(beta0=1.0,
+                                      nu0=nl.AtomicLevyMeasure([[1.0]], [1.0]))
+    return nl.solve(nl.FiniteParameterSet([theta]), nl.Grid.line(-5.0, 10.0, 601),
+                    nl.make_payoff("min_cap", c=2.0), 1.0, FULL,
+                    scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512),
+                    truncation=nl.TruncationFunction(1.0))
 
 
 def golden_2d_problem():
