@@ -12,10 +12,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
-from .conditions import uniqueness_gate
+from .conditions import jsonable, uniqueness_gate
 from .config import ConfigError, ExperimentConfig
 from .generator import NoAdmissibleVertexError
 from .montecarlo import bundle_to_csv, lower_bound_sublinear
@@ -25,21 +26,8 @@ from . import __version__
 
 
 def _write_json(path, payload: dict) -> None:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return clean(obj.tolist())
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, float) and not np.isfinite(obj):
-            return repr(obj)
-        return obj
-
     with open(path, "w", newline="\n") as fh:
-        json.dump(clean(payload), fh, indent=2, sort_keys=True)
+        json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -52,6 +40,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
+    split = args.dpp_split
+    if split is not None and not 0.0 <= split <= cfg.horizon:
+        raise ConfigError(f"--dpp-split must lie in [0, horizon = {cfg.horizon!r}], "
+                          f"got {split!r}")
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     theta_set = cfg.theta_set()
@@ -110,11 +102,13 @@ def cmd_solve(args) -> int:
     if gate is not None:
         meta["uniqueness_gate_status"] = gate.status
     _write_json(os.path.join(out, "meta.json"), meta)
-    if args.dpp_split is not None:
-        gap = dpp_gap(surface, float(args.dpp_split))
+    if split is not None:
+        try:
+            gap = dpp_gap(surface, split)
+        except ValueError as exc:  # the split is off the time grid
+            raise ConfigError(str(exc)) from exc
         _write_json(os.path.join(out, "dpp.json"),
-                    {"split": float(args.dpp_split), "gap": gap,
-                     "config_hash": cfg.config_hash()})
+                    {"split": split, "gap": gap, "config_hash": cfg.config_hash()})
     return 0
 
 
@@ -162,9 +156,7 @@ def cmd_check(args) -> int:
         theta_set, (grid.lower.tolist(), grid.upper.tolist()), n_samples=128
     )
     report.config_hash = cfg.config_hash()
-    with open(os.path.join(out, "report.json"), "w", newline="\n") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(os.path.join(out, "report.json"), asdict(report))
     print(f"uniqueness gate: {report.status}")
     return 0
 
@@ -250,17 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Worst-case expectations of affine jump-diffusions: "
                     "solve the nonlinear Kolmogorov equation, simulate "
                     "lower bounds, check hypotheses, compare results.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve the worst-case equation")
+    p_solve = sub.add_parser("solve", help="solve the worst-case equation",
+                             exit_on_error=False)
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--dpp-split", default=None,
+    p_solve.add_argument("--dpp-split", type=float, default=None,
                          help="optionally verify the restart identity at this time")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo lower bound")
+    p_sim = sub.add_parser("simulate", help="Monte Carlo lower bound",
+                           exit_on_error=False)
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--seed", type=int, default=None)
@@ -283,11 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # exit_on_error=False: a flag value that does not parse raises ArgumentError
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, NoAdmissibleVertexError, CoefficientError) as exc:
+    except (argparse.ArgumentError, ConfigError, NoAdmissibleVertexError,
+            CoefficientError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, NonFiniteError) as exc:

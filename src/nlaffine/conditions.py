@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .generator import GeneratorMode, sqrt_diffusion_lipschitz
+from .generator import SLOPE_CAP, GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (
     PSD_TOL,
     CoefficientError,
@@ -24,7 +24,22 @@ from .params import (
     min_eigenvalue,
 )
 
-SLOPE_CAP = 1e6  # sampled sqrt-Lipschitz slopes above this count as blow-up
+
+def jsonable(obj):
+    """obj with str dict keys, lists for tuples and arrays, Python scalars
+    for NumPy ones and repr strings for non-finite floats: what json writes
+    as strict JSON, with sort_keys well defined."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 @dataclass
@@ -41,22 +56,7 @@ class ConditionReport:
             self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def to_json(self) -> str:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {str(k): clean(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return [clean(v) for v in obj.tolist()]
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            return obj
-
-        return json.dumps(clean(asdict(self)), indent=2, sort_keys=True)
-
-
-def _dyadic_down(start: float, levels: int) -> list[float]:
-    return [start * 2.0**-k for k in range(levels)]
+        return json.dumps(jsonable(asdict(self)), indent=2, sort_keys=True)
 
 
 def check_comparison_conditions(theta_set: ParameterSet, sample_box,
@@ -105,12 +105,9 @@ def check_comparison_conditions(theta_set: ParameterSet, sample_box,
 
     # (ii) tightness: exact tails for atomic measures
     norms = atom_norms(theta.nu[0] for theta in vertices)
-    if norms.size:
-        small_grid = _dyadic_down(float(norms.min()), 6)
-        large_grid = [float(norms.max()) * 2.0**k for k in range(6)]
-    else:
-        small_grid = _dyadic_down(1.0, 6)
-        large_grid = [2.0**k for k in range(6)]
+    small, large = (float(norms.min()), float(norms.max())) if norms.size else (1.0, 1.0)
+    small_grid = [small * 2.0**-k for k in range(6)]
+    large_grid = [large * 2.0**k for k in range(6)]
 
     def worst_tail(r: float, which: int) -> float:
         return max([0.0] + [jump_tails(theta.nu[0], r)[which] for theta in vertices])
@@ -130,8 +127,7 @@ def check_comparison_conditions(theta_set: ParameterSet, sample_box,
 
     # (iii) continuity: exact drift constant, sampled sqrt-diffusion constant
     drift_lip = max(linear_part_norm(t, "beta") for t in vertices)
-    est = sqrt_diffusion_lipschitz(theta_set, (lo, hi), n_samples=n_samples,
-                                   seed=seed, slope_cap=SLOPE_CAP)
+    est = sqrt_diffusion_lipschitz(theta_set, (lo, hi), n_samples=n_samples, seed=seed)
     cont_status = "fail" if est.blown_up else "indeterminate-pass"
     clauses["continuity"] = {
         "status": cont_status,

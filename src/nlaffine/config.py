@@ -39,7 +39,7 @@ def _num(v) -> float:
         raise ConfigError(f"expected a number, got {v!r}")
     try:
         return float(v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"expected a number, got {v!r}") from exc
 
 
@@ -116,15 +116,7 @@ def compound_poisson_set(lam_interval, measures, h: TruncationFunction) -> Finit
     """Pure-jump family: intensity in an interval, jump law from the convex
     hull of a finite measure list; drift carries the h-moment of the scaled
     law so the tuple is authored consistently with h."""
-    lo, hi = lam_interval
-    lams = [lo] if lo == hi else [lo, hi]
-    params = []
-    for lam in lams:
-        for m in measures:
-            scaled = m.scaled(lam)
-            b0 = float(truncation_moment(scaled.atoms, scaled.weights, h)[0])
-            params.append(AffineParameter.scalar(beta0=b0, nu0=scaled))
-    return FiniteParameterSet(params)
+    return generalized_compound_poisson_set(lam_interval, (0.0, 0.0), measures, h)
 
 
 def generalized_compound_poisson_set(lam0_interval, lam1_interval, measures,
@@ -262,7 +254,10 @@ class ExperimentConfig:
         self.theta_set()
         self.scheme()
         if "sim" in self.data:
-            self.sim_config()
+            clamp = self.sim_config().clamp_box
+            x0 = self.sim_x0()
+            if clamp is not None and (np.any(x0 < clamp[0]) or np.any(x0 > clamp[1])):
+                raise ConfigError(f"sim.x0 {x0.tolist()} lies outside sim.clamp_box")
 
     # -- canonical form -----------------------------------------------------
 
@@ -325,6 +320,8 @@ class ExperimentConfig:
             return make_payoff(spec["name"], **kwargs)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad payoff: {exc}") from exc
 
     def grid(self) -> Grid:
         spec = self.data.get("grid")
@@ -362,13 +359,14 @@ class ExperimentConfig:
         spec = self.data.get("sim")
         if not isinstance(spec, dict):
             raise ConfigError("missing field: sim")
-        horizon = float(spec.get("t", self.horizon))
-        clamp = None
-        if spec.get("clamp_box") is not None:
-            clamp = (
-                np.asarray(spec["clamp_box"][0], dtype=float),
-                np.asarray(spec["clamp_box"][1], dtype=float),
-            )
+        horizon = _num(spec.get("t", self.horizon))
+        clamp = spec.get("clamp_box")
+        if clamp is not None:
+            clamp = tuple(np.array(_num_list(b))
+                          for b in (clamp if isinstance(clamp, list) else [clamp]))
+            if len(clamp) != 2 or any(b.shape != (self.dimension,) for b in clamp):
+                raise ConfigError(f"sim.clamp_box must be [lower, upper] with "
+                                  f"{self.dimension} coordinates each")
         try:
             return SimConfig(
                 dt=float(spec.get("dt", horizon / 64 if horizon > 0 else 0.01)),
@@ -384,8 +382,11 @@ class ExperimentConfig:
     def sim_x0(self) -> np.ndarray:
         spec = self.data.get("sim", {})
         x0 = spec.get("x0", [0.0] * self.dimension)
-        x0 = [x0] if not isinstance(x0, list) else x0
-        return np.asarray([float(v) for v in x0])
+        x0 = np.array(_num_list(x0 if isinstance(x0, list) else [x0]))
+        if x0.shape != (self.dimension,):
+            raise ConfigError(f"sim.x0 must have {self.dimension} coordinates, "
+                              f"got {x0.tolist()}")
+        return x0
 
 
 # fields whose values are genuine strings; everything else that looks like a
@@ -395,24 +396,26 @@ _STRING_FIELDS = {"mode", "output_dir", "kind", "name"}
 
 def _normalize(obj, key=None):
     """Floats for every numeric leaf (decimal strings included), dicts with
-    plain str keys; leaves canonical JSON-serialisable values."""
+    plain str keys; leaves canonical JSON-serialisable values.  A number
+    that is not finite (NaN, an infinity, a decimal string that overflows)
+    is rejected here, once for every field."""
     if isinstance(obj, dict):
         return {str(k): _normalize(v, str(k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v, key) for v in obj]
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, int)) or obj is None:
         return obj
-    if isinstance(obj, (int, float)):
-        return obj if isinstance(obj, int) else float(obj)
     if isinstance(obj, str):
         if key in _STRING_FIELDS:
             return obj
-        s = obj.strip()
         try:
-            f = float(s)
-            if s.lower() not in ("nan", "inf", "-inf", "infinity", "-infinity"):
-                return f
+            f = float(obj)
         except ValueError:
-            pass
-        return obj
-    raise ConfigError(f"unsupported config value {obj!r}")
+            return obj
+    elif isinstance(obj, float):
+        f = float(obj)
+    else:
+        raise ConfigError(f"unsupported config value {obj!r}")
+    if not np.isfinite(f):
+        raise ConfigError(f"expected a finite number, got {obj!r}")
+    return f

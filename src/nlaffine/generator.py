@@ -28,6 +28,8 @@ from .params import (
     truncation_moment,
 )
 
+SLOPE_CAP = 1e6  # sampled sqrt-Lipschitz slopes above this count as blow-up
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -225,8 +227,7 @@ class LipschitzEstimate:
 
 
 def sqrt_diffusion_lipschitz(theta_set: ParameterSet, sample_box,
-                             n_samples: int = 200, seed: int = 0,
-                             slope_cap: float = 1e6) -> LipschitzEstimate:
+                             n_samples: int = 200, seed: int = 0) -> LipschitzEstimate:
     """Sampled Lipschitz constant of x -> sqrt of the positive-part diffusion
     map, maximised over vertices and point pairs.
 
@@ -295,5 +296,5 @@ def sqrt_diffusion_lipschitz(theta_set: ParameterSet, sample_box,
         constant=best,
         pair=best_pair,
         vertex=best_vertex,
-        blown_up=best > slope_cap,
+        blown_up=best > SLOPE_CAP,
     )

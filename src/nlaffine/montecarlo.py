@@ -108,8 +108,8 @@ class PathBundle:
                 raise AssertionError(f"path {i} moved after its exit")
 
 
-def _path_seed_labels(seed: int, start: int, count: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.uint64)
+def _path_seed_labels(seed: int, count: int) -> np.ndarray:
+    idx = np.arange(count, dtype=np.uint64)
     mix = np.uint64(0x9E3779B97F4A7C15)
     with np.errstate(over="ignore"):  # modular 64-bit mixing is intended
         return (np.uint64(seed) * mix + idx) * mix
@@ -172,7 +172,7 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     running = np.zeros(N)
     exit_time = np.full(N, np.nan)
     flagged = np.zeros(N, dtype=bool)
-    seeds = _path_seed_labels(cfg.seed, 0, N)
+    seeds = _path_seed_labels(cfg.seed, N)
     skeletons = np.empty((N, n_steps + 1, d)) if cfg.store_paths else None
     snaps = {j: np.zeros(N) for j in snapshot_steps}
     no_jump_exits = proposed = accepted = 0

@@ -100,8 +100,8 @@ class AtomicLevyMeasure:
         self.atoms.setflags(write=False)
         self.weights = w
         self.weights.setflags(write=False)
-        # finiteness of the defining integral; trivially true for finite lists
-        assert np.isfinite(self.norm())
+        if not np.isfinite(self.norm()):
+            raise ValueError("jump measure atoms and weights must be finite")
 
     @classmethod
     def empty(cls, dim: int) -> "AtomicLevyMeasure":
@@ -120,12 +120,6 @@ class AtomicLevyMeasure:
             return 0.0
         n = np.linalg.norm(self.atoms, axis=1)
         return float(np.sum(np.abs(self.weights) * np.minimum(n * n, n)))
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    def positive_mass(self) -> float:
-        return float(np.sum(np.clip(self.weights, 0.0, None)))
 
     def min_weight(self) -> float:
         return float(np.min(self.weights)) if self.n_atoms else 0.0
@@ -291,10 +285,6 @@ class TruncationFunction:
         inside = np.linalg.norm(z, axis=-1) <= self.radius
         return z * inside[..., None]
 
-    @property
-    def sup_norm(self) -> float:
-        return self.radius
-
 
 def truncation_moment(atoms: np.ndarray, weights: np.ndarray,
                       h: TruncationFunction) -> np.ndarray:
@@ -307,11 +297,8 @@ def truncation_moment(atoms: np.ndarray, weights: np.ndarray,
 
 def truncation_constant(h: TruncationFunction) -> float:
     """Constant C with ||z - h(z)|| <= C (||z||^2 ^ ||z||) and
-    ||h(z)|| <= C (||z|| ^ 1); radius**-2 * sup_norm works for the ball
-    truncation, i.e. 1/radius."""
-    if h.radius <= 0:
-        raise ValueError("truncation radius must be positive")
-    return h.sup_norm / h.radius**2
+    ||h(z)|| <= C (||z|| ^ 1); 1/radius works for the ball truncation."""
+    return 1.0 / h.radius
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +363,6 @@ class AffineParameter:
         nu1 = nu1 if nu1 is not None else AtomicLevyMeasure.empty(1)
         return cls([[beta0], [beta1]], [[[alpha0]], [[alpha1]]], (nu0, nu1))
 
-    def beta_linear(self) -> np.ndarray:
-        """Matrix of the linear drift part: column i is beta_i."""
-        return self.beta[1:].T
-
     def convex_combination(self, other: "AffineParameter", lam: float) -> "AffineParameter":
         """(1 - lam) * self + lam * other."""
         nu = tuple(
@@ -407,10 +390,6 @@ class Triplet:
         d = self.b.shape[0]
         if self.a.shape != (d, d) or self.k.dim != d:
             raise DimensionError("triplet components disagree on dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
 
 
 def affine_at(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -526,7 +505,6 @@ class CoefficientBox(ParameterSet):
         self.beta_lo, self.beta_hi = beta_lo, beta_hi
         self.alpha_lo, self.alpha_hi = alpha_lo, alpha_hi
         self.nu_tuples = nu_tuples
-        self.vertex_cap = vertex_cap
         # free coordinates in a fixed order: beta entries (component, coord),
         # then alpha upper-triangle entries (component, i, j)
         free = []
@@ -657,18 +635,11 @@ def growth_bound(theta_set: ParameterSet) -> float:
     return max(parameter_growth(t) for t in theta_set.vertices())
 
 
-def small_jump_mass(theta_set: ParameterSet, x, delta: float,
-                    space: StateSpace | None = None) -> float:
+def small_jump_mass(theta_set: ParameterSet, x, delta: float) -> float:
     """sup over vertices of the second moment of jumps of size <= delta of
-    the evaluated measure at x."""
-    best = -np.inf
-    for theta in theta_set.vertices():
-        if space is None:
-            k = hat_triplet_at(theta, x).k
-        else:
-            k = triplet_at(theta, x, space).k
-        best = max(best, jump_tails(k, delta)[0])
-    return best
+    the hat-mode measure at x."""
+    return max(jump_tails(hat_triplet_at(theta, x).k, delta)[0]
+               for theta in theta_set.vertices())
 
 
 @dataclass
@@ -704,29 +675,20 @@ class CoefficientBoundReport:
     passed: bool
 
 
-def check_coefficient_bounds(theta_set: ParameterSet,
-                             delta_grid=None,
-                             x_samples=None,
-                             space: StateSpace | None = None) -> CoefficientBoundReport:
-    """Growth bound plus the small-jump second-moment profile on a delta
-    grid.  For atomic measures the profile is identically zero below the
-    smallest atom norm, so the vanishing-limit requirement is exact."""
+def check_coefficient_bounds(theta_set: ParameterSet) -> CoefficientBoundReport:
+    """Growth bound plus the small-jump second-moment profile at x = 0 and
+    x = 1 on eight dyadic deltas below the largest atom norm.  For atomic
+    measures the profile is identically zero below the smallest atom norm,
+    so the vanishing-limit requirement is exact."""
     d = theta_set.dim
     K = growth_bound(theta_set)
     norms = atom_norms(m for theta in theta_set.vertices() for m in theta.nu)
     min_atom = float(norms.min()) if norms.size else None
-    if delta_grid is None:
-        top = float(norms.max()) if norms.size else 1.0
-        delta_grid = [top * 2.0**-k for k in range(8)]
-    if x_samples is None:
-        x_samples = [np.zeros(d), np.ones(d)]
+    top = float(norms.max()) if norms.size else 1.0
     table = {}
-    for delta in delta_grid:
-        row = {}
-        for x in x_samples:
-            x = _as_vector(x, d)
-            row[tuple(x.tolist())] = small_jump_mass(theta_set, x, float(delta), space)
-        table[float(delta)] = row
+    for delta in (top * 2.0**-k for k in range(8)):
+        table[delta] = {tuple(x.tolist()): small_jump_mass(theta_set, x, delta)
+                        for x in (np.zeros(d), np.ones(d))}
     return CoefficientBoundReport(
         growth=K,
         growth_finite=bool(np.isfinite(K)),

@@ -99,16 +99,6 @@ def cos_payoff() -> TestFunction:
     return TestFunction("cos", value, gradient, hessian)
 
 
-def shifted(f: TestFunction, offset: float) -> TestFunction:
-    """f + constant, keeping derivatives."""
-    return TestFunction(
-        f"{f.name}+{offset!r}",
-        lambda x: f.value(x) + offset,
-        f.gradient,
-        f.hessian,
-    )
-
-
 _BUILDERS = {
     "indicator_ge": lambda **kw: indicator_ge(float(kw["c"])),
     "min_cap": lambda **kw: min_cap(float(kw["c"])),
@@ -121,4 +111,7 @@ _BUILDERS = {
 def make_payoff(name: str, **kwargs) -> TestFunction:
     if name not in _BUILDERS:
         raise KeyError(f"unknown payoff {name!r}; available: {sorted(_BUILDERS)}")
-    return _BUILDERS[name](**kwargs)
+    try:
+        return _BUILDERS[name](**kwargs)
+    except KeyError as exc:
+        raise ValueError(f"payoff {name!r} needs the parameter {exc}") from exc

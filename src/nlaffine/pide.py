@@ -97,14 +97,14 @@ class Grid:
         X, Y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
         return np.column_stack([X.ravel(), Y.ravel()])
 
-    def node_index(self, x, tol: float = 1e-9) -> tuple[int, ...]:
+    def node_index(self, x) -> tuple[int, ...]:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = []
         for i in range(self.dim):
             j = int(round((x[i] - self.lower[i]) / self.dx[i]))
             if j < 0 or j >= self.shape[i] or abs(
                 self.lower[i] + j * self.dx[i] - x[i]
-            ) > tol * max(1.0, abs(x[i])):
+            ) > 1e-9 * max(1.0, abs(x[i])):
                 raise ValueError(f"{x} is not a grid node")
             idx.append(j)
         return tuple(idx)
@@ -164,9 +164,6 @@ class ValueSurface:
     @property
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.shape[0])
 
     def layer(self, t: float) -> np.ndarray:
         j = int(round(t / self.dt))
@@ -444,17 +441,16 @@ class HolderReport:
     diffs: list = field(default_factory=list)
 
 
-def holder_exponent(surface: ValueSurface, x, min_steps: int = 8) -> HolderReport:
+def holder_exponent(surface: ValueSurface, x) -> HolderReport:
     """Least-squares slope of log |v(delta, x) - v(0, x)| against log delta
-    over dyadic deltas.  Deltas below `min_steps` time steps are excluded
-    (they probe the discretisation, not the solution)."""
+    over dyadic deltas at the grid node x.  Deltas below 8 time steps are
+    excluded (they probe the discretisation, not the solution)."""
     if surface.n_steps < 10:
         raise ValueError("need at least 10 time nodes")
-    idx = surface.grid.node_index(x) if not isinstance(x, tuple) else x
-    series = surface.values[(slice(None),) + idx]
+    series = surface.values[(slice(None),) + surface.grid.node_index(x)]
     js = []
     j = surface.n_steps
-    while j >= max(min_steps, 1):
+    while j >= 8:
         js.append(j)
         j //= 2
     deltas = np.array([j * surface.dt for j in js])

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -228,12 +229,72 @@ def _text_horizon(raw):
     raw["horizon"] = "soon"
 
 
+def _huge_atom(raw):
+    raw["parameter_set"]["parameter"]["nu"] = [[["1e400", 1.0]], []]
+
+
+def _nan_weight(raw):
+    raw["parameter_set"]["parameter"]["nu"] = [[[1.0, "nan"]], []]
+
+
+def _huge_drift(raw):
+    raw["parameter_set"]["parameter"]["beta"] = [["1e400"], [0.0]]
+
+
+def _infinite_drift(raw):
+    raw["parameter_set"]["parameter"]["beta"] = [[float("inf")], [0.0]]
+
+
+def _huge_horizon(raw):
+    raw["horizon"] = "1e400"
+
+
+def _text_payoff_parameter(raw):
+    raw["payoff"] = {"name": "min_cap", "c": "abc"}
+
+
+def _missing_payoff_parameter(raw):
+    raw["payoff"] = {"name": "min_cap"}
+
+
+def _x0_wrong_dimension(raw):
+    raw["sim"]["x0"] = [0.0, 0.0]
+
+
+def _x0_outside_clamp_box(raw):
+    raw["sim"]["clamp_box"] = [[1.0], [2.0]]
+
+
+def _clamp_box_wrong_dimension(raw):
+    raw["sim"]["clamp_box"] = [[-1.0, -1.0], [2.0, 2.0]]
+
+
+def _clamp_box_text(raw):
+    raw["sim"]["clamp_box"] = "abc"
+
+
+def _text_sim_horizon(raw):
+    raw["sim"]["t"] = "later"
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("edit, message", [
         (_atom_at_origin, "atom at the origin"),
         (_negative_variance, "no admissible vertex"),
         (_negative_horizon, "horizon must be nonnegative"),
         (_text_horizon, "expected a number"),
+        (_huge_atom, "expected a finite number, got '1e400'"),
+        (_nan_weight, "expected a finite number, got 'nan'"),
+        (_huge_drift, "expected a finite number, got '1e400'"),
+        (_infinite_drift, "expected a finite number, got inf"),
+        (_huge_horizon, "expected a finite number, got '1e400'"),
+        (_text_payoff_parameter, "bad payoff: could not convert string to float: 'abc'"),
+        (_missing_payoff_parameter, "payoff 'min_cap' needs the parameter 'c'"),
+        (_x0_wrong_dimension, "sim.x0 must have 1 coordinates"),
+        (_x0_outside_clamp_box, "sim.x0 [0.0] lies outside sim.clamp_box"),
+        (_clamp_box_wrong_dimension, "sim.clamp_box must be [lower, upper] with 1 coordinates"),
+        (_clamp_box_text, "expected a list of numbers, got 'abc'"),
+        (_text_sim_horizon, "expected a number, got 'later'"),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
         raw = base_config(tmp_path / "out")
@@ -269,6 +330,27 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert "seed must lie in [0, 2**64)" in err
+
+    @pytest.mark.parametrize("split, message", [
+        ("abc", "argument --dpp-split: invalid float value: 'abc'"),
+        ("5", "--dpp-split must lie in [0, horizon = 0.5], got 5.0"),
+        ("0.3333", "split 0.3333 is not aligned to the time grid"),
+    ])
+    def test_bad_dpp_split_exits_2(self, tmp_path, capsys, split, message):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["solve", "--config", path, "--dpp-split", split]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
+
+
+def test_library_has_no_assert_statements():
+    """An input check written as `assert` vanishes under python -O."""
+    src = Path(__file__).resolve().parents[1] / "src" / "nlaffine"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_import_loads_no_scipy_and_loads_numpy_random():

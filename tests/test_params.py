@@ -48,6 +48,13 @@ class TestAtomicLevyMeasure:
         with pytest.raises(ValueError):
             nl.AtomicLevyMeasure([[0.0]], [1.0])
 
+    @pytest.mark.parametrize("atom, weight", [
+        (1e400, 1.0), (1.0, float("nan")),
+    ])
+    def test_non_finite_rejected(self, atom, weight):
+        with pytest.raises(ValueError, match="must be finite"):
+            nl.AtomicLevyMeasure([[atom]], [weight])
+
     def test_merging_and_sorting(self):
         m = nl.AtomicLevyMeasure([[1.0], [1.0 + 1e-13], [-2.0]], [0.5, 0.25, 1.0])
         assert m.n_atoms == 2
