@@ -161,16 +161,77 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _read_surface_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+# the bisection for a layer's first row stops at a window this many bytes
+# wide; the forward scan covers the rest
+_BISECT_WINDOW = 4096
+
+
+def _row_time(row: bytes) -> float:
+    return float(row.split(b",", 1)[0])
+
+
+def _read_layer(path, t_target: float):
+    """Header and rows of the surface.csv layer whose time lies within
+    1e-9 * max(1, t_target) of t_target, as an (n, d + 2) array; n is 0 if
+    there is no such layer.
+
+    The rows are time-major with nondecreasing t (see `ValueSurface.to_csv`),
+    so the layer's first row is found by bisection on byte offsets and only
+    the layer's own rows are parsed."""
+    tol = 1e-9 * max(1.0, t_target)
+    rows = []
+    with open(path, "rb") as fh:
+        try:
+            header = fh.readline().decode().strip().split(",")
+            # every row before the row start `lo` is earlier than the layer;
+            # the layer starts at or before the first row start after `hi`
+            lo, hi = fh.tell(), os.fstat(fh.fileno()).st_size
+            while hi - lo > _BISECT_WINDOW:
+                mid = (lo + hi) // 2
+                fh.seek(mid)
+                fh.readline()  # finish the partial row
+                row = fh.readline()
+                if row and _row_time(row) < t_target - tol:
+                    lo = fh.tell()
+                else:
+                    hi = mid
+            fh.seek(lo)
+            for row in fh:
+                t = _row_time(row)
+                if not t <= t_target + tol:
+                    break
+                if t >= t_target - tol:
+                    rows.append(row.decode())
+            if not rows:
+                return header, np.empty((0, len(header)))
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: a row does not parse: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: rows of {data.shape[1]} fields under a "
+                          f"header of {len(header)}")
     return header, data
 
 
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def cmd_compare(args) -> int:
-    with open(args.estimate) as fh:
-        est = json.load(fh)
+    est = _read_json(args.estimate)
+    try:
+        t_target = float(est["t"])
+        x0 = np.atleast_1d(np.asarray(est["x0"], dtype=float))
+        mc = float(est["mean"])
+        se = float(est["se"])
+    except KeyError as exc:
+        raise ConfigError(f"{args.estimate} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.estimate}: {exc}") from exc
     meta_path = args.meta or os.path.join(os.path.dirname(args.surface), "meta.json")
     if not os.path.exists(meta_path):
         if not args.force:
@@ -179,22 +240,24 @@ def cmd_compare(args) -> int:
             return 2
         meta = {}
     else:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        meta = _read_json(meta_path)
     if meta and meta.get("config_hash") != est.get("config_hash") and not args.force:
         print("error: surface and estimate come from different configs "
               "(hash mismatch); pass --force to compare anyway", file=sys.stderr)
         return 2
-    header, data = _read_surface_csv(args.surface)
+    header, rows = _read_layer(args.surface, t_target)
     d = len(header) - 2
-    t_target = float(est["t"])
-    x0 = np.atleast_1d(np.asarray(est["x0"], dtype=float))
-    times = data[:, 0]
-    t_rows = np.abs(times - t_target) <= 1e-9 * max(1.0, t_target)
-    if not np.any(t_rows):
+    if rows.shape[0] == 0:
         print(f"error: surface carries no layer at t = {t_target}", file=sys.stderr)
         return 2
-    rows = data[t_rows]
+    nodes = meta.get("grid", {}).get("nodes")
+    if nodes is not None and rows.shape[0] != np.prod(nodes):
+        raise ConfigError(f"{args.surface}: the layer at t = {t_target} has "
+                          f"{rows.shape[0]} rows, but meta.json gives a grid of "
+                          f"{nodes} nodes")
+    if x0.shape != (d,):
+        raise ConfigError(f"{args.estimate}: x0 has {x0.shape[0]} coordinates, "
+                          f"the surface {d}")
     xs = rows[:, 1:1 + d]
     dist = np.linalg.norm(xs - x0[None, :], axis=1)
     j = int(np.argmin(dist))
@@ -211,8 +274,6 @@ def cmd_compare(args) -> int:
         pide_value = float(np.interp(x0[0], xs[order, 0], rows[order, -1]))
     else:
         pide_value = float(rows[j, -1])
-    mc = float(est["mean"])
-    se = float(est["se"])
     slack = 3.0 * se + 5e-3
     comparison = {
         "config_hash": est.get("config_hash"),

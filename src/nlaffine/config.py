@@ -43,6 +43,13 @@ def _num(v) -> float:
         raise ConfigError(f"expected a number, got {v!r}") from exc
 
 
+def _int(v, field: str) -> int:
+    """An integer field; a float is accepted only if it is integral."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+        raise ConfigError(f"{field} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _num_list(v) -> list[float]:
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"expected a list of numbers, got {v!r}")
@@ -271,7 +278,10 @@ class ExperimentConfig:
 
     @property
     def dimension(self) -> int:
-        return int(self.data.get("dimension", 1))
+        dim = _int(self.data.get("dimension", 1), "dimension")
+        if dim < 1:
+            raise ConfigError(f"dimension must be at least 1, got {dim}")
+        return dim
 
     @property
     def horizon(self) -> float:
@@ -288,19 +298,27 @@ class ExperimentConfig:
         return self.data.get("output_dir", "out")
 
     def truncation(self) -> TruncationFunction:
-        return TruncationFunction(float(self.data.get("truncation_radius", 1.0)))
+        try:
+            return TruncationFunction(_num(self.data.get("truncation_radius", 1.0)))
+        except ValueError as exc:
+            raise ConfigError(f"bad truncation_radius: {exc}") from exc
 
     def state_space(self) -> StateSpace:
         spec = self.data.get("state_space")
         if spec is None:
             return StateSpace.full(self.dimension)
+        if not isinstance(spec, dict):
+            raise ConfigError(f"state_space must be an object, got {spec!r}")
         kind = spec.get("kind", "full")
         if kind == "full":
             return StateSpace.full(self.dimension)
         if kind == "half":
-            return StateSpace.half(
-                self.dimension, int(spec.get("nonneg_coords", self.dimension))
-            )
+            dim = self.dimension
+            m = _int(spec.get("nonneg_coords", dim), "state_space.nonneg_coords")
+            if not 0 <= m <= dim:
+                raise ConfigError(f"state_space.nonneg_coords must lie in [0, {dim}], "
+                                  f"got {m}")
+            return StateSpace.half(dim, m)
         raise ConfigError(f"state_space.kind must be full or half, got {kind!r}")
 
     def mode(self) -> GeneratorMode:
@@ -328,8 +346,9 @@ class ExperimentConfig:
         if not isinstance(spec, dict):
             raise ConfigError("missing field: grid")
         try:
-            return Grid(spec["lower"], spec["upper"], [int(n) for n in spec["nodes"]])
-        except (KeyError, ValueError) as exc:
+            nodes = [_int(n, "grid.nodes") for n in spec["nodes"]]
+            return Grid(spec["lower"], spec["upper"], nodes)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid spec: {exc}") from exc
 
     def theta_set(self) -> ParameterSet:
@@ -340,17 +359,21 @@ class ExperimentConfig:
             return parameter_set_from_json(spec, self.dimension, self.truncation())
         except ConfigError:
             raise
-        except ValueError as exc:
+        except KeyError as exc:
+            raise ConfigError(f"parameter_set lacks the field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameter_set: {exc}") from exc
 
     def scheme(self) -> SchemeConfig:
         spec = self.data.get("scheme", {})
+        if not isinstance(spec, dict):
+            raise ConfigError(f"scheme must be an object, got {spec!r}")
         try:
             return SchemeConfig(
-                cfl=float(spec.get("cfl", 0.4)),
-                dt=(None if spec.get("dt") is None else float(spec["dt"])),
-                min_time_steps=int(spec.get("min_time_steps", 256)),
-                r_jump=(None if spec.get("r_jump") is None else float(spec["r_jump"])),
+                cfl=_num(spec.get("cfl", 0.4)),
+                dt=(None if spec.get("dt") is None else _num(spec["dt"])),
+                min_time_steps=_int(spec.get("min_time_steps", 256), "scheme.min_time_steps"),
+                r_jump=(None if spec.get("r_jump") is None else _num(spec["r_jump"])),
             )
         except ValueError as exc:
             raise ConfigError(f"bad scheme spec: {exc}") from exc
@@ -369,10 +392,11 @@ class ExperimentConfig:
                                   f"{self.dimension} coordinates each")
         try:
             return SimConfig(
-                dt=float(spec.get("dt", horizon / 64 if horizon > 0 else 0.01)),
+                dt=_num(spec.get("dt", horizon / 64 if horizon > 0 else 0.01)),
                 horizon=horizon,
-                n_paths=int(spec.get("paths", 10000)),
-                seed=int(seed_override if seed_override is not None else spec.get("seed", 0)),
+                n_paths=_int(spec.get("paths", 10000), "sim.paths"),
+                seed=(seed_override if seed_override is not None
+                      else _int(spec.get("seed", 0), "sim.seed")),
                 truncation=self.truncation(),
                 clamp_box=clamp,
             )

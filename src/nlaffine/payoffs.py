@@ -99,19 +99,24 @@ def cos_payoff() -> TestFunction:
     return TestFunction("cos", value, gradient, hessian)
 
 
+# name -> (builder, the parameters it takes, each a number)
 _BUILDERS = {
-    "indicator_ge": lambda **kw: indicator_ge(float(kw["c"])),
-    "min_cap": lambda **kw: min_cap(float(kw["c"])),
-    "abs": lambda **kw: abs_payoff(),
-    "square": lambda **kw: square_payoff(),
-    "cos": lambda **kw: cos_payoff(),
+    "indicator_ge": (indicator_ge, ("c",)),
+    "min_cap": (min_cap, ("c",)),
+    "abs": (abs_payoff, ()),
+    "square": (square_payoff, ()),
+    "cos": (cos_payoff, ()),
 }
 
 
 def make_payoff(name: str, **kwargs) -> TestFunction:
     if name not in _BUILDERS:
         raise KeyError(f"unknown payoff {name!r}; available: {sorted(_BUILDERS)}")
-    try:
-        return _BUILDERS[name](**kwargs)
-    except KeyError as exc:
-        raise ValueError(f"payoff {name!r} needs the parameter {exc}") from exc
+    builder, params = _BUILDERS[name]
+    for key in kwargs:
+        if key not in params:
+            raise ValueError(f"payoff {name!r} takes no parameter {key!r}")
+    for key in params:
+        if key not in kwargs:
+            raise ValueError(f"payoff {name!r} needs the parameter {key!r}")
+    return builder(*(float(kwargs[key]) for key in params))

@@ -180,7 +180,10 @@ class ValueSurface:
 
     def to_csv(self, path) -> None:
         """Rows t,x1[,x2],v over all space-time nodes, 17 significant digits,
-        LF line endings, stable node order (x1 outer, x2 inner).  The node
+        LF line endings.  The rows are time-major: one block of grid-node
+        rows per layer, in stable node order (x1 outer, x2 inner), with the
+        layer time j * dt nondecreasing down the file; `nlaffine compare`
+        bisects the file on that order to read one layer.  The node
         coordinates are formatted once, into a template with a time and a
         value slot per node; each layer is one formatting pass and one write."""
         fmt = b"%%s" + b"%.17g," * self.grid.dim + b"%%.17g\n"

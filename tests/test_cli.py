@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nlaffine as nl
+from nlaffine import cli
 from nlaffine.cli import main
 from nlaffine.config import (
     ExperimentConfig,
@@ -277,6 +278,52 @@ def _text_sim_horizon(raw):
     raw["sim"]["t"] = "later"
 
 
+def _fractional_dimension(raw):
+    raw["dimension"] = 1.5
+
+
+def _fractional_nonneg_coords(raw):
+    raw["state_space"] = {"kind": "half", "nonneg_coords": 0.5}
+
+
+def _nonneg_coords_above_dimension(raw):
+    raw["state_space"] = {"kind": "half", "nonneg_coords": 2}
+
+
+def _text_state_space(raw):
+    raw["state_space"] = "half"
+
+
+def _text_scheme(raw):
+    raw["scheme"] = "explicit"
+
+
+def _parameter_without_beta(raw):
+    del raw["parameter_set"]["parameter"]["beta"]
+
+
+def _box_without_beta_lo(raw):
+    raw["parameter_set"] = {"kind": "box", "beta_hi": [[0.0], [0.0]],
+                            "alpha_lo": [[[0.1]], [[0.0]]],
+                            "alpha_hi": [[[0.2]], [[0.0]]]}
+
+
+def _unused_payoff_parameter(raw):
+    raw["payoff"] = {"name": "abs", "c": 1.0}
+
+
+def _fractional_grid_nodes(raw):
+    raw["grid"]["nodes"] = [160.5]
+
+
+def _fractional_paths(raw):
+    raw["sim"]["paths"] = 10.5
+
+
+def _boolean_cfl(raw):
+    raw["scheme"]["cfl"] = True
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("edit, message", [
         (_atom_at_origin, "atom at the origin"),
@@ -295,6 +342,17 @@ class TestErrorContract:
         (_clamp_box_wrong_dimension, "sim.clamp_box must be [lower, upper] with 1 coordinates"),
         (_clamp_box_text, "expected a list of numbers, got 'abc'"),
         (_text_sim_horizon, "expected a number, got 'later'"),
+        (_fractional_dimension, "dimension must be an integer, got 1.5"),
+        (_fractional_nonneg_coords, "state_space.nonneg_coords must be an integer, got 0.5"),
+        (_nonneg_coords_above_dimension, "state_space.nonneg_coords must lie in [0, 1], got 2"),
+        (_text_state_space, "state_space must be an object, got 'half'"),
+        (_text_scheme, "scheme must be an object, got 'explicit'"),
+        (_parameter_without_beta, "parameter_set lacks the field 'beta'"),
+        (_box_without_beta_lo, "parameter_set lacks the field 'beta_lo'"),
+        (_unused_payoff_parameter, "payoff 'abs' takes no parameter 'c'"),
+        (_fractional_grid_nodes, "grid.nodes must be an integer, got 160.5"),
+        (_fractional_paths, "sim.paths must be an integer, got 10.5"),
+        (_boolean_cfl, "bad scheme spec: expected a number, got True"),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
         raw = base_config(tmp_path / "out")
@@ -419,14 +477,128 @@ class TestCheckCommand:
         assert rep["config_hash"]
 
 
+def small_surface(dim):
+    """A small solved surface: 41 nodes and 65 layers in 1-D, 11 x 11 nodes
+    and 17 layers in 2-D."""
+    if dim == 1:
+        theta = nl.AffineParameter.scalar(beta0=0.2, alpha0=0.5)
+        grid = nl.Grid.line(-2.0, 2.0, 41)
+        payoff, steps = nl.make_payoff("min_cap", c=1.0), 64
+    else:
+        empty = nl.AtomicLevyMeasure.empty(2)
+        theta = nl.AffineParameter(
+            np.array([[0.1, -0.1], [0.0, 0.0], [0.0, 0.0]]),
+            np.array([0.5 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]),
+            (empty, empty, empty))
+        grid = nl.Grid([-1.0, -1.0], [1.0, 1.0], [11, 11])
+        payoff, steps = nl.make_payoff("square"), 16
+    mode = nl.GeneratorMode.standard(nl.StateSpace.full(dim))
+    return nl.solve(nl.FiniteParameterSet([theta]), grid, payoff, 0.25, mode,
+                    scheme=nl.SchemeConfig(min_time_steps=steps))
+
+
+class TestLayerReader:
+    @pytest.mark.parametrize("window", [1, cli._BISECT_WINDOW])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_layer_equals_full_read(self, tmp_path, monkeypatch, dim, window):
+        monkeypatch.setattr(cli, "_BISECT_WINDOW", window)
+        surface = small_surface(dim)
+        path = tmp_path / "surface.csv"
+        surface.to_csv(path)
+        full = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        for j in range(surface.n_steps + 1):
+            t = j * surface.dt
+            header, rows = cli._read_layer(path, t)
+            assert len(header) == dim + 2
+            want = full[np.abs(full[:, 0] - t) <= 1e-9 * max(1.0, t)]
+            assert want.shape[0] == surface.grid.n_nodes
+            assert np.array_equal(rows, want)
+        for t in (0.5 * surface.dt, 0.123456, 0.3, -1.0, float("nan")):
+            assert cli._read_layer(path, t)[1].shape == (0, dim + 2)
+
+
 class TestCompareCommand:
-    def run_pair(self, tmp_path, paths=4000):
+    def run_pair(self, tmp_path, paths=4000, raw=None):
         out = tmp_path / "out"
-        cfgd = base_config(out, paths=paths)
+        cfgd = raw or base_config(out, paths=paths)
         path = write_config(tmp_path, cfgd)
         assert main(["solve", "--config", path]) == 0
         assert main(["simulate", "--config", path]) == 0
         return out
+
+    def compare(self, out):
+        return main(["compare", "--surface", str(out / "surface.csv"),
+                     "--estimate", str(out / "estimate.json")])
+
+    def test_mid_horizon_layer(self, tmp_path):
+        raw = base_config(tmp_path / "out", paths=300)
+        cfg = ExperimentConfig.from_dict(raw)
+        surface = nl.solve(cfg.theta_set(), cfg.grid(), cfg.payoff(), cfg.horizon,
+                           cfg.mode(), scheme=cfg.scheme(), truncation=cfg.truncation())
+        j = surface.n_steps // 2
+        raw["sim"]["t"] = j * surface.dt
+        out = self.run_pair(tmp_path, raw=raw)
+        assert self.compare(out) == 0
+        cmp_ = json.loads((out / "comparison.json").read_text())
+        assert cmp_["t"] == j * surface.dt
+        assert cmp_["pide_value"] == surface.values[j][surface.grid.node_index([0.0])]
+
+    @pytest.mark.parametrize("field", ["horizon", "sim_t"])
+    def test_first_layer(self, tmp_path, field):
+        raw = base_config(tmp_path / "out", paths=300)
+        if field == "horizon":
+            raw["horizon"] = 0.0  # a single-layer surface
+        else:
+            raw["sim"]["t"] = 0.0
+        out = self.run_pair(tmp_path, raw=raw)
+        if field == "horizon":
+            assert len((out / "surface.csv").read_text().splitlines()) == 1 + 161
+        assert self.compare(out) == 0
+        cmp_ = json.loads((out / "comparison.json").read_text())
+        assert cmp_["t"] == 0.0 and cmp_["pide_value"] == 0.0  # min(0, 1)
+
+    def test_time_off_the_surface_exits_2(self, tmp_path, capsys):
+        out = self.run_pair(tmp_path, paths=300)
+        est = json.loads((out / "estimate.json").read_text())
+        est["t"] = 0.123456
+        (out / "estimate.json").write_text(json.dumps(est))
+        capsys.readouterr()
+        assert self.compare(out) == 2
+        assert "surface carries no layer at t = 0.123456" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ("bad_row", "surface.csv: a row does not parse"),
+        ("short_layer", "has 160 rows, but meta.json gives a grid of [161] nodes"),
+        ("header_2d", "surface.csv: rows of 3 fields under a header of 4"),
+        ("no_t", "estimate.json lacks the field 't'"),
+        ("no_x0", "estimate.json lacks the field 'x0'"),
+        ("no_mean", "estimate.json lacks the field 'mean'"),
+        ("no_se", "estimate.json lacks the field 'se'"),
+        ("x0_2d", "estimate.json: x0 has 2 coordinates, the surface 1"),
+        ("estimate_not_json", "estimate.json is not valid JSON"),
+    ])
+    def test_bad_inputs_exit_2_with_one_line(self, tmp_path, capsys, edit, message):
+        out = self.run_pair(tmp_path, paths=300)
+        surface, estimate = out / "surface.csv", out / "estimate.json"
+        lines = surface.read_text().splitlines(keepends=True)
+        est = json.loads(estimate.read_text())
+        if edit == "bad_row":  # a row of the last layer, which compare reads
+            lines[-3] = lines[-3].replace(",", ",abc", 1)
+        elif edit == "short_layer":
+            del lines[-3]
+        elif edit == "header_2d":
+            lines[0] = "t,x1,x2,v\n"
+        elif edit == "x0_2d":
+            est["x0"] = [0.0, 0.0]
+        elif edit.startswith("no_"):
+            del est[edit[3:]]
+        surface.write_text("".join(lines))
+        estimate.write_text("{" if edit == "estimate_not_json" else json.dumps(est))
+        capsys.readouterr()
+        assert self.compare(out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
 
     def test_matched_run_brackets(self, tmp_path):
         out = self.run_pair(tmp_path)
