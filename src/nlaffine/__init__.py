@@ -10,7 +10,6 @@ from .params import (
     AtomicLevyMeasure,
     CoefficientBox,
     FiniteParameterSet,
-    ParameterSet,
     StateSpace,
     Triplet,
     TruncationFunction,
@@ -67,7 +66,6 @@ __all__ = [
     "GeneratorMode",
     "Grid",
     "NonFiniteError",
-    "ParameterSet",
     "PathBundle",
     "SchemeConfig",
     "SimConfig",

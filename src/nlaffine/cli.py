@@ -71,10 +71,7 @@ def cmd_solve(args) -> int:
         "version": __version__,
         "config_hash": cfg.config_hash(),
         "growth_bound": bounds.growth,
-        "small_jump_table": {
-            repr(k): {repr(x): v for x, v in row.items()}
-            for k, row in bounds.small_jump_table.items()
-        },
+        "small_jump_table": {repr(k): v for k, v in bounds.small_jump_table.items()},
         "cfl": {
             "safety": surface.meta["cfl"],
             "dt": surface.meta["dt"],

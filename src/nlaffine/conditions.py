@@ -14,7 +14,7 @@ from .generator import SLOPE_CAP, GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (
     PSD_TOL,
     CoefficientError,
-    ParameterSet,
+    FiniteParameterSet,
     affine_at,
     atom_norms,
     check_coefficient_bounds,
@@ -59,7 +59,7 @@ class ConditionReport:
         return json.dumps(jsonable(asdict(self)), indent=2, sort_keys=True)
 
 
-def check_comparison_conditions(theta_set: ParameterSet, sample_box,
+def check_comparison_conditions(theta_set: FiniteParameterSet, sample_box,
                                 n_samples: int = 200,
                                 seed: int = 0) -> ConditionReport:
     """Boundedness, tightness and continuity of the hat-mode coefficient
@@ -155,7 +155,7 @@ def check_comparison_conditions(theta_set: ParameterSet, sample_box,
     return ConditionReport("comparison_conditions", status, clauses, witnesses)
 
 
-def uniqueness_gate(theta_set: ParameterSet, sample_box,
+def uniqueness_gate(theta_set: FiniteParameterSet, sample_box,
                     n_samples: int = 200, seed: int = 0) -> ConditionReport:
     """Run every hat-mode prerequisite: coefficient bounds, the comparison
     clauses, and the sqrt-diffusion Lipschitz probe.  A hat-mode solve may

@@ -21,7 +21,6 @@ from .params import (
     AtomicLevyMeasure,
     CoefficientBox,
     FiniteParameterSet,
-    ParameterSet,
     StateSpace,
     TruncationFunction,
     truncation_moment,
@@ -54,6 +53,11 @@ def _num_list(v) -> list[float]:
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"expected a list of numbers, got {v!r}")
     return [_num(x) for x in v]
+
+
+def _nums(v):
+    """A number, or nested lists of numbers, with every leaf read by _num."""
+    return [_nums(x) for x in v] if isinstance(v, (list, tuple)) else _num(v)
 
 
 def _interval(v) -> list[float]:
@@ -173,7 +177,7 @@ EXAMPLE_NAMES = (
 
 
 def parameter_set_from_json(spec: dict, dim: int,
-                            h: TruncationFunction) -> ParameterSet:
+                            h: TruncationFunction) -> FiniteParameterSet:
     kind = spec.get("kind", "example" if "name" in spec else None)
     if kind == "finite":
         return FiniteParameterSet(
@@ -189,8 +193,8 @@ def parameter_set_from_json(spec: dict, dim: int,
         return CoefficientBox(
             beta_lo=np.array([_num_list(r) if isinstance(r, list) else [_num(r)] for r in spec["beta_lo"]]),
             beta_hi=np.array([_num_list(r) if isinstance(r, list) else [_num(r)] for r in spec["beta_hi"]]),
-            alpha_lo=np.array(spec["alpha_lo"], dtype=float).reshape(dim + 1, dim, dim),
-            alpha_hi=np.array(spec["alpha_hi"], dtype=float).reshape(dim + 1, dim, dim),
+            alpha_lo=np.array(_nums(spec["alpha_lo"])).reshape(dim + 1, dim, dim),
+            alpha_hi=np.array(_nums(spec["alpha_hi"])).reshape(dim + 1, dim, dim),
             nu_tuples=nu_tuples,
         )
     if kind == "example":
@@ -337,7 +341,7 @@ class ExperimentConfig:
         try:
             return make_payoff(spec["name"], **kwargs)
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
         except ValueError as exc:
             raise ConfigError(f"bad payoff: {exc}") from exc
 
@@ -347,11 +351,11 @@ class ExperimentConfig:
             raise ConfigError("missing field: grid")
         try:
             nodes = [_int(n, "grid.nodes") for n in spec["nodes"]]
-            return Grid(spec["lower"], spec["upper"], nodes)
+            return Grid(_nums(spec["lower"]), _nums(spec["upper"]), nodes)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid spec: {exc}") from exc
 
-    def theta_set(self) -> ParameterSet:
+    def theta_set(self) -> FiniteParameterSet:
         spec = self.data.get("parameter_set")
         if not isinstance(spec, dict):
             raise ConfigError("missing field: parameter_set")

@@ -16,7 +16,7 @@ from .params import (
     AtomicLevyMeasure,
     CoefficientError,
     DimensionError,
-    ParameterSet,
+    FiniteParameterSet,
     StateSpace,
     Triplet,
     TruncationFunction,
@@ -175,7 +175,7 @@ def _standard_admissible(t: Triplet) -> bool:
     return True
 
 
-def worst_case_generator(theta_set: ParameterSet, y, f: TestFunction, x,
+def worst_case_generator(theta_set: FiniteParameterSet, y, f: TestFunction, x,
                          mode: GeneratorMode,
                          h: TruncationFunction | None = None) -> tuple[float, int]:
     """Maximum of the linear generator over the vertex enumeration, with
@@ -226,7 +226,7 @@ class LipschitzEstimate:
     blown_up: bool  # exceeded the slope cap, treated as a Lipschitz failure
 
 
-def sqrt_diffusion_lipschitz(theta_set: ParameterSet, sample_box,
+def sqrt_diffusion_lipschitz(theta_set: FiniteParameterSet, sample_box,
                              n_samples: int = 200, seed: int = 0) -> LipschitzEstimate:
     """Sampled Lipschitz constant of x -> sqrt of the positive-part diffusion
     map, maximised over vertices and point pairs.

@@ -44,7 +44,7 @@ from .params import (
     WEIGHT_TOL,
     AffineParameter,
     CoefficientError,
-    ParameterSet,
+    FiniteParameterSet,
     TruncationFunction,
     affine_at,
     min_eigenvalue,
@@ -330,7 +330,7 @@ class LowerBoundResult:
     bundle: PathBundle  # the paths simulated under the winning vertex
 
 
-def lower_bound_sublinear(theta_set: ParameterSet, x0, payoff: TestFunction,
+def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunction,
                           t: float, cfg: SimConfig,
                           mode: GeneratorMode) -> LowerBoundResult:
     """Best constant-parameter estimate over the vertex enumeration.  Every

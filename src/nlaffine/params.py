@@ -14,6 +14,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,8 @@ class AtomicLevyMeasure:
 
 
 def _merge_atoms(z: np.ndarray, w: np.ndarray):
-    """Merge atoms closer than ATOM_MERGE_TOL, drop zero weights, sort."""
+    """Merge atoms closer than ATOM_MERGE_TOL, summing their weights (one per
+    atom, or one row per atom), drop atoms whose weights are all zero, sort."""
     n = z.shape[0]
     if n == 0:
         return z, w
@@ -176,8 +178,8 @@ def _merge_atoms(z: np.ndarray, w: np.ndarray):
     roots = np.array([find(i) for i in range(n)])
     uniq = np.flatnonzero(roots == np.arange(n))
     zm = np.array([z[r] for r in uniq])
-    wm = np.array([w[roots == r].sum() for r in uniq])
-    keep = wm != 0.0
+    wm = np.array([w[roots == r].sum(axis=0) for r in uniq])
+    keep = np.any(wm.reshape(uniq.size, -1) != 0.0, axis=1)
     zm, wm = zm[keep], wm[keep]
     if zm.shape[0]:
         order = np.lexsort(zm.T[::-1])
@@ -193,22 +195,11 @@ def combined_atom_table(measures) -> tuple[np.ndarray, np.ndarray]:
     affine combination c_0*nu_0 + ... has union weights W @ c.
     """
     measures = list(measures)
-    dim = measures[0].dim
-    all_z = [m.atoms for m in measures if m.n_atoms]
-    if not all_z:
-        return np.zeros((0, dim)), np.zeros((0, len(measures)))
-    z = np.vstack(all_z)
-    # canonical union via the merge machinery with unit probe weights
-    union, _ = _merge_atoms(z, np.ones(z.shape[0]))
-    W = np.zeros((union.shape[0], len(measures)))
-    for j, m in enumerate(measures):
-        for zi, wi in zip(m.atoms, m.weights):
-            dist = np.linalg.norm(union - zi, axis=1)
-            idx = int(np.argmin(dist))
-            if dist[idx] > ATOM_MERGE_TOL:
-                raise AssertionError("atom missing from union table")
-            W[idx, j] += wi
-    return union, W
+    z = np.vstack([m.atoms for m in measures])
+    column = np.repeat(np.arange(len(measures)), [m.n_atoms for m in measures])
+    W = np.zeros((z.shape[0], len(measures)))
+    W[np.arange(z.shape[0]), column] = np.concatenate([m.weights for m in measures])
+    return _merge_atoms(z, W)
 
 
 def atom_norms(measures) -> np.ndarray:
@@ -431,18 +422,9 @@ def hat_triplet_at(theta: AffineParameter, x) -> Triplet:
 # parameter sets
 
 
-class ParameterSet:
-    """Base class; concrete sets provide a finite vertex enumeration."""
+class FiniteParameterSet:
+    """A non-empty vertex list of one dimension; worst cases are sups over it."""
 
-    def vertices(self) -> list[AffineParameter]:
-        raise NotImplementedError
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-
-class FiniteParameterSet(ParameterSet):
     def __init__(self, parameters):
         parameters = list(parameters)
         if not parameters:
@@ -464,13 +446,14 @@ class FiniteParameterSet(ParameterSet):
         return len(self._params)
 
 
-class CoefficientBox(ParameterSet):
+class CoefficientBox(FiniteParameterSet):
     """Independent closed intervals for every scalar drift/diffusion
     coefficient, crossed with a finite list of jump-measure tuples.
 
-    Vertices are the Cartesian product of the interval endpoints (free, i.e.
-    non-degenerate intervals only) with the listed jump tuples, in a fixed
-    deterministic order.
+    The vertices, enumerated once here, are the Cartesian product of the
+    free (non-degenerate) interval endpoints with the listed jump tuples:
+    a block per jump tuple, in which the first free coefficient toggles
+    fastest.
     """
 
     def __init__(self, beta_lo, beta_hi, alpha_lo, alpha_hi, nu_tuples=None,
@@ -496,57 +479,34 @@ class CoefficientBox(ParameterSet):
         if nu_tuples is None:
             nu_tuples = [tuple(AtomicLevyMeasure.empty(d) for _ in range(d + 1))]
         nu_tuples = [tuple(t) for t in nu_tuples]
-        if not nu_tuples:
-            raise ValueError("parameter set must be non-empty")
         for t in nu_tuples:
             if len(t) != d + 1 or any(m.dim != d for m in t):
                 raise DimensionError("jump tuple dimension mismatch")
-        self._d = d
-        self.beta_lo, self.beta_hi = beta_lo, beta_hi
-        self.alpha_lo, self.alpha_hi = alpha_lo, alpha_hi
-        self.nu_tuples = nu_tuples
         # free coordinates in a fixed order: beta entries (component, coord),
         # then alpha upper-triangle entries (component, i, j)
-        free = []
-        for c in range(d + 1):
-            for i in range(d):
-                if beta_lo[c, i] != beta_hi[c, i]:
-                    free.append(("beta", c, i, 0))
-        for c in range(d + 1):
-            for i in range(d):
-                for j in range(i, d):
-                    if alpha_lo[c, i, j] != alpha_hi[c, i, j]:
-                        free.append(("alpha", c, i, j))
-        self._free = free
+        free = [("beta", c, i, 0) for c in range(d + 1) for i in range(d)
+                if beta_lo[c, i] != beta_hi[c, i]]
+        free += [("alpha", c, i, j) for c in range(d + 1) for i in range(d)
+                 for j in range(i, d) if alpha_lo[c, i, j] != alpha_hi[c, i, j]]
         count = (1 << len(free)) * len(nu_tuples)
         if count > vertex_cap:
             raise ValueError(
                 f"box enumerates {count} vertices, above the cap {vertex_cap}; "
                 "coarsen the box (fix more intervals) or list parameters explicitly"
             )
-
-    @property
-    def dim(self) -> int:
-        return self._d
-
-    def vertices(self) -> list[AffineParameter]:
-        d = self._d
-        out = []
-        nbits = len(self._free)
-        for nu in self.nu_tuples:
-            for v in range(1 << nbits):
-                beta = self.beta_lo.copy()
-                alpha = self.alpha_lo.copy()
-                for p, (kind, c, i, j) in enumerate(self._free):
-                    hi = bool((v >> p) & 1)
+        vertices = []
+        for nu in nu_tuples:
+            for ends in itertools.product((False, True), repeat=len(free)):
+                beta, alpha = beta_lo.copy(), alpha_lo.copy()
+                # product toggles its last factor fastest: that is free[0]
+                for hi, (kind, c, i, j) in zip(reversed(ends), free):
                     if kind == "beta":
-                        beta[c, i] = self.beta_hi[c, i] if hi else self.beta_lo[c, i]
+                        beta[c, i] = (beta_hi if hi else beta_lo)[c, i]
                     else:
-                        val = self.alpha_hi[c, i, j] if hi else self.alpha_lo[c, i, j]
-                        alpha[c, i, j] = val
-                        alpha[c, j, i] = val
-                out.append(AffineParameter(beta, alpha, nu))
-        return out
+                        val = (alpha_hi if hi else alpha_lo)[c, i, j]
+                        alpha[c, i, j] = alpha[c, j, i] = val
+                vertices.append(AffineParameter(beta, alpha, nu))
+        super().__init__(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +590,15 @@ def parameter_growth(theta: AffineParameter) -> float:
     return sum(growth_norm(theta, c) for c in ("beta", "alpha", "nu"))
 
 
-def growth_bound(theta_set: ParameterSet) -> float:
+def growth_bound(theta_set: FiniteParameterSet) -> float:
     """Largest growth-norm sum over the vertex enumeration."""
     return max(parameter_growth(t) for t in theta_set.vertices())
 
 
-def small_jump_mass(theta_set: ParameterSet, x, delta: float) -> float:
+def small_jump_mass(theta_set: FiniteParameterSet, delta: float) -> float:
     """sup over vertices of the second moment of jumps of size <= delta of
-    the hat-mode measure at x."""
-    return max(jump_tails(hat_triplet_at(theta, x).k, delta)[0]
-               for theta in theta_set.vertices())
+    the hat-mode jump measure, which is nu_0 at every state."""
+    return max(jump_tails(theta.nu[0], delta)[0] for theta in theta_set.vertices())
 
 
 @dataclass
@@ -649,7 +608,7 @@ class LinearBoundReport:
     passed: bool = True
 
 
-def check_linear_bound(theta_set: ParameterSet) -> LinearBoundReport:
+def check_linear_bound(theta_set: FiniteParameterSet) -> LinearBoundReport:
     """Verify per vertex that the summed operator norms of the linear parts
     stay below three times the set growth bound; report margins."""
     K = growth_bound(theta_set)
@@ -668,32 +627,25 @@ def check_linear_bound(theta_set: ParameterSet) -> LinearBoundReport:
 @dataclass
 class CoefficientBoundReport:
     growth: float
-    growth_finite: bool
-    small_jump_table: dict  # delta -> {x tuple -> mass}
-    small_jump_vanishes: bool
+    small_jump_table: dict  # delta -> mass
     min_atom_norm: float | None
     passed: bool
 
 
-def check_coefficient_bounds(theta_set: ParameterSet) -> CoefficientBoundReport:
-    """Growth bound plus the small-jump second-moment profile at x = 0 and
-    x = 1 on eight dyadic deltas below the largest atom norm.  For atomic
-    measures the profile is identically zero below the smallest atom norm,
-    so the vanishing-limit requirement is exact."""
-    d = theta_set.dim
+def check_coefficient_bounds(theta_set: FiniteParameterSet) -> CoefficientBoundReport:
+    """Growth bound plus the hat-mode small-jump second-moment profile on
+    eight dyadic deltas below the largest atom norm.  For atomic measures
+    the profile is identically zero below the smallest atom norm, so the
+    vanishing-limit requirement is exact."""
     K = growth_bound(theta_set)
     norms = atom_norms(m for theta in theta_set.vertices() for m in theta.nu)
     min_atom = float(norms.min()) if norms.size else None
     top = float(norms.max()) if norms.size else 1.0
-    table = {}
-    for delta in (top * 2.0**-k for k in range(8)):
-        table[delta] = {tuple(x.tolist()): small_jump_mass(theta_set, x, delta)
-                        for x in (np.zeros(d), np.ones(d))}
+    table = {delta: small_jump_mass(theta_set, delta)
+             for delta in (top * 2.0**-k for k in range(8))}
     return CoefficientBoundReport(
         growth=K,
-        growth_finite=bool(np.isfinite(K)),
         small_jump_table=table,
-        small_jump_vanishes=True,  # exact: no atoms at the origin
         min_atom_norm=min_atom,
         passed=bool(np.isfinite(K)),
     )

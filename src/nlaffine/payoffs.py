@@ -119,4 +119,6 @@ def make_payoff(name: str, **kwargs) -> TestFunction:
     for key in params:
         if key not in kwargs:
             raise ValueError(f"payoff {name!r} needs the parameter {key!r}")
+        if isinstance(kwargs[key], bool):
+            raise ValueError(f"payoff {name!r} needs a number for {key!r}, got {kwargs[key]!r}")
     return builder(*(float(kwargs[key]) for key in params))

@@ -40,7 +40,7 @@ from .generator import GeneratorMode, NoAdmissibleVertexError, TestFunction
 from .params import (
     PSD_TOL,
     WEIGHT_TOL,
-    ParameterSet,
+    FiniteParameterSet,
     TruncationFunction,
     atom_norms,
     min_eigenvalue,
@@ -132,11 +132,13 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl safety factor must lie in (0, 1]")
+        if not (self.dt is None or self.dt > 0.0):
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
 
 
 @dataclass
 class ProblemSpec:
-    theta_set: ParameterSet
+    theta_set: FiniteParameterSet
     grid: Grid
     mode: GeneratorMode
     scheme: SchemeConfig
@@ -307,12 +309,12 @@ class _Operator:
         return out
 
 
-def default_jump_radius(theta_set: ParameterSet) -> float:
+def default_jump_radius(theta_set: FiniteParameterSet) -> float:
     norms = atom_norms(m for theta in theta_set.vertices() for m in theta.nu)
     return float(norms.max()) if norms.size else 0.0
 
 
-def solve(theta_set: ParameterSet, grid: Grid, payoff: TestFunction | None,
+def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction | None,
           horizon: float, mode: GeneratorMode,
           scheme: SchemeConfig | None = None,
           truncation: TruncationFunction | None = None,

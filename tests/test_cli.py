@@ -209,6 +209,25 @@ class TestSolveCommand:
         dpp = json.loads((out / "dpp.json").read_text())
         assert dpp["gap"] <= 5e-3
 
+    def test_atoms_chained_across_measures(self, tmp_path):
+        # nu_1's atom lies within the merge tolerance of both of nu_0's atoms,
+        # which lie farther apart than it
+        out = tmp_path / "out"
+        raw = base_config(out)
+        raw["state_space"] = {"kind": "half"}
+        raw["grid"]["lower"] = [0.0]
+        raw["parameter_set"]["parameter"] = {
+            "beta": [[0.0], [0.0]],
+            "alpha": [[[0.0]], [[0.0]]],
+            "nu": [[[1.0, 0.2], [1.0 + 1.5e-12, 0.3]], [[1.0 + 7.5e-13, 0.1]]],
+        }
+        path = write_config(tmp_path, raw)
+        assert main(["solve", "--config", path]) == 0
+        assert main(["simulate", "--config", path]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        # delta -> the largest nu_0 second moment of jumps of size <= delta
+        assert meta["small_jump_table"][repr(1.0 + 1.5e-12)] == pytest.approx(0.5)
+
 
 def _atom_at_origin(raw):
     raw["parameter_set"]["parameter"]["nu"] = [[[0.0, 1.0]], []]
@@ -324,6 +343,33 @@ def _boolean_cfl(raw):
     raw["scheme"]["cfl"] = True
 
 
+def _negative_dt(raw):
+    raw["scheme"]["dt"] = -0.1
+
+
+def _zero_dt(raw):
+    raw["scheme"]["dt"] = 0
+
+
+def _boolean_payoff_parameter(raw):
+    raw["payoff"] = {"name": "min_cap", "c": True}
+
+
+def _boolean_grid_lower(raw):
+    raw["grid"]["lower"] = [True]
+
+
+def _boolean_box_alpha(raw):
+    raw["parameter_set"] = {"kind": "box", "beta_lo": [[0.0], [0.0]],
+                            "beta_hi": [[0.0], [0.0]],
+                            "alpha_lo": [[[True]], [[0.0]]],
+                            "alpha_hi": [[[1.0]], [[0.0]]]}
+
+
+def _unknown_payoff(raw):
+    raw["payoff"] = {"name": "nope"}
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("edit, message", [
         (_atom_at_origin, "atom at the origin"),
@@ -353,6 +399,12 @@ class TestErrorContract:
         (_fractional_grid_nodes, "grid.nodes must be an integer, got 160.5"),
         (_fractional_paths, "sim.paths must be an integer, got 10.5"),
         (_boolean_cfl, "bad scheme spec: expected a number, got True"),
+        (_negative_dt, "bad scheme spec: dt must be positive, got -0.1"),
+        (_zero_dt, "bad scheme spec: dt must be positive, got 0.0"),
+        (_boolean_payoff_parameter, "payoff 'min_cap' needs a number for 'c', got True"),
+        (_boolean_grid_lower, "bad grid spec: expected a number, got True"),
+        (_boolean_box_alpha, "expected a number, got True"),
+        (_unknown_payoff, "config error: unknown payoff 'nope'; available: "),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
         raw = base_config(tmp_path / "out")

@@ -102,6 +102,16 @@ class TestAtomicLevyMeasure:
             else nl.AtomicLevyMeasure.empty(2)
         assert ref == combo
 
+    def test_union_table_merges_atoms_chained_across_measures(self):
+        # nu_0's two atoms are farther apart than the merge tolerance, but
+        # nu_1's atom lies within it of both, so all three are one union atom
+        nu0 = nl.AtomicLevyMeasure([[1.0], [1.0 + 1.5e-12]], [0.2, 0.3])
+        nu1 = nl.AtomicLevyMeasure([[1.0 + 7.5e-13]], [0.1])
+        assert nu0.n_atoms == 2
+        atoms, W = combined_atom_table([nu0, nu1])
+        assert atoms.shape == (1, 1) and abs(atoms[0, 0] - 1.0) <= 1.5e-12
+        assert W.tolist() == [[0.5, 0.1]]
+
 
 class TestAffineEvaluation:
     def test_outside_state_space_exact_zero(self):
@@ -253,31 +263,29 @@ class TestCoefficientBounds:
         m = nl.AtomicLevyMeasure([[0.1]], [1.0])
         theta = nl.AffineParameter.scalar(nu0=m)
         ps = nl.FiniteParameterSet([theta])
-        assert nl.small_jump_mass(ps, [0.0], 0.2) == pytest.approx(0.01)
-        assert nl.small_jump_mass(ps, [0.0], 0.05) == 0.0
+        assert nl.small_jump_mass(ps, 0.2) == pytest.approx(0.01)
+        assert nl.small_jump_mass(ps, 0.05) == 0.0
 
     def test_vanishes_below_smallest_atom(self):
         m = nl.AtomicLevyMeasure([[0.5], [2.0]], [1.0, 1.0])
         ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(nu0=m)])
-        assert nl.small_jump_mass(ps, [1.0], 0.49) == 0.0
+        assert nl.small_jump_mass(ps, 0.49) == 0.0
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             theta = random_theta(rng, signed=False)
             ps = nl.FiniteParameterSet([theta])
-            x = rng.normal(size=1)
             deltas = np.sort(rng.uniform(0.01, 3.0, 5))
-            vals = [nl.small_jump_mass(ps, x, float(dl)) for dl in deltas]
+            vals = [nl.small_jump_mass(ps, float(dl)) for dl in deltas]
             assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_report_fields(self):
         m = nl.AtomicLevyMeasure([[0.5]], [1.0])
         ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(nu0=m)])
         rep = nl.check_coefficient_bounds(ps)
-        assert rep.passed and rep.growth_finite
+        assert rep.passed
         assert rep.min_atom_norm == pytest.approx(0.5)
-        assert rep.small_jump_vanishes
 
 
 class TestAdmissibility:
@@ -372,6 +380,51 @@ class TestVertexEnumeration:
         a = [(v.beta[0, 0], v.alpha[0, 0, 0]) for v in ps.vertices()]
         b = [(v.beta[0, 0], v.alpha[0, 0, 0]) for v in ps.vertices()]
         assert a == b
+
+    def test_box_vertices_built_once(self):
+        ps = nl.CoefficientBox(
+            beta_lo=[[0.0], [0.0]], beta_hi=[[1.0], [0.0]],
+            alpha_lo=[[[0.25]], [[0.0]]], alpha_hi=[[[1.0]], [[0.0]]],
+        )
+        assert all(a is b for a, b in zip(ps.vertices(), ps.vertices()))
+
+    def test_hat_box2d_vertex_order(self):
+        # the benchmark's 2-D hat box: a11, a12 and a22 of alpha_0 are free;
+        # the first free coefficient toggles fastest
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        atom = [0.37, -0.61]
+        nu0 = nl.AtomicLevyMeasure([atom, [-z for z in atom]], [0.25, 0.25])
+        empty = nl.AtomicLevyMeasure.empty(2)
+        ps = nl.CoefficientBox(
+            beta_lo=np.zeros((3, 2)), beta_hi=np.zeros((3, 2)),
+            alpha_lo=[[[0.25, -0.1], [-0.1, 0.25]], zero, zero],
+            alpha_hi=[[[1.0, 0.1], [0.1, 1.0]], zero, zero],
+            nu_tuples=[(nu0, empty, empty)],
+        )
+        vs = ps.vertices()
+        assert [(v.alpha[0, 0, 0], v.alpha[0, 0, 1], v.alpha[0, 1, 1]) for v in vs] == [
+            (0.25, -0.1, 0.25), (1.0, -0.1, 0.25), (0.25, 0.1, 0.25), (1.0, 0.1, 0.25),
+            (0.25, -0.1, 1.0), (1.0, -0.1, 1.0), (0.25, 0.1, 1.0), (1.0, 0.1, 1.0),
+        ]
+        assert all(v.alpha[0, 1, 0] == v.alpha[0, 0, 1] and v.nu[0] == nu0 for v in vs)
+
+    def test_box_vertex_order_with_jump_tuples(self):
+        # free beta_0, beta_1 and alpha_1; one block of eight per jump tuple
+        m1 = nl.AtomicLevyMeasure([[0.5]], [1.0])
+        m2 = nl.AtomicLevyMeasure([[-0.3]], [2.0])
+        empty = nl.AtomicLevyMeasure.empty(1)
+        tuples = [(m1, empty), (empty, m2)]
+        ps = nl.CoefficientBox(
+            beta_lo=[[-0.5], [0.0]], beta_hi=[[0.5], [0.3]],
+            alpha_lo=[[[0.2]], [[0.1]]], alpha_hi=[[[0.2]], [[0.4]]],
+            nu_tuples=tuples,
+        )
+        got = [(v.beta[0, 0], v.beta[1, 0], v.alpha[0, 0, 0], v.alpha[1, 0, 0],
+                tuples.index(v.nu)) for v in ps.vertices()]
+        assert got == [
+            (b0, b1, 0.2, a1, k)
+            for k in (0, 1) for a1 in (0.1, 0.4) for b1 in (0.0, 0.3) for b0 in (-0.5, 0.5)
+        ]
 
 
 class TestGrowthBound:

@@ -109,6 +109,11 @@ class TestSolveBasics:
             nl.solve(ps, grid, nl.make_payoff("square"), 1.0, FULL,
                      scheme=nl.SchemeConfig(dt=0.1))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            nl.SchemeConfig(dt=dt)
+
 
 class TestOrderingProperties:
     def test_payoff_monotonicity_exact(self):

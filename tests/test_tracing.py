@@ -1,0 +1,48 @@
+"""The benchmark's span tracer (perfbench/tracing.py) wraps library functions
+by name and reads attributes of their arguments and results; a rename in the
+library must fail here rather than only in a traced benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_CALLS = """
+import json
+import nlaffine as nl
+import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(beta0=0.1, alpha0=0.5)])
+payoff = nl.make_payoff("square")
+hat = nl.GeneratorMode.hat()
+surface = nl.solve(ps, nl.Grid.line(-2.0, 2.0, 21), payoff, 0.25, hat,
+                   scheme=nl.SchemeConfig(min_time_steps=8))
+nl.dpp_gap(surface, surface.dt * (surface.n_steps // 2))
+nl.uniqueness_gate(ps, ([-1.0], [1.0]), n_samples=8)
+nl.lower_bound_sublinear(ps, [0.0], payoff, 0.25,
+                         nl.SimConfig(dt=0.05, horizon=0.25, n_paths=16, seed=1), hat)
+print(json.dumps(tracer.summary()))
+"""
+
+
+def test_traced_library_calls_summarise():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "perfbench"),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", TRACED_CALLS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    spans, counts = summary["spans"], summary["counts"]
+    for name in ("pide.solve", "pide.dpp_gap", "conditions.uniqueness_gate",
+                 "montecarlo.lower_bound_sublinear", "montecarlo.simulate_paths",
+                 "params.check_coefficient_bounds"):
+        assert spans[name][0] >= 1, name
+    assert counts["pide.node_steps"] > 0
+    assert counts["conditions.samples"] == 8
+    assert counts["montecarlo.path_steps"] == 16 * 5
