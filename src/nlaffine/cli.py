@@ -31,20 +31,13 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.out:
-        cfg.data["output_dir"] = args.out
-    return cfg
-
-
 def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+    cfg = ExperimentConfig.from_file(args.config)
     split = args.dpp_split
     if split is not None and not 0.0 <= split <= cfg.horizon:
         raise ConfigError(f"--dpp-split must lie in [0, horizon = {cfg.horizon!r}], "
                           f"got {split!r}")
-    out = cfg.output_dir
+    out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     theta_set = cfg.theta_set()
     mode = cfg.mode()
@@ -110,8 +103,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = cfg.output_dir
+    cfg = ExperimentConfig.from_file(args.config)
+    out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     theta_set = cfg.theta_set()
     mode = cfg.mode()
@@ -144,8 +137,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args)
-    out = cfg.output_dir
+    cfg = ExperimentConfig.from_file(args.config)
+    out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     theta_set = cfg.theta_set()
     grid = cfg.grid()

@@ -60,6 +60,21 @@ def _nums(v):
     return [_nums(x) for x in v] if isinstance(v, (list, tuple)) else _num(v)
 
 
+def _coefficients(v, shape: tuple) -> np.ndarray:
+    """Nested lists of numbers read as an array of `shape`, every leaf read
+    by _num.  Trailing unit axes may be left out, so with d = 1 both
+    [0.5, 0.0] and [[0.5], [0.0]] read as beta or alpha."""
+    leaves = _nums(v)
+    try:
+        a = np.array(leaves, dtype=float)
+    except ValueError:
+        a = None  # ragged nesting
+    if a is None or a.ndim == 0 or a.shape != shape[:a.ndim] or any(
+            n != 1 for n in shape[a.ndim:]):
+        raise ConfigError(f"expected coefficients of shape {shape}, got {v!r}")
+    return a.reshape(shape)
+
+
 def _interval(v) -> list[float]:
     pair = _num_list(v)
     if len(pair) != 2 or pair[0] > pair[1]:
@@ -96,19 +111,12 @@ def measure_to_json(m: AtomicLevyMeasure) -> list:
 
 
 def theta_from_json(tj: dict, dim: int) -> AffineParameter:
-    beta = [_num_list(row) if isinstance(row, (list, tuple)) else [_num(row)]
-            for row in tj["beta"]]
-    alpha_raw = tj["alpha"]
-    alpha = []
-    for comp in alpha_raw:
-        if isinstance(comp, (list, tuple)) and comp and isinstance(comp[0], (list, tuple)):
-            alpha.append([_num_list(r) for r in comp])
-        else:
-            alpha.append([[_num(comp if not isinstance(comp, (list, tuple)) else comp[0])]])
+    beta = _coefficients(tj["beta"], (dim + 1, dim))
+    alpha = _coefficients(tj["alpha"], (dim + 1, dim, dim))
     nu = tuple(measure_from_json(mj, dim) for mj in tj.get("nu", [None] * (dim + 1)))
     if len(nu) != dim + 1:
         raise ConfigError(f"need {dim + 1} jump measures, got {len(nu)}")
-    return AffineParameter(np.array(beta), np.array(alpha), nu)
+    return AffineParameter(beta, alpha, nu)
 
 
 def theta_to_json(theta: AffineParameter) -> dict:
@@ -191,10 +199,10 @@ def parameter_set_from_json(spec: dict, dim: int,
                 for tup in spec["nu_tuples"]
             ]
         return CoefficientBox(
-            beta_lo=np.array([_num_list(r) if isinstance(r, list) else [_num(r)] for r in spec["beta_lo"]]),
-            beta_hi=np.array([_num_list(r) if isinstance(r, list) else [_num(r)] for r in spec["beta_hi"]]),
-            alpha_lo=np.array(_nums(spec["alpha_lo"])).reshape(dim + 1, dim, dim),
-            alpha_hi=np.array(_nums(spec["alpha_hi"])).reshape(dim + 1, dim, dim),
+            beta_lo=_coefficients(spec["beta_lo"], (dim + 1, dim)),
+            beta_hi=_coefficients(spec["beta_hi"], (dim + 1, dim)),
+            alpha_lo=_coefficients(spec["alpha_lo"], (dim + 1, dim, dim)),
+            alpha_hi=_coefficients(spec["alpha_hi"], (dim + 1, dim, dim)),
             nu_tuples=nu_tuples,
         )
     if kind == "example":
@@ -218,13 +226,6 @@ def parameter_set_from_json(spec: dict, dim: int,
 
 # ---------------------------------------------------------------------------
 # experiment config
-
-
-_DEFAULTS = {
-    "mode": "standard",
-    "truncation_radius": 1.0,
-    "output_dir": "out",
-}
 
 
 class ExperimentConfig:

@@ -240,8 +240,6 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                     max_c = int(cnt.max()) if cnt.size else 0
                     for r in range(max_c):
                         m = np.nonzero(cnt > r)[0]
-                        if m.size == 0:
-                            break
                         xm = Xn[m]
                         w = form.jump_weights(xm)
                         if w.size and np.min(w) < -WEIGHT_TOL:

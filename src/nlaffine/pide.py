@@ -140,9 +140,8 @@ class SchemeConfig:
 class ProblemSpec:
     theta_set: FiniteParameterSet
     grid: Grid
-    mode: GeneratorMode
     scheme: SchemeConfig
-    truncation: TruncationFunction
+    operator: _Operator
 
 
 class ValueSurface:
@@ -308,18 +307,48 @@ class _Operator:
         out += self.pen
         return out
 
+    def march(self, v: np.ndarray, n_steps: int, dt: float,
+              layers: np.ndarray | None = None):
+        """n_steps explicit steps v <- v + dt * max_k L_k v from the flat
+        layer v; nodes outside the state space stay frozen.  Writes layer j
+        to layers[j] for j >= 1 when given, and returns the last layer and
+        the last step's increments (None for no step)."""
+        frozen = ~self.in_s
+        inc = None
+        for step in range(1, n_steps + 1):
+            inc = self.apply(v)
+            new = v + dt * np.max(inc, axis=0)
+            new[frozen] = v[frozen]
+            if not np.all(np.isfinite(new)):
+                raise NonFiniteError(f"non-finite value produced at step {step}")
+            v = new
+            if layers is not None:
+                layers[step] = v
+        return v, inc
+
 
 def default_jump_radius(theta_set: FiniteParameterSet) -> float:
     norms = atom_norms(m for theta in theta_set.vertices() for m in theta.nu)
     return float(norms.max()) if norms.size else 0.0
 
 
-def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction | None,
+def _n_steps(horizon: float, scheme: SchemeConfig, stable_dt: float) -> int:
+    """The step count of a march over [0, horizon]: the requested dt, or
+    at least scheme.min_time_steps steps no longer than the stable step."""
+    if horizon == 0:
+        return 0
+    if scheme.dt is not None:
+        return max(1, math.ceil(horizon / scheme.dt - 1e-12))
+    return max(
+        scheme.min_time_steps,
+        math.ceil(horizon / stable_dt - 1e-12) if np.isfinite(stable_dt) else 1,
+    )
+
+
+def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
           horizon: float, mode: GeneratorMode,
           scheme: SchemeConfig | None = None,
-          truncation: TruncationFunction | None = None,
-          payoff_values: np.ndarray | None = None,
-          payoff_name: str | None = None) -> ValueSurface:
+          truncation: TruncationFunction | None = None) -> ValueSurface:
     """March the explicit scheme from the payoff to the horizon.
 
     The step satisfies  dt * rate <= cfl  at every admissible node/vertex
@@ -329,11 +358,10 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction | None
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     scheme = scheme or SchemeConfig()
-    h = mode.truncation(truncation)
     if not mode.is_hat and mode.space.dim != grid.dim:
         raise ValueError("state space and grid dimensions differ")
 
-    op = _Operator(theta_set.vertices(), grid, mode, h)
+    op = _Operator(theta_set.vertices(), grid, mode, mode.truncation(truncation))
     uncovered = op.in_s & ~np.any(op.adm, axis=0)
     if np.any(uncovered):
         raise NoAdmissibleVertexError(
@@ -341,50 +369,20 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction | None
 
     max_rate = op.max_rate
     stable_dt = scheme.cfl / max_rate if max_rate > 0 else math.inf
-    if scheme.dt is not None:
-        if scheme.dt > stable_dt * (1 + 1e-12):
-            raise CFLError(
-                f"requested dt {scheme.dt} violates the stability bound "
-                f"{stable_dt:.6g} (cfl {scheme.cfl}, max rate {max_rate:.6g})"
-            )
-        n_steps = max(1, math.ceil(horizon / scheme.dt - 1e-12))
-    else:
-        n_steps = max(
-            scheme.min_time_steps,
-            math.ceil(horizon / stable_dt - 1e-12) if np.isfinite(stable_dt) else 1,
+    if scheme.dt is not None and scheme.dt > stable_dt * (1 + 1e-12):
+        raise CFLError(
+            f"requested dt {scheme.dt} violates the stability bound "
+            f"{stable_dt:.6g} (cfl {scheme.cfl}, max rate {max_rate:.6g})"
         )
-    if horizon == 0:
-        n_steps = 0
+    n_steps = _n_steps(horizon, scheme, stable_dt)
     dt = horizon / n_steps if n_steps else 0.0
 
-    if payoff_values is None:
-        if payoff is None:
-            raise ValueError("either a payoff or payoff_values is required")
-        pts = grid.points()
-        v0 = np.array([payoff.value(p) for p in pts], dtype=float)
-        payoff_name = payoff_name or payoff.name
-    else:
-        v0 = np.asarray(payoff_values, dtype=float).ravel().copy()
-        if v0.shape[0] != grid.n_nodes:
-            raise ValueError("payoff_values does not match the grid")
-        payoff_name = payoff_name or "restart"
-    if not np.all(np.isfinite(v0)):
-        raise NonFiniteError("payoff is not finite on the grid")
-
     values = np.empty((n_steps + 1, grid.n_nodes))
-    values[0] = v0
-    argmax = np.zeros(grid.n_nodes, dtype=int)
-    v = v0.copy()
-    frozen = ~op.in_s
-    for step in range(n_steps):
-        inc = op.apply(v)
-        argmax = np.argmax(inc, axis=0)
-        new = v + dt * np.max(inc, axis=0)
-        new[frozen] = v[frozen]
-        if not np.all(np.isfinite(new)):
-            raise NonFiniteError(f"non-finite value produced at step {step + 1}")
-        v = new
-        values[step + 1] = v
+    values[0] = [payoff.value(p) for p in grid.points()]
+    if not np.all(np.isfinite(values[0])):
+        raise NonFiniteError("payoff is not finite on the grid")
+    _, inc = op.march(values[0], n_steps, dt, values)
+    argmax = np.zeros(grid.n_nodes, dtype=int) if inc is None else np.argmax(inc, axis=0)
 
     r_jump = scheme.r_jump if scheme.r_jump is not None else default_jump_radius(theta_set)
     meta = {
@@ -396,14 +394,13 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction | None
         "r_jump": r_jump,
         "mode": mode.kind,
     }
-    problem = ProblemSpec(theta_set, grid, mode, scheme, h)
     shape = (n_steps + 1,) + grid.shape
     return ValueSurface(
-        problem,
+        ProblemSpec(theta_set, grid, scheme, op),
         values.reshape(shape),
         dt,
         horizon,
-        payoff_name,
+        payoff.name,
         argmax.reshape(grid.shape),
         meta,
     )
@@ -411,11 +408,12 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction | None
 
 def dpp_gap(surface: ValueSurface, split: float,
             extra_margin: float = 0.0) -> float:
-    """Restart consistency: solve again over [0, split] from the stored layer
-    at time (horizon - split) and compare with the stored terminal layer on
-    the interior core.  The restart re-derives its own step count, so for
-    0 < split < horizon this is a genuine two-stage versus one-stage check;
-    split = horizon reproduces the identical run and split = 0 is empty.
+    """Restart consistency: march the surface's operator again over
+    [0, split] from the stored layer at time (horizon - split) and compare
+    with the stored terminal layer on the interior core.  The restart takes
+    its own step count by the rule `solve` uses, so for 0 < split < horizon
+    this is a genuine two-stage versus one-stage check; split = horizon
+    reproduces the identical run and split = 0 is empty.
     """
     if split < 0 or split > surface.horizon + 1e-12:
         raise ValueError("split must lie in [0, horizon]")
@@ -425,14 +423,11 @@ def dpp_gap(surface: ValueSurface, split: float,
     if j == 0:
         return 0.0
     p = surface.problem
-    start = surface.values[surface.n_steps - j]
-    restart = solve(
-        p.theta_set, p.grid, None, split, p.mode, p.scheme,
-        truncation=p.truncation, payoff_values=start,
-        payoff_name=f"restart[{surface.payoff_name}]",
-    )
+    n_steps = _n_steps(split, p.scheme, surface.meta["stable_dt"])
+    start = surface.values[surface.n_steps - j].ravel()
+    end, _ = p.operator.march(start, n_steps, split / n_steps)
     mask = surface.interior_mask(extra_margin)
-    gap = np.abs(restart.values[-1] - surface.values[-1])
+    gap = np.abs(end.reshape(surface.grid.shape) - surface.values[-1])
     return float(np.max(gap[mask]))
 
 

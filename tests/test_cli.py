@@ -75,6 +75,22 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.output_dir == "7"
 
+    @pytest.mark.parametrize("beta, alpha", [
+        ([0.2, 0.0], [0.5, 0.0]),
+        ([[0.2], [0.0]], [[0.5], [0.0]]),
+    ])
+    def test_one_dimensional_coefficient_shorthands(self, tmp_path, beta, alpha):
+        raw = base_config(tmp_path)
+        full = ExperimentConfig.from_dict(raw).theta_set().vertices()[0]
+        raw["parameter_set"]["parameter"].update(beta=beta, alpha=alpha)
+        theta = ExperimentConfig.from_dict(raw).theta_set().vertices()[0]
+        assert np.array_equal(theta.beta, full.beta)
+        assert np.array_equal(theta.alpha, full.alpha)
+        raw["parameter_set"] = {"kind": "box", "beta_lo": beta, "beta_hi": beta,
+                                "alpha_lo": alpha, "alpha_hi": alpha}
+        box = ExperimentConfig.from_dict(raw).theta_set().vertices()
+        assert len(box) == 1 and np.array_equal(box[0].alpha, full.alpha)
+
     def test_unknown_example_rejected(self, tmp_path):
         raw = base_config(tmp_path)
         raw["parameter_set"] = {"kind": "example", "name": "nope"}
@@ -366,6 +382,10 @@ def _boolean_box_alpha(raw):
                             "alpha_hi": [[[1.0]], [[0.0]]]}
 
 
+def _ragged_alpha(raw):
+    raw["parameter_set"]["parameter"]["alpha"] = [[0.5, 0.7], [0.0]]
+
+
 def _unknown_payoff(raw):
     raw["payoff"] = {"name": "nope"}
 
@@ -404,6 +424,7 @@ class TestErrorContract:
         (_boolean_payoff_parameter, "payoff 'min_cap' needs a number for 'c', got True"),
         (_boolean_grid_lower, "bad grid spec: expected a number, got True"),
         (_boolean_box_alpha, "expected a number, got True"),
+        (_ragged_alpha, "expected coefficients of shape (2, 1, 1), got [[0.5, 0.7], [0.0]]"),
         (_unknown_payoff, "config error: unknown payoff 'nope'; available: "),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
@@ -663,6 +684,18 @@ class TestCompareCommand:
         assert cmp_["ordering_ok"]
         # singleton: both estimate the same linear expectation
         assert abs(cmp_["bracket_width"]) <= 3 * cmp_["se"] + 5e-3
+
+    def test_out_keeps_the_config_hash(self, tmp_path):
+        path = write_config(tmp_path, base_config(tmp_path / "out", paths=300))
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert main(["solve", "--config", path, "--out", str(a)]) == 0
+        assert main(["simulate", "--config", path, "--out", str(b)]) == 0
+        want = ExperimentConfig.from_file(path).config_hash()
+        assert json.loads((a / "meta.json").read_text())["config_hash"] == want
+        assert json.loads((b / "estimate.json").read_text())["config_hash"] == want
+        assert not (tmp_path / "out").exists()
+        assert main(["compare", "--surface", str(a / "surface.csv"),
+                     "--estimate", str(b / "estimate.json")]) == 0
 
     def test_hash_mismatch_refused(self, tmp_path):
         out = self.run_pair(tmp_path, paths=300)

@@ -356,9 +356,10 @@ def golden_2d_problem():
 
 
 class TestGoldenValues:
-    """Regression values recorded from the two-kernel solver this operator
-    replaced; they pin step count, CFL rate, worst-case vertex map and the
-    horizon layer."""
+    """Regression values.  Step count, CFL rate, worst-case vertex map and
+    horizon layer were recorded from the two-kernel solver this operator
+    replaced; the dpp_gap values from a restart that rebuilt the operator
+    in a second solve."""
 
     def check(self, surf, n_steps, max_rate, nodes):
         assert surf.n_steps == n_steps
@@ -383,9 +384,11 @@ class TestGoldenValues:
             (290,): 2.0,
         })
         assert np.all(surf.argmax_last == 0)
+        assert nl.dpp_gap(surf, 0.5) == 8.991307982886276e-05
 
     def test_half_space_2d_problem(self):
         surf = golden_2d_problem()
+        assert nl.dpp_gap(surf, (surf.n_steps // 2) * surf.dt) == 4.353775038934415e-06
         self.check(surf, 64, 86.84749999999998, {
             (5, 5): 0.2871286145322958,
             (8, 12): 0.6893333063930314,
