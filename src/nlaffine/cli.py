@@ -21,7 +21,7 @@ from .config import ConfigError, ExperimentConfig
 from .generator import NoAdmissibleVertexError
 from .montecarlo import bundle_to_csv, lower_bound_sublinear
 from .params import CoefficientError, check_coefficient_bounds
-from .pide import CFLError, NonFiniteError, dpp_gap, solve
+from .pide import CFLError, NonFiniteError, dpp_gap, grid_tol, solve
 from . import __version__
 
 
@@ -66,14 +66,14 @@ def cmd_solve(args) -> int:
         "growth_bound": bounds.growth,
         "small_jump_table": {repr(k): v for k, v in bounds.small_jump_table.items()},
         "cfl": {
-            "safety": surface.meta["cfl"],
-            "dt": surface.meta["dt"],
-            "stable_dt": surface.meta["stable_dt"],
-            "max_rate": surface.meta["max_rate"],
-            "n_steps": surface.meta["n_steps"],
+            "safety": surface.problem.scheme.cfl,
+            "dt": surface.dt,
+            "stable_dt": surface.stable_dt,
+            "max_rate": surface.problem.operator.max_rate,
+            "n_steps": surface.n_steps,
         },
-        "r_jump": surface.meta["r_jump"],
-        "mode": surface.meta["mode"],
+        "r_jump": surface.r_jump,
+        "mode": mode.kind,
         "payoff": surface.payoff_name,
         "horizon": surface.horizon,
         "grid": {
@@ -162,13 +162,13 @@ def _row_time(row: bytes) -> float:
 
 def _read_layer(path, t_target: float):
     """Header and rows of the surface.csv layer whose time lies within
-    1e-9 * max(1, t_target) of t_target, as an (n, d + 2) array; n is 0 if
+    grid_tol(t_target) of t_target, as an (n, d + 2) array; n is 0 if
     there is no such layer.
 
     The rows are time-major with nondecreasing t (see `ValueSurface.to_csv`),
     so the layer's first row is found by bisection on byte offsets and only
     the layer's own rows are parsed."""
-    tol = 1e-9 * max(1.0, t_target)
+    tol = grid_tol(t_target)
     rows = []
     with open(path, "rb") as fh:
         try:
@@ -251,7 +251,7 @@ def cmd_compare(args) -> int:
     xs = rows[:, 1:1 + d]
     dist = np.linalg.norm(xs - x0[None, :], axis=1)
     j = int(np.argmin(dist))
-    if dist[j] > 1e-9 * max(1.0, float(np.linalg.norm(x0))):
+    if dist[j] > grid_tol(float(np.linalg.norm(x0))):
         if not args.interpolate:
             print("error: x0 is not a node of the surface grid; "
                   "pass --interpolate to allow interpolation", file=sys.stderr)

@@ -262,6 +262,7 @@ class ExperimentConfig:
             self.horizon
         self.grid()
         self.mode()
+        self.output_dir
         self.payoff()
         self.theta_set()
         self.scheme()
@@ -300,7 +301,10 @@ class ExperimentConfig:
 
     @property
     def output_dir(self) -> str:
-        return self.data.get("output_dir", "out")
+        out = self.data.get("output_dir", "out")
+        if not isinstance(out, str):
+            raise ConfigError(f"output_dir must be a string, got {out!r}")
+        return out
 
     def truncation(self) -> TruncationFunction:
         try:
@@ -343,7 +347,7 @@ class ExperimentConfig:
             return make_payoff(spec["name"], **kwargs)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad payoff: {exc}") from exc
 
     def grid(self) -> Grid:

@@ -49,6 +49,7 @@ from .params import (
     affine_at,
     min_eigenvalue,
 )
+from .pide import grid_index, step_count
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ class PathBundle:
         for i in range(self.n_paths):
             if np.isnan(self.exit_time[i]):
                 continue
-            j = int(round(self.exit_time[i] / (self.times[1] - self.times[0]))) \
-                if len(self.times) > 1 else 0
+            j = int(np.searchsorted(self.times, self.exit_time[i]))
             tail = self.skeletons[i, j:]
             if not np.all(tail == tail[0]):
                 raise AssertionError(f"path {i} moved after its exit")
@@ -161,8 +161,7 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     form = mode.coefficients(theta, cfg.truncation)
     lam_bar = _lam_bar(form, lo, hi)
     has_diffusion = bool(np.any(theta.alpha))
-    n_steps = max(1, math.ceil(cfg.horizon / cfg.dt - 1e-12)) if cfg.horizon > 0 else 0
-    dt = cfg.horizon / n_steps if n_steps else 0.0
+    n_steps, dt = step_count(cfg.horizon, cfg.dt)
     times = dt * np.arange(n_steps + 1)
     start_outside = not mode.inside(x0[None, :])[0]
     jumps_active = lam_bar > 0.0
@@ -362,15 +361,18 @@ class MomentBoundReport:
 def moment_bound_report(theta: AffineParameter, x0, p: float, t_grid,
                         cfg: SimConfig, mode: GeneratorMode) -> MomentBoundReport:
     """Estimate m(t) = E[sup_{s<=t} |X_s - X_0|^p] on a small-time grid and
-    fit it against (1 + |x0|)^p (t^p + t^(p/2))."""
+    fit it against (1 + |x0|)^p (t^p + t^(p/2)); every t must lie on the
+    paths' step grid, steps of at most min(cfg.dt, min(t_grid) / 4)."""
     if not 1.0 <= p <= 2.0:
         raise ValueError("p must lie in [1, 2]")
     t_grid = sorted(float(t) for t in t_grid)
     if t_grid[-1] > 0.1 + 1e-12:
         raise ValueError("moment fit is a small-time check; keep max(t) <= 0.1")
-    dt = min(cfg.dt, t_grid[0] / 4.0)
-    steps = [int(round(t / dt)) for t in t_grid]
-    cfg = replace(cfg, dt=dt, horizon=t_grid[-1])
+    cfg = replace(cfg, dt=min(cfg.dt, t_grid[0] / 4.0), horizon=t_grid[-1])
+    n_steps, dt = step_count(cfg.horizon, cfg.dt)
+    steps = [grid_index(t, 0.0, dt, n_steps + 1) for t in t_grid]
+    if None in steps:
+        raise ValueError(f"t_grid time {t_grid[steps.index(None)]} is off the step grid")
     bundle = simulate_paths(theta, np.atleast_1d(x0), cfg, mode,
                             snapshot_steps=tuple(steps))
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))

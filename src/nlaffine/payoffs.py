@@ -110,7 +110,7 @@ _BUILDERS = {
 
 
 def make_payoff(name: str, **kwargs) -> TestFunction:
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise KeyError(f"unknown payoff {name!r}; available: {sorted(_BUILDERS)}")
     builder, params = _BUILDERS[name]
     for key in kwargs:

@@ -55,6 +55,27 @@ class NonFiniteError(RuntimeError):
     pass
 
 
+def grid_tol(v: float) -> float:
+    """How far a time or coordinate v may lie from a grid point it matches."""
+    return 1e-9 * max(1.0, abs(v))
+
+
+def grid_index(v: float, origin: float, step: float, count: int) -> int | None:
+    """The j in [0, count) with origin + j * step within grid_tol(v) of v,
+    or None; a zero step has the one point origin."""
+    q = (v - origin) / (step or 1.0)
+    j = int(round(q)) if abs(q) < count else -1
+    ok = 0 <= j < count and abs(origin + j * step - v) <= grid_tol(v)
+    return j if ok else None
+
+
+def step_count(horizon: float, max_dt: float, floor: int = 0) -> tuple[int, float]:
+    """(n_steps, dt) for the fewest steps, at least `floor`, no longer than
+    max_dt, that cover [0, horizon]; horizon 0 takes no step."""
+    n = max(floor, 1, math.ceil(horizon / max_dt - 1e-12)) if horizon else 0
+    return n, horizon / max(n, 1)
+
+
 class Grid:
     """Uniform rectilinear grid in one or two dimensions."""
 
@@ -98,16 +119,12 @@ class Grid:
         return np.column_stack([X.ravel(), Y.ravel()])
 
     def node_index(self, x) -> tuple[int, ...]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = []
-        for i in range(self.dim):
-            j = int(round((x[i] - self.lower[i]) / self.dx[i]))
-            if j < 0 or j >= self.shape[i] or abs(
-                self.lower[i] + j * self.dx[i] - x[i]
-            ) > 1e-9 * max(1.0, abs(x[i])):
-                raise ValueError(f"{x} is not a grid node")
-            idx.append(j)
-        return tuple(idx)
+        x = np.asarray(x, dtype=float).ravel()
+        idx = tuple(map(grid_index, x.tolist(), self.lower.tolist(), self.dx.tolist(),
+                        self.shape))  # plain floats: numpy scalars are slower here
+        if x.shape != (self.dim,) or None in idx:
+            raise ValueError(f"{x} is not a node of the {self.dim}-D grid")
+        return idx
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask (grid shape) of nodes at least `margin` from every
@@ -144,19 +161,18 @@ class ProblemSpec:
     operator: _Operator
 
 
+@dataclass(eq=False)
 class ValueSurface:
-    """v(t_j, x_i) on the grid, time-major, with solve metadata attached."""
+    """v(t_j, x_i) on the grid, time-major: layer j is time j * dt."""
 
-    def __init__(self, problem: ProblemSpec, values: np.ndarray, dt: float,
-                 horizon: float, payoff_name: str, argmax_last: np.ndarray,
-                 meta: dict):
-        self.problem = problem
-        self.values = values
-        self.dt = dt
-        self.horizon = horizon
-        self.payoff_name = payoff_name
-        self.argmax_last = argmax_last
-        self.meta = meta
+    problem: ProblemSpec
+    values: np.ndarray
+    dt: float
+    horizon: float
+    payoff_name: str
+    argmax_last: np.ndarray
+    stable_dt: float
+    r_jump: float
 
     @property
     def grid(self) -> Grid:
@@ -167,8 +183,8 @@ class ValueSurface:
         return self.values.shape[0] - 1
 
     def layer(self, t: float) -> np.ndarray:
-        j = int(round(t / self.dt))
-        if j < 0 or j > self.n_steps or abs(j * self.dt - t) > 1e-9 * max(1.0, t):
+        j = grid_index(t, 0.0, self.dt, self.n_steps + 1)
+        if j is None:
             raise ValueError(f"time {t} is not aligned to the surface step {self.dt}")
         return self.values[j]
 
@@ -176,7 +192,7 @@ class ValueSurface:
         return float(self.layer(t)[self.grid.node_index(x)])
 
     def interior_mask(self, extra_margin: float = 0.0) -> np.ndarray:
-        margin = max(self.meta["r_jump"], 10.0 * float(np.max(self.grid.dx)))
+        margin = max(self.r_jump, 10.0 * float(np.max(self.grid.dx)))
         return self.grid.interior_mask(margin + extra_margin)
 
     def to_csv(self, path) -> None:
@@ -332,17 +348,13 @@ def default_jump_radius(theta_set: FiniteParameterSet) -> float:
     return float(norms.max()) if norms.size else 0.0
 
 
-def _n_steps(horizon: float, scheme: SchemeConfig, stable_dt: float) -> int:
-    """The step count of a march over [0, horizon]: the requested dt, or
-    at least scheme.min_time_steps steps no longer than the stable step."""
-    if horizon == 0:
-        return 0
+def _n_steps(horizon: float, scheme: SchemeConfig,
+             stable_dt: float) -> tuple[int, float]:
+    """(n_steps, dt) of a march over [0, horizon]: steps of at most scheme.dt,
+    or at least scheme.min_time_steps steps of at most stable_dt."""
     if scheme.dt is not None:
-        return max(1, math.ceil(horizon / scheme.dt - 1e-12))
-    return max(
-        scheme.min_time_steps,
-        math.ceil(horizon / stable_dt - 1e-12) if np.isfinite(stable_dt) else 1,
-    )
+        return step_count(horizon, scheme.dt)
+    return step_count(horizon, stable_dt, scheme.min_time_steps)
 
 
 def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
@@ -374,8 +386,7 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
             f"requested dt {scheme.dt} violates the stability bound "
             f"{stable_dt:.6g} (cfl {scheme.cfl}, max rate {max_rate:.6g})"
         )
-    n_steps = _n_steps(horizon, scheme, stable_dt)
-    dt = horizon / n_steps if n_steps else 0.0
+    n_steps, dt = _n_steps(horizon, scheme, stable_dt)
 
     values = np.empty((n_steps + 1, grid.n_nodes))
     values[0] = [payoff.value(p) for p in grid.points()]
@@ -385,25 +396,9 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     argmax = np.zeros(grid.n_nodes, dtype=int) if inc is None else np.argmax(inc, axis=0)
 
     r_jump = scheme.r_jump if scheme.r_jump is not None else default_jump_radius(theta_set)
-    meta = {
-        "stable_dt": stable_dt,
-        "dt": dt,
-        "n_steps": n_steps,
-        "max_rate": max_rate,
-        "cfl": scheme.cfl,
-        "r_jump": r_jump,
-        "mode": mode.kind,
-    }
-    shape = (n_steps + 1,) + grid.shape
-    return ValueSurface(
-        ProblemSpec(theta_set, grid, scheme, op),
-        values.reshape(shape),
-        dt,
-        horizon,
-        payoff.name,
-        argmax.reshape(grid.shape),
-        meta,
-    )
+    return ValueSurface(ProblemSpec(theta_set, grid, scheme, op),
+                        values.reshape((n_steps + 1,) + grid.shape), dt, horizon,
+                        payoff.name, argmax.reshape(grid.shape), stable_dt, r_jump)
 
 
 def dpp_gap(surface: ValueSurface, split: float,
@@ -413,19 +408,18 @@ def dpp_gap(surface: ValueSurface, split: float,
     with the stored terminal layer on the interior core.  The restart takes
     its own step count by the rule `solve` uses, so for 0 < split < horizon
     this is a genuine two-stage versus one-stage check; split = horizon
-    reproduces the identical run and split = 0 is empty.
+    reproduces the identical run and split = 0 is empty.  A split that is
+    not a time of the surface's grid on [0, horizon] raises ValueError.
     """
-    if split < 0 or split > surface.horizon + 1e-12:
-        raise ValueError("split must lie in [0, horizon]")
-    j = int(round(split / surface.dt)) if surface.dt else 0
-    if abs(j * surface.dt - split) > 1e-9 * max(1.0, split):
+    j = grid_index(split, 0.0, surface.dt, surface.n_steps + 1)
+    if j is None:
         raise ValueError(f"split {split} is not aligned to the time grid")
     if j == 0:
         return 0.0
     p = surface.problem
-    n_steps = _n_steps(split, p.scheme, surface.meta["stable_dt"])
+    n_steps, dt = _n_steps(split, p.scheme, surface.stable_dt)
     start = surface.values[surface.n_steps - j].ravel()
-    end, _ = p.operator.march(start, n_steps, split / n_steps)
+    end, _ = p.operator.march(start, n_steps, dt)
     mask = surface.interior_mask(extra_margin)
     gap = np.abs(end.reshape(surface.grid.shape) - surface.values[-1])
     return float(np.max(gap[mask]))

@@ -390,6 +390,22 @@ def _unknown_payoff(raw):
     raw["payoff"] = {"name": "nope"}
 
 
+def _numeric_output_dir(raw):
+    raw["output_dir"] = 5
+
+
+def _list_payoff_name(raw):
+    raw["payoff"] = {"name": ["min_cap"]}
+
+
+def _list_payoff_parameter(raw):
+    raw["payoff"] = {"name": "min_cap", "c": [1.0]}
+
+
+def _object_payoff_parameter(raw):
+    raw["payoff"] = {"name": "min_cap", "c": {"a": 1}}
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("edit, message", [
         (_atom_at_origin, "atom at the origin"),
@@ -426,6 +442,12 @@ class TestErrorContract:
         (_boolean_box_alpha, "expected a number, got True"),
         (_ragged_alpha, "expected coefficients of shape (2, 1, 1), got [[0.5, 0.7], [0.0]]"),
         (_unknown_payoff, "config error: unknown payoff 'nope'; available: "),
+        (_numeric_output_dir, "output_dir must be a string, got 5"),
+        (_list_payoff_name, "config error: unknown payoff ['min_cap']; available: "),
+        (_list_payoff_parameter, "bad payoff: float() argument must be a string or a "
+                                 "real number, not 'list'"),
+        (_object_payoff_parameter, "bad payoff: float() argument must be a string or a "
+                                   "real number, not 'dict'"),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
         raw = base_config(tmp_path / "out")

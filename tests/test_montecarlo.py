@@ -348,6 +348,14 @@ class TestMomentBound:
             nl.moment_bound_report(nl.AffineParameter.zero(1), [0.0], 1.0,
                                    [0.5], cfg, FULL)
 
+    def test_time_off_the_step_grid_rejected(self):
+        # steps of at most min(0.001, 0.003 / 4) cover 0.01 in 14 steps of
+        # 0.000714..., and 0.003 lies between the 4th and the 5th
+        cfg = nl.SimConfig(dt=0.001, horizon=0.1, n_paths=10, seed=1)
+        with pytest.raises(ValueError, match="0.003 is off the step grid"):
+            nl.moment_bound_report(nl.AffineParameter.scalar(alpha0=1.0), [0.0], 1.0,
+                                   [0.003, 0.01], cfg, FULL)
+
     def test_compound_poisson_ratio_stable(self):
         # p = 2: E[sup |X|^2] = t + t^2 matches the envelope t^2 + t exactly,
         # so the fitted constant is flat across the whole grid

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nlaffine as nl
+from nlaffine.pide import step_count
 
 
 FULL = nl.GeneratorMode.standard(nl.StateSpace.full(1))
@@ -45,6 +46,14 @@ class TestGrid:
         assert g.node_index([0.0]) == (10,)
         with pytest.raises(ValueError):
             g.node_index([0.05001])
+
+    @pytest.mark.parametrize("grid, x", [
+        (nl.Grid.line(-1.0, 1.0, 21), [1.0, 5.0]),
+        (nl.Grid([-1.0, -1.0], [1.0, 1.0], [21, 21]), [0.0]),
+    ], ids=["two_coordinates_on_1d", "one_coordinate_on_2d"])
+    def test_node_lookup_needs_one_coordinate_per_axis(self, grid, x):
+        with pytest.raises(ValueError, match=f"{grid.dim}-D grid"):
+            grid.node_index(x)
 
     def test_interior_mask(self):
         g = nl.Grid.line(0.0, 10.0, 101)
@@ -181,12 +190,60 @@ class TestRestartConsistency:
         with pytest.raises(ValueError, match="aligned"):
             nl.dpp_gap(surf, surf.dt * 1.5)
 
+    @pytest.mark.parametrize("split_of", [
+        lambda s: -s.dt, lambda s: (s.n_steps + 1) * s.dt,
+        lambda s: math.inf, lambda s: math.nan,
+    ], ids=["before_0", "past_horizon", "inf", "nan"])
+    def test_split_outside_horizon_rejected(self, split_of):
+        ps = nl.FiniteParameterSet([mixed_theta()])
+        grid = nl.Grid.line(-2.0, 6.0, 161)
+        surf = nl.solve(ps, grid, nl.make_payoff("min_cap", c=2.0), 0.5, HALF,
+                        scheme=nl.SchemeConfig(min_time_steps=64))
+        with pytest.raises(ValueError, match="aligned"):
+            nl.dpp_gap(surf, split_of(surf))
+
     def test_half_split_small_gap(self):
         ps = nl.FiniteParameterSet([mixed_theta()])
         grid = nl.Grid.line(-2.0, 6.0, 321)
         surf = nl.solve(ps, grid, nl.make_payoff("min_cap", c=2.0), 1.0, HALF,
                         scheme=nl.SchemeConfig(min_time_steps=256))
         assert nl.dpp_gap(surf, 0.5) <= 5e-3
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("horizon, max_dt, floor, n_steps", [
+        (0.0, 0.1, 0, 0),
+        (0.0, 0.1, 256, 0),
+        (0.1, 0.00025, 0, 400),  # the quotient is 400.00000000000006
+        (1.0, math.inf, 0, 1),
+        (1.0, 0.3, 0, 4),
+        (1.0, 0.3, 16, 16),
+    ])
+    def test_step_count(self, horizon, max_dt, floor, n_steps):
+        assert step_count(horizon, max_dt, floor) == (
+            n_steps, horizon / n_steps if n_steps else 0.0)
+
+    def test_zero_horizon_surface_reads_the_payoff(self):
+        grid = nl.Grid.line(-1.0, 1.0, 21)
+        f = nl.make_payoff("cos")
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=0.5)])
+        surf = nl.solve(ps, grid, f, 0.0, FULL)
+        assert surf.n_steps == 0
+        assert surf.value_at(0.0, [0.5]) == f.value(np.array([0.5]))
+        with pytest.raises(ValueError, match="not aligned"):
+            surf.layer(0.1)
+
+    @pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (0.1, 0.00025), (0.5, 0.07)])
+    def test_solve_and_simulate_share_the_step_count(self, horizon, dt):
+        # dx = 1 and alpha = 0.5 give a stable step of 0.8
+        theta = nl.AffineParameter.scalar(alpha0=0.5)
+        grid = nl.Grid.line(-10.0, 10.0, 21)
+        surf = nl.solve(nl.FiniteParameterSet([theta]), grid, nl.make_payoff("cos"),
+                        horizon, FULL, scheme=nl.SchemeConfig(dt=dt))
+        bundle = nl.simulate_paths(theta, [0.0],
+                                   nl.SimConfig(dt=dt, horizon=horizon, n_paths=1), FULL)
+        assert len(bundle.times) == surf.n_steps + 1
+        assert bundle.times[1] == surf.dt
 
 
 class TestHolderExponent:
@@ -363,7 +420,7 @@ class TestGoldenValues:
 
     def check(self, surf, n_steps, max_rate, nodes):
         assert surf.n_steps == n_steps
-        assert surf.meta["max_rate"] == pytest.approx(max_rate, rel=1e-12)
+        assert surf.problem.operator.max_rate == pytest.approx(max_rate, rel=1e-12)
         for idx, want in nodes.items():
             assert surf.values[-1][idx] == pytest.approx(want, rel=1e-12)
 
