@@ -11,23 +11,18 @@ from .params import (
     CoefficientBox,
     FiniteParameterSet,
     StateSpace,
-    Triplet,
     TruncationFunction,
     check_admissible,
     check_coefficient_bounds,
     check_linear_bound,
     growth_bound,
     growth_norm,
-    hat_triplet_at,
     small_jump_mass,
-    triplet_at,
-    truncation_constant,
 )
 from .generator import (
     GeneratorMode,
     TestFunction,
     generator_value,
-    jump_integral,
     matrix_sqrt,
     sqrt_diffusion_lipschitz,
     worst_case_generator,
@@ -71,7 +66,6 @@ __all__ = [
     "SimConfig",
     "StateSpace",
     "TestFunction",
-    "Triplet",
     "TruncationFunction",
     "ValueSurface",
     "check_admissible",
@@ -83,9 +77,7 @@ __all__ = [
     "generator_value",
     "growth_bound",
     "growth_norm",
-    "hat_triplet_at",
     "holder_exponent",
-    "jump_integral",
     "lower_bound_sublinear",
     "make_payoff",
     "matrix_sqrt",
@@ -94,8 +86,6 @@ __all__ = [
     "small_jump_mass",
     "solve",
     "sqrt_diffusion_lipschitz",
-    "triplet_at",
-    "truncation_constant",
     "uniqueness_gate",
     "worst_case_generator",
 ]

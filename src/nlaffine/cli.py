@@ -222,6 +222,9 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"{args.estimate} lacks the field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.estimate}: {exc}") from exc
+    for name, v in (("t", t_target), ("x0", x0), ("mean", mc), ("se", se)):
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"{args.estimate}: {name} must be finite, got {est[name]!r}")
     meta_path = args.meta or os.path.join(os.path.dirname(args.surface), "meta.json")
     if not os.path.exists(meta_path):
         if not args.force:

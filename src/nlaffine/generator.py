@@ -13,18 +13,15 @@ from .params import (
     PSD_TOL,
     WEIGHT_TOL,
     AffineParameter,
-    AtomicLevyMeasure,
     CoefficientError,
     DimensionError,
     FiniteParameterSet,
     StateSpace,
-    Triplet,
     TruncationFunction,
+    _as_vector,
     affine_at,
     combined_atom_table,
-    hat_triplet_at,
     min_eigenvalue,
-    triplet_at,
     truncation_moment,
 )
 
@@ -76,11 +73,6 @@ class GeneratorMode:
             return TruncationFunction(1.0)
         return h if h is not None else TruncationFunction(1.0)
 
-    def triplet(self, theta: AffineParameter, y) -> Triplet:
-        if self.is_hat:
-            return hat_triplet_at(theta, y)
-        return triplet_at(theta, y, self.space)
-
     def inside(self, xs: np.ndarray) -> np.ndarray:
         """State-space indicator of each row of an (n, d) state array; hat
         mode has no state space."""
@@ -129,50 +121,40 @@ class CoefficientForm:
         return affine_at(self.W.T, xs)
 
     def at(self, xs: np.ndarray):
-        """(drift, diffusion, jump weights) times the state-space indicator:
-        triplet_at / hat_triplet_at on arrays, with the drift compensated."""
+        """(drift, diffusion, jump weights) at each row of xs, times the
+        state-space indicator."""
         ind = self.mode.inside(xs).astype(float)
         return (self.drift(xs) * ind[:, None], self.diffusion(xs) * ind[:, None, None],
                 self.jump_weights(xs) * ind[:, None])
 
 
-def jump_integral(k: AtomicLevyMeasure, f: TestFunction, x,
-                  h: TruncationFunction) -> float:
-    """sum_i w_i [f(x + z_i) - f(x) - grad f(x) . h(z_i)], an exact finite
-    sum for atomic measures."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if k.dim != x.shape[0]:
-        raise DimensionError("jump measure dimension mismatch")
-    if k.is_empty():
-        return 0.0
-    fx = f(x)
-    grad = np.asarray(f.gradient(x), dtype=float)
-    total = 0.0
-    for z, w in zip(k.atoms, k.weights):
-        total += w * (f(x + z) - fx - float(grad @ h(z)))
-    return total
+def admissible(a: np.ndarray, w: np.ndarray):
+    """The one admissibility rule, for one state or a stack of states: the
+    diffusion a is positive semidefinite to PSD_TOL and every jump weight in
+    w is at least -WEIGHT_TOL."""
+    ok = min_eigenvalue(a) >= -PSD_TOL
+    if w.shape[-1]:
+        ok &= np.min(w, axis=-1) >= -WEIGHT_TOL
+    return ok
 
 
-def generator_value(triplet: Triplet, f: TestFunction, x,
-                    h: TruncationFunction) -> float:
-    """grad f . b + 0.5 tr[Hess f a] + jump integral."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def generator_value(form: CoefficientForm, f: TestFunction, x, y) -> float:
+    """grad f . b + 0.5 tr[Hess f a] + sum_j w_j (f(x + z_j) - f(x)), one
+    vertex's linear generator with coefficients at y and derivatives at x.
+    b is the compensated drift, so it carries -grad f . h(z_j); no
+    admissibility check is applied, so signed measures evaluate too."""
+    d = form.alpha.shape[-1]
+    x = _as_vector(x, d)
+    (b,), (a,), (w,) = form.at(_as_vector(y, d)[None, :])
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian(x), dtype=float)
-    local = float(grad @ triplet.b) + 0.5 * float(np.trace(hess @ triplet.a))
-    return local + jump_integral(triplet.k, f, x, h)
+    fx = f(x)
+    jumps = sum(wj * (f(x + z) - fx) for z, wj in zip(form.atoms, w))
+    return float(grad @ b) + 0.5 * float(np.trace(hess @ a)) + jumps
 
 
 class NoAdmissibleVertexError(RuntimeError):
     pass
-
-
-def _standard_admissible(t: Triplet) -> bool:
-    if min_eigenvalue(t.a) < -PSD_TOL:
-        return False
-    if t.k.n_atoms and t.k.min_weight() < -WEIGHT_TOL:
-        return False
-    return True
 
 
 def worst_case_generator(theta_set: FiniteParameterSet, y, f: TestFunction, x,
@@ -181,24 +163,25 @@ def worst_case_generator(theta_set: FiniteParameterSet, y, f: TestFunction, x,
     """Maximum of the linear generator over the vertex enumeration, with
     coefficients evaluated at y and derivatives at x.
 
-    In standard mode vertices whose evaluated diffusion is not positive
-    semidefinite or whose evaluated jump measure has a negative merged weight
-    are excluded (the probabilistic cone restriction).  Ties at the maximum
-    resolve to the lowest vertex index.  Returns (value, argmax index).
+    Vertices whose coefficients at y fail `admissible` are excluded (the
+    probabilistic cone restriction), the same mask the solver applies.
+    Ties at the maximum resolve to the lowest vertex index.  Returns
+    (value, argmax index).
     """
-    h = mode.truncation(h)
+    x, y = _as_vector(x, theta_set.dim), _as_vector(y, theta_set.dim)
     best: float | None = None
     best_idx = -1
     for i, theta in enumerate(theta_set.vertices()):
-        t = mode.triplet(theta, y)
-        if not mode.is_hat and not _standard_admissible(t):
+        form = mode.coefficients(theta, h)
+        _, a, w = form.at(y[None, :])
+        if not admissible(a[0], w[0]):
             continue
-        val = generator_value(t, f, x, h)
+        val = generator_value(form, f, x, y)
         if best is None or val > best:
             best, best_idx = val, i
     if best is None:
         raise NoAdmissibleVertexError(
-            f"no vertex has admissible coefficients at y = {np.asarray(y)}"
+            f"no vertex has admissible coefficients at y = {y}"
         )
     return best, best_idx
 

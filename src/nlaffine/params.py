@@ -286,12 +286,6 @@ def truncation_moment(atoms: np.ndarray, weights: np.ndarray,
     return np.sum(weights[:, None] * hz, axis=0)
 
 
-def truncation_constant(h: TruncationFunction) -> float:
-    """Constant C with ||z - h(z)|| <= C (||z||^2 ^ ||z||) and
-    ||h(z)|| <= C (||z|| ^ 1); 1/radius works for the ball truncation."""
-    return 1.0 / h.radius
-
-
 # ---------------------------------------------------------------------------
 # affine parameters
 
@@ -369,53 +363,10 @@ class AffineParameter:
         return f"AffineParameter(d={self.dim})"
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """Differential characteristics (b, a, k) at one state."""
-
-    b: np.ndarray
-    a: np.ndarray
-    k: AtomicLevyMeasure
-
-    def __post_init__(self):
-        d = self.b.shape[0]
-        if self.a.shape != (d, d) or self.k.dim != d:
-            raise DimensionError("triplet components disagree on dimension")
-
-
 def affine_at(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """c_0 + sum_i x^i c_i for every row x of an (n, d) state array, where c
     stacks the d+1 coefficients (vectors, matrices or weight rows)."""
     return c[0] + np.tensordot(xs, c[1:], axes=(1, 0))
-
-
-def triplet_at(theta: AffineParameter, x, space: StateSpace) -> Triplet:
-    """Affine map with the state-space indicator: zero outside the space."""
-    d = theta.dim
-    if space.dim != d:
-        raise DimensionError("state space dimension mismatch")
-    x = _as_vector(x, d)
-    if not space.contains(x):
-        return Triplet(np.zeros(d), np.zeros((d, d)), AtomicLevyMeasure.empty(d))
-    b = theta.beta[0] + theta.beta[1:].T @ x
-    a = theta.alpha[0] + np.tensordot(x, theta.alpha[1:], axes=(0, 0))
-    k = theta.nu[0]
-    for xi, m in zip(x, theta.nu[1:]):
-        if xi != 0.0 and not m.is_empty():
-            k = k + m.scaled(float(xi))
-    return Triplet(b, 0.5 * (a + a.T), k)
-
-
-def hat_triplet_at(theta: AffineParameter, x) -> Triplet:
-    """Modified coefficient map: drift affine in x, diffusion affine in the
-    coordinate-wise positive part of x, jump measure frozen at nu_0.  No
-    state-space indicator."""
-    d = theta.dim
-    x = _as_vector(x, d)
-    xp = np.maximum(x, 0.0)
-    b = theta.beta[0] + theta.beta[1:].T @ x
-    a = theta.alpha[0] + np.tensordot(xp, theta.alpha[1:], axes=(0, 0))
-    return Triplet(b, 0.5 * (a + a.T), theta.nu[0])
 
 
 # ---------------------------------------------------------------------------

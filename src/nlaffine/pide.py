@@ -36,15 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .generator import GeneratorMode, NoAdmissibleVertexError, TestFunction
-from .params import (
-    PSD_TOL,
-    WEIGHT_TOL,
-    FiniteParameterSet,
-    TruncationFunction,
-    atom_norms,
-    min_eigenvalue,
-)
+from .generator import GeneratorMode, NoAdmissibleVertexError, TestFunction, admissible
+from .params import FiniteParameterSet, TruncationFunction, atom_norms
 
 
 class CFLError(RuntimeError):
@@ -273,9 +266,7 @@ class _Operator:
         adm = np.empty((len(vertices), n), dtype=bool)
         for k, (form, rows) in enumerate(zip(forms, atom_rows)):
             b, a, w = form.at(pts)
-            adm[k] = min_eigenvalue(a) >= -PSD_TOL
-            if rows:
-                adm[k] &= np.min(w, axis=1) >= -WEIGHT_TOL
+            adm[k] = admissible(a, w)
             c = self.C[:, k]
             diag = 0.5 * np.clip(np.diagonal(a, axis1=1, axis2=2), 0.0, None) / dx**2
             for p, (i, j) in enumerate(pairs):

@@ -251,7 +251,7 @@ class TestCriterion6:
                 for w, t in zip(lam[1:], vs[1:]):
                     mix = mix.convex_combination(t, w / (acc + w))
                     acc += w
-                val = nl.generator_value(nl.hat_triplet_at(mix, y), f, x, h)
+                val = nl.generator_value(mode.coefficients(mix, h), f, x, y)
                 worst = max(worst, val - vmax)
                 checked += 1
         ok = worst <= 1e-12

@@ -671,6 +671,10 @@ class TestCompareCommand:
         ("no_se", "estimate.json lacks the field 'se'"),
         ("x0_2d", "estimate.json: x0 has 2 coordinates, the surface 1"),
         ("estimate_not_json", "estimate.json is not valid JSON"),
+        ("nan_t", "estimate.json: t must be finite, got nan"),
+        ("nan_x0", "estimate.json: x0 must be finite, got [nan]"),
+        ("nan_mean", "estimate.json: mean must be finite, got nan"),
+        ("inf_se", "estimate.json: se must be finite, got inf"),
     ])
     def test_bad_inputs_exit_2_with_one_line(self, tmp_path, capsys, edit, message):
         out = self.run_pair(tmp_path, paths=300)
@@ -687,6 +691,9 @@ class TestCompareCommand:
             est["x0"] = [0.0, 0.0]
         elif edit.startswith("no_"):
             del est[edit[3:]]
+        elif edit.startswith(("nan_", "inf_")):
+            bad = float(edit[:3])
+            est[edit[4:]] = [bad] if edit == "nan_x0" else bad
         surface.write_text("".join(lines))
         estimate.write_text("{" if edit == "estimate_not_json" else json.dumps(est))
         capsys.readouterr()

@@ -5,7 +5,7 @@ import nlaffine as nl
 from nlaffine.generator import NoAdmissibleVertexError
 from nlaffine.params import truncation_moment
 
-from test_params import random_theta
+from test_params import random_theta, reference_coefficients, reference_generator
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -39,11 +39,18 @@ CONST = nl.TestFunction(
 )
 
 
+def form_of(h=None, **coefficients):
+    """The coefficient form of a d = 1 tuple on the full line; generator_value
+    checks no admissibility, so signed measures evaluate too."""
+    theta = nl.AffineParameter.scalar(**coefficients)
+    return nl.GeneratorMode.standard(nl.StateSpace.full(1)).coefficients(theta, h)
+
+
 class TestJumpIntegral:
     def test_constant_function_vanishes(self):
         k = nl.AtomicLevyMeasure([[0.3], [2.0]], [1.0, -0.5])
         h = nl.TruncationFunction(1.0)
-        assert nl.jump_integral(k, CONST, [0.7], h) == 0.0
+        assert nl.generator_value(form_of(h, nu0=k), CONST, [0.7], [0.7]) == 0.0
 
     def test_linear_function_small_jump_cancels(self):
         p = 1.7
@@ -51,36 +58,32 @@ class TestJumpIntegral:
                               lambda x: np.array([p]), lambda x: np.zeros((1, 1)))
         k = nl.AtomicLevyMeasure([[0.4]], [2.0])  # |z| <= 1, h(z) = z
         h = nl.TruncationFunction(1.0)
-        assert nl.jump_integral(k, lin, [3.0], h) == pytest.approx(0.0, abs=1e-14)
+        val = nl.generator_value(form_of(h, nu0=k), lin, [3.0], [3.0])
+        assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_square_large_jump(self):
         k = nl.AtomicLevyMeasure([[2.0]], [1.0])
         h = nl.TruncationFunction(1.0)
-        val = nl.jump_integral(k, nl.make_payoff("square"), [0.0], h)
+        val = nl.generator_value(form_of(h, nu0=k), nl.make_payoff("square"), [0.0], [0.0])
         assert val == pytest.approx(4.0, abs=1e-14)  # f(2) - f(0), h(2) = 0
 
 
 class TestLinearGenerator:
     def test_zero_triplet(self):
-        t = nl.Triplet(np.zeros(1), np.zeros((1, 1)), nl.AtomicLevyMeasure.empty(1))
-        val = nl.generator_value(t, nl.make_payoff("square"), [1.0],
-                                 nl.TruncationFunction(1.0))
+        val = nl.generator_value(form_of(), nl.make_payoff("square"), [1.0], [1.0])
         assert val == 0.0
 
     def test_pure_drift_linear_payoff(self):
         p, b = 1.3, -0.7
         lin = nl.TestFunction("lin", lambda x: p * x[0],
                               lambda x: np.array([p]), lambda x: np.zeros((1, 1)))
-        t = nl.Triplet(np.array([b]), np.zeros((1, 1)), nl.AtomicLevyMeasure.empty(1))
-        assert nl.generator_value(t, lin, [0.2], nl.TruncationFunction(1.0)) == \
+        assert nl.generator_value(form_of(beta0=b), lin, [0.2], [0.2]) == \
             pytest.approx(p * b)
 
     def test_diffusion_on_square(self):
         sig2 = 0.49
-        t = nl.Triplet(np.array([0.3]), np.array([[sig2]]),
-                       nl.AtomicLevyMeasure.empty(1))
-        val = nl.generator_value(t, nl.make_payoff("square"), [1.5],
-                                 nl.TruncationFunction(1.0))
+        val = nl.generator_value(form_of(beta0=0.3, alpha0=sig2),
+                                 nl.make_payoff("square"), [1.5], [1.5])
         assert val == pytest.approx(0.3 * 3.0 + sig2)
 
 
@@ -95,10 +98,10 @@ class TestWorstCaseGenerator:
             ps = nl.FiniteParameterSet([theta])
             y = rng.normal(size=1)
             x = rng.normal(size=1)
-            t = nl.triplet_at(theta, y, space)
-            if np.any(t.a < 0) or (t.k.n_atoms and t.k.min_weight() < 0):
+            _, a, k = reference_coefficients(theta, y, mode)
+            if np.any(a < 0) or (k.n_atoms and k.min_weight() < 0):
                 continue
-            want = nl.generator_value(t, nl.make_payoff("cos"), x, h)
+            want = reference_generator(theta, nl.make_payoff("cos"), x, y, mode, h)
             got, idx = nl.worst_case_generator(ps, y, nl.make_payoff("cos"), x, mode, h)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert idx == 0
@@ -120,8 +123,7 @@ class TestWorstCaseGenerator:
         sq = nl.make_payoff("square")
         # oracle: evaluate both vertices directly
         vals = [
-            nl.generator_value(nl.hat_triplet_at(t, [0.3]), sq, [0.3],
-                               nl.TruncationFunction(1.0))
+            nl.generator_value(mode.coefficients(t), sq, [0.3], [0.3])
             for t in ps.vertices()
         ]
         assert vals == [pytest.approx(0.25), pytest.approx(1.0)]
@@ -147,6 +149,11 @@ class TestWorstCaseGenerator:
             big = nl.FiniteParameterSet(thetas)
             y = rng.normal(size=1)
             x = rng.normal(size=1)
+            # jump weights are positive, so only the diffusion at y can fail
+            if all(reference_coefficients(t, y, mode)[1][0, 0] < -1e-10 for t in thetas[:2]):
+                with pytest.raises(NoAdmissibleVertexError):
+                    nl.worst_case_generator(small, y, f, x, mode)
+                continue
             v1, _ = nl.worst_case_generator(small, y, f, x, mode)
             v2, _ = nl.worst_case_generator(big, y, f, x, mode)
             assert v1 <= v2 + 1e-14
@@ -177,6 +184,12 @@ class TestWorstCaseGenerator:
         with pytest.raises(NoAdmissibleVertexError):
             nl.worst_case_generator(ps, [0.0], nl.make_payoff("square"), [0.0], mode)
 
+    @pytest.mark.parametrize("y, x", [([0.0, 0.0], [0.0]), ([0.0], [0.0, 0.0])])
+    def test_wrong_length_state_rejected(self, y, x):
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=-1.0)])
+        with pytest.raises(nl.params.DimensionError):
+            nl.worst_case_generator(ps, y, nl.make_payoff("square"), x, nl.GeneratorMode.hat())
+
     def test_vertex_sufficiency_quick(self):
         # interior convex combinations never beat the vertex maximum
         rng = np.random.default_rng(15)
@@ -199,7 +212,7 @@ class TestWorstCaseGenerator:
                 for w, t in zip(lam[1:], vs[1:]):
                     mix = mix.convex_combination(t, w / (acc + w))
                     acc += w
-                val = nl.generator_value(nl.hat_triplet_at(mix, y), f, x, h)
+                val = nl.generator_value(mode.coefficients(mix, h), f, x, y)
                 assert val <= vmax + 1e-12
 
 
@@ -256,14 +269,80 @@ class TestCoefficientForm:
             b, a, w = form.at(xs)
             hh = mode.truncation(h)
             for i, x in enumerate(xs):
-                t = mode.triplet(theta, x)
-                want_w = dict(zip(map(tuple, t.k.atoms), t.k.weights))
+                tb, ta, tk = reference_coefficients(theta, x, mode)
+                want_w = dict(zip(map(tuple, tk.atoms), tk.weights))
                 assert set(want_w) <= set(map(tuple, form.atoms))
                 got_w = np.array([want_w.get(tuple(z), 0.0) for z in form.atoms])
-                net = t.b - truncation_moment(t.k.atoms, t.k.weights, hh)
+                net = tb - truncation_moment(tk.atoms, tk.weights, hh)
                 assert self.close(b[i], net)
-                assert self.close(a[i], t.a)
+                assert self.close(a[i], ta)
                 assert self.close(w[i], got_w)
+
+
+def agreement_vertices(d):
+    """Two vertices with drift, diffusion and atoms.  The first is admissible
+    everywhere, with a cross term in d = 2; the second's diffusion turns
+    negative for x^1 > 2/3 and, in standard mode, its jump weights for
+    x^1 < -2/3 (d = 1) or x^2 < 0 (d = 2)."""
+    m = lambda *pairs: nl.AtomicLevyMeasure(list(pairs), dim=d)
+    if d == 1:
+        return [
+            nl.AffineParameter.scalar(beta0=0.3, alpha0=0.2,
+                                      nu0=m(([0.35], 0.5), ([-0.73], 0.8))),
+            nl.AffineParameter.scalar(beta0=-0.4, beta1=0.5, alpha0=0.2, alpha1=-0.3,
+                                      nu0=m(([0.6], 0.4)), nu1=m(([0.6], 0.6))),
+        ]
+    empty = nl.AtomicLevyMeasure.empty(2)
+    return [
+        nl.AffineParameter([[0.3, -0.2], [0.0, 0.0], [0.0, 0.0]],
+                           [[[0.3, 0.1], [0.1, 0.2]], np.zeros((2, 2)), np.zeros((2, 2))],
+                           (m(([0.3, -0.45], 0.6), ([-0.5, 0.2], 0.4)), empty, empty)),
+        nl.AffineParameter([[-0.1, 0.2], [0.2, 0.0], [0.0, -0.3]],
+                           [np.diag([0.2, 0.25]), np.diag([-0.3, 0.05]), np.zeros((2, 2))],
+                           (m(([0.4, 0.4], 0.3)), m(([0.4, 0.4], 0.2)),
+                            m(([-0.25, 0.6], 0.1)))),
+    ]
+
+
+class TestOperatorMatchesPointwiseGenerator:
+    """The assembled operator and the pointwise worst-case generator read one
+    coefficient form and one admissibility rule.  Upwind, cross and
+    interpolation stencils are exact on affine functions, so max_k L_k of an
+    affine payoff equals the pointwise sup wherever the stencils stay on the
+    grid."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["standard", "hat"])
+    def test_affine_payoff(self, kind, d):
+        p = np.array([1.7]) if d == 1 else np.array([1.3, -0.6])
+        f = nl.TestFunction("lin", lambda x: float(p @ x), lambda x: p,
+                            lambda x: np.zeros((d, d)))
+        ps = nl.FiniteParameterSet(agreement_vertices(d))
+        mode = (nl.GeneratorMode.standard(nl.StateSpace.half(d, 1)) if kind == "standard"
+                else nl.GeneratorMode.hat())
+        grid = nl.Grid([-2.0] * d, [2.0] * d, [41] * d if d == 1 else [21] * d)
+        surf = nl.solve(ps, grid, f, 0.0, mode)
+        op = surf.problem.operator
+        got = np.max(op.apply(surf.values[0].ravel()), axis=0)
+        core = grid.interior_mask(surf.r_jump + np.max(grid.dx)).ravel()
+        assert np.any(~op.adm[1, core])  # the mask acts on the core
+        for x, g in zip(grid.points()[core], got[core]):
+            want, _ = nl.worst_case_generator(ps, x, f, x, mode)
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_hat_vertex_masked_by_both(self):
+        # the second vertex's diffusion is -0.5 at every state: the solver
+        # masks it, and so does the pointwise generator, which would
+        # otherwise pick it for its drift (value 1.8 - 0.5 = 1.3)
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=0.2),
+                                    nl.AffineParameter.scalar(beta0=3.0, alpha0=-0.5)])
+        mode = nl.GeneratorMode.hat()
+        sq = nl.make_payoff("square")
+        val, idx = nl.worst_case_generator(ps, [0.3], sq, [0.3], mode)
+        assert idx == 0 and val == pytest.approx(0.2)
+        grid = nl.Grid.line(-1.0, 1.0, 21)
+        op = nl.solve(ps, grid, sq, 0.0, mode).problem.operator
+        assert op.adm[:, grid.node_index([0.3])[0]].tolist() == [True, False]
 
 
 class TestMatrixSqrt:

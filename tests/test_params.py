@@ -113,44 +113,84 @@ class TestAtomicLevyMeasure:
         assert W.tolist() == [[0.5, 0.1]]
 
 
+def reference_coefficients(theta, x, mode):
+    """theta at one state straight from (beta, alpha, nu) with measure
+    arithmetic, as (b, a, k) with the uncompensated drift b: zero outside
+    the state space in standard mode; alpha on x+ and k = nu_0 in hat mode."""
+    d = theta.dim
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not mode.is_hat and not mode.space.contains(x):
+        return np.zeros(d), np.zeros((d, d)), nl.AtomicLevyMeasure.empty(d)
+    b = theta.beta[0] + theta.beta[1:].T @ x
+    xa = np.maximum(x, 0.0) if mode.is_hat else x
+    a = theta.alpha[0] + np.tensordot(xa, theta.alpha[1:], axes=(0, 0))
+    k = theta.nu[0]
+    if not mode.is_hat:
+        for xi, m in zip(x, theta.nu[1:]):
+            k = k + m.scaled(float(xi))
+    return b, a, k
+
+
+def reference_generator(theta, f, x, y, mode, h=None):
+    """grad f . b + 1/2 tr[Hess f a] + sum_j w_j [f(x + z_j) - f(x) -
+    grad f . h(z_j)] with (b, a, k) = reference_coefficients at y."""
+    b, a, k = reference_coefficients(theta, y, mode)
+    h = mode.truncation(h)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    grad = np.asarray(f.gradient(x), dtype=float)
+    fx = f(x)
+    jumps = sum(w * (f(x + z) - fx - grad @ h(z)) for z, w in zip(k.atoms, k.weights))
+    return float(grad @ b) + 0.5 * float(np.trace(f.hessian(x) @ a)) + jumps
+
+
 class TestAffineEvaluation:
+    """CoefficientForm.at at single states: drift compensated by
+    sum_j w_j h(z_j) with the unit-ball h."""
+
     def test_outside_state_space_exact_zero(self):
         rng = np.random.default_rng(2)
-        space = nl.StateSpace.half(1)
+        mode = nl.GeneratorMode.standard(nl.StateSpace.half(1))
         for _ in range(20):
             theta = random_theta(rng)
-            t = nl.triplet_at(theta, [-abs(rng.normal()) - 1e-9], space)
-            assert np.all(t.b == 0.0) and np.all(t.a == 0.0) and t.k.is_empty()
+            b, a, w = mode.coefficients(theta).at(np.array([[-abs(rng.normal()) - 1e-9]]))
+            assert np.all(b == 0.0) and np.all(a == 0.0) and np.all(w == 0.0)
 
     def test_constant_part_at_member(self):
         m = nl.AtomicLevyMeasure([[1.0]], [2.0])
         theta = nl.AffineParameter.scalar(beta0=0.3, alpha0=0.7, nu0=m)
-        t = nl.triplet_at(theta, [5.0], nl.StateSpace.half(1))
-        assert t.b[0] == 0.3 and t.a[0, 0] == 0.7 and t.k == m
+        form = nl.GeneratorMode.standard(nl.StateSpace.half(1)).coefficients(theta)
+        b, a, w = form.at(np.array([[5.0]]))
+        assert b[0, 0] == 0.3 - 2.0 and a[0, 0, 0] == 0.7  # h(1) = 1
+        assert np.array_equal(form.atoms, m.atoms) and np.array_equal(w[0], m.weights)
 
     def test_affine_drift(self):
         theta = nl.AffineParameter.scalar(beta0=1.0, beta1=2.0)
-        t = nl.triplet_at(theta, [3.0], nl.StateSpace.half(1))
-        assert t.b[0] == pytest.approx(7.0, abs=1e-15)
+        form = nl.GeneratorMode.standard(nl.StateSpace.half(1)).coefficients(theta)
+        b, _, _ = form.at(np.array([[3.0]]))
+        assert b[0, 0] == pytest.approx(7.0, abs=1e-15)
 
     def test_measure_combination_merges(self):
         nu0 = nl.AtomicLevyMeasure([[1.0]], [1.0])
         nu1 = nl.AtomicLevyMeasure([[1.0], [2.0]], [0.5, 1.0])
         theta = nl.AffineParameter.scalar(nu0=nu0, nu1=nu1)
-        t = nl.triplet_at(theta, [2.0], nl.StateSpace.half(1))
-        assert t.k.n_atoms == 2
-        assert t.k.weights[0] == pytest.approx(2.0)  # 1 + 2*0.5 at atom 1
+        form = nl.GeneratorMode.standard(nl.StateSpace.half(1)).coefficients(theta)
+        _, _, w = form.at(np.array([[2.0]]))
+        assert form.atoms.shape[0] == 2
+        assert w[0, 0] == pytest.approx(2.0)  # 1 + 2*0.5 at atom 1
 
     def test_hat_positive_part_and_constant_jumps(self):
         theta = nl.AffineParameter.scalar(beta0=1.0, beta1=-1.0,
                                           alpha0=0.4, alpha1=2.0,
                                           nu0=nl.AtomicLevyMeasure([[1.0]], [1.0]),
                                           nu1=nl.AtomicLevyMeasure([[2.0]], [5.0]))
-        t = nl.hat_triplet_at(theta, [-1.0])
-        assert t.a[0, 0] == pytest.approx(0.4)  # x+ = 0
-        t2 = nl.hat_triplet_at(theta, [2.0])
-        assert t2.b[0] == pytest.approx(-1.0)  # 1 - 2
-        assert t2.k == theta.nu[0]  # jump component frozen at nu0 exactly
+        form = nl.GeneratorMode.hat().coefficients(theta)
+        _, a, _ = form.at(np.array([[-1.0]]))
+        assert a[0, 0, 0] == pytest.approx(0.4)  # x+ = 0
+        b, _, w = form.at(np.array([[2.0]]))
+        assert b[0, 0] == pytest.approx(-2.0)  # 1 - 2, less h(1) = 1
+        # jump component frozen at nu0 exactly
+        assert np.array_equal(form.atoms, theta.nu[0].atoms)
+        assert np.array_equal(w[0], theta.nu[0].weights)
 
 
 def theta_2d(alpha1, alpha2, nu1=(), nu2=()):
@@ -315,19 +355,17 @@ class TestAdmissibility:
 
 
 class TestTruncation:
-    def test_constant_values(self):
-        assert nl.truncation_constant(nl.TruncationFunction(1.0)) == pytest.approx(1.0)
-        assert nl.truncation_constant(nl.TruncationFunction(0.5)) == pytest.approx(2.0)
-
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             nl.TruncationFunction(0.0)
 
     def test_sampled_inequalities(self):
+        # ||z - h(z)|| <= C (||z||^2 ^ ||z||) and ||h(z)|| <= C (||z|| ^ 1)
+        # with C = 1/radius for the ball truncation
         rng = np.random.default_rng(6)
         for radius in (1.0, 0.5, 0.25):
             h = nl.TruncationFunction(radius)
-            ch = nl.truncation_constant(h)
+            ch = 1.0 / radius
             z = rng.normal(size=(10000, 2)) * rng.uniform(0.01, 3.0, size=(10000, 1))
             hz = h(z)
             n = np.linalg.norm(z, axis=1)
