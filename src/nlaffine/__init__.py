@@ -23,7 +23,6 @@ from .generator import (
     GeneratorMode,
     TestFunction,
     generator_value,
-    matrix_sqrt,
     sqrt_diffusion_lipschitz,
     worst_case_generator,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "holder_exponent",
     "lower_bound_sublinear",
     "make_payoff",
-    "matrix_sqrt",
     "moment_bound_report",
     "simulate_paths",
     "small_jump_mass",

@@ -81,7 +81,7 @@ def cmd_solve(args) -> int:
             "upper": grid.upper.tolist(),
             "nodes": list(grid.shape),
         },
-        "uniqueness_certified": bool(gate is not None and gate.status != "fail"),
+        "uniqueness_certified": gate is not None and gate.status == "pass",
         "wall_time_s": time.perf_counter() - started,
         "timings": {
             "gate_s": gated - started,

@@ -3,11 +3,11 @@ version, evaluated on callables with supplied derivatives."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .params import (
     PSD_TOL,
@@ -24,8 +24,6 @@ from .params import (
     min_eigenvalue,
     truncation_moment,
 )
-
-SLOPE_CAP = 1e6  # sampled sqrt-Lipschitz slopes above this count as blow-up
 
 
 @dataclass(frozen=True)
@@ -186,98 +184,54 @@ def worst_case_generator(theta_set: FiniteParameterSet, y, f: TestFunction, x,
     return best, best_idx
 
 
-def matrix_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, of one matrix or of
-    each matrix in a stack (..., d, d); eigenvalues in [-PSD_TOL, 0) are
-    clipped to zero, anything below raises."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    at = np.swapaxes(a, -1, -2)
-    if a.shape[-1] != a.shape[-2] or np.max(np.abs(a - at), initial=0.0) > 1e-9:
-        raise ValueError("matrix_sqrt expects a symmetric matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (a + at))
-    if np.any(vals[..., 0] < -PSD_TOL):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {np.min(vals[..., 0]):.3e})")
-    s = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (s + np.swapaxes(s, -1, -2))
-
-
 @dataclass
 class LipschitzEstimate:
-    constant: float
-    pair: tuple[np.ndarray, np.ndarray]
+    constant: float  # inf when the slope of the root is unbounded
+    state: np.ndarray  # the corner that decides the constant
     vertex: int
-    blown_up: bool  # exceeded the slope cap, treated as a Lipschitz failure
 
 
-def sqrt_diffusion_lipschitz(theta_set: FiniteParameterSet, sample_box,
-                             n_samples: int = 200, seed: int = 0) -> LipschitzEstimate:
-    """Sampled Lipschitz constant of x -> sqrt of the positive-part diffusion
-    map, maximised over vertices and point pairs.
+def sqrt_diffusion_lipschitz(theta_set: FiniteParameterSet, box) -> LipschitzEstimate:
+    """Lipschitz constant over a box of x -> sqrt a(x) for the hat-mode
+    diffusion a(x) = alpha_0 + sum_i x_i+ alpha_i, maximised over vertices.
 
-    The pair pool combines uniform draws with geometrically graded offsets
-    (down to 1e-14 of the box width) so square-root kinks at coordinate
-    hyperplanes and box corners show up as slope blow-up.
+    a is affine in x+, which ranges over the box [lo+, hi+] whose corners are
+    the images of the box corners, and lambda_min is concave, so its minimum
+    over the box is attained at a box corner.  A corner that is not PSD
+    raises CoefficientError, which is exact over the whole box.  With that
+    minimum lam > PSD_TOL, the constant is sqrt(sum ||alpha_i||^2) /
+    (2 sqrt(lam)) over the axes along which x_i+ moves, by
+    ||sqrt A - sqrt B|| <= ||A - B|| / (sqrt lam_min(A) + sqrt lam_min(B))
+    (van Hemmen & Ando, Lett. Math. Phys. 4, 1980).  Otherwise, with v the
+    kernel vector at the minimising corner, v.alpha_i v != 0 on a moving
+    axis makes the slope unbounded (inf); if there is none, PSD forces
+    alpha_i v = 0, the kernel is constant and the same rule decides on
+    lambda_max.  When that minimum is 0 too, the constant is inf if a moving
+    alpha_i is nonzero and 0 if none is.
     """
-    lo = np.atleast_1d(np.asarray(sample_box[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(sample_box[1], dtype=float))
-    d = lo.shape[0]
-    if d != theta_set.dim:
-        raise DimensionError("sample box dimension mismatch")
-    width = hi - lo
-    rng = np.random.default_rng(seed)
-    pts = lo + rng.uniform(size=(n_samples, d)) * width
-    # graded probes near the corners and near each coordinate zero-plane
-    probes = [lo.copy(), hi.copy()]
-    for i in range(d):
-        scale = width[i] if width[i] > 0 else 1.0
-        for k in range(0, 15, 2):
-            off = scale * 10.0**-k
-            p = lo.copy()
-            p[i] = min(lo[i] + off, hi[i])
-            probes.append(p)
-            if lo[i] < 0.0 < hi[i]:
-                q = 0.5 * (lo + hi)
-                q[i] = min(10.0**-k * scale, hi[i])
-                probes.append(q)
-    pts = np.vstack([pts, probes])
-
-    # pairs (I, J) into pts: consecutive points, then each point with graded
-    # offsets along every axis
-    n = pts.shape[0]
-    scale = np.where(width > 0, width, 1.0)
-    steps = scale[:, None] * np.array([10.0**-k for k in (2, 5, 8, 11, 14)])
-    q = np.repeat(pts[:, None, None, :], d, axis=1).repeat(steps.shape[1], axis=2)
-    axis = np.arange(d)
-    q[:, axis, :, axis] = np.minimum(pts.T[:, :, None] + steps[:, None, :],
-                                     hi[:, None, None])
-    q = q.reshape(-1, d)
-    owner = np.repeat(np.arange(n), q.shape[0] // n)
-    moved = np.any(q != pts[owner], axis=1)
-    I = np.concatenate([np.arange(n - 1), owner[moved]])
-    J = np.concatenate([np.arange(1, n), n + np.arange(int(moved.sum()))])
-    pts = np.vstack([pts, q[moved]])
-    gap = np.linalg.norm(pts[I] - pts[J], axis=1)
-    I, J, gap = I[gap > 0], J[gap > 0], gap[gap > 0]
-
+    lo = np.atleast_1d(np.asarray(box[0], dtype=float))
+    hi = np.atleast_1d(np.asarray(box[1], dtype=float))
+    if lo.shape != (theta_set.dim,) or hi.shape != lo.shape:
+        raise DimensionError("box dimension mismatch")
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    moving = hi > np.maximum(lo, 0.0)
     hat = GeneratorMode.hat()
-    best = 0.0
-    best_pair = (pts[0], pts[0])
-    best_vertex = 0
+    best = LipschitzEstimate(0.0, corners[0], 0)
     for vi, theta in enumerate(theta_set.vertices()):
-        a = hat.coefficients(theta).diffusion(pts)
-        bad = min_eigenvalue(a) < -PSD_TOL
-        if np.any(bad):
+        lam, vecs = np.linalg.eigh(hat.coefficients(theta).diffusion(corners))
+        j = int(np.argmin(lam[:, 0]))
+        if lam[j, 0] < -PSD_TOL:
             raise CoefficientError(
-                f"diffusion map is not PSD at x = {pts[np.argmax(bad)]} (vertex {vi})"
-            )
-        root = matrix_sqrt(a)
-        slope = np.max(np.abs(np.linalg.eigvalsh(root[I] - root[J])), axis=-1) / gap
-        k = int(np.argmax(slope)) if slope.size else 0
-        if slope.size and slope[k] > best:
-            best, best_pair, best_vertex = float(slope[k]), (pts[I[k]], pts[J[k]]), vi
-    return LipschitzEstimate(
-        constant=best,
-        pair=best_pair,
-        vertex=best_vertex,
-        blown_up=best > SLOPE_CAP,
-    )
+                f"diffusion map is not PSD at corner x = {corners[j]} (vertex {vi})")
+        slopes = theta.alpha[1:][moving]
+        v = vecs[j, :, 0]
+        c = 0 if lam[j, 0] > PSD_TOL or np.any(np.abs(slopes @ v @ v) > PSD_TOL) else -1
+        j = int(np.argmin(lam[:, c]))
+        if lam[j, c] > PSD_TOL:
+            spread = np.sqrt(np.sum(np.linalg.norm(slopes, 2, axis=(1, 2)) ** 2))
+            constant = float(spread / (2.0 * np.sqrt(lam[j, c])))
+        else:
+            constant = np.inf if np.any(slopes) else 0.0
+        if constant > best.constant:
+            best = LipschitzEstimate(constant, corners[j], vi)
+    return best

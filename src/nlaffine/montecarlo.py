@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # lazy in numpy: load it at import, not in the first draw
 
 from .generator import CoefficientForm, GeneratorMode, TestFunction
 from .params import (
@@ -149,6 +150,11 @@ def default_clamp_box(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                    mode: GeneratorMode,
                    snapshot_steps: tuple[int, ...] = ()) -> PathBundle:
+    """Paths of the law with theta fixed, from x0.  A diffusion that is not
+    PSD or a negative jump weight at a state a path visits raises
+    CoefficientError: a constant-vertex law needs admissible coefficients
+    at every such state, and it cannot mask the vertex per node the way the
+    PIDE's sup does."""
     d = theta.dim
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
@@ -333,7 +339,9 @@ def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunctio
     """Best constant-parameter estimate over the vertex enumeration.  Every
     fixed-parameter law is feasible for the uncertainty set, so this is a
     statistical lower bound for the worst-case expectation.  One simulation
-    per vertex; ties go to the first vertex."""
+    per vertex; ties go to the first vertex.  A vertex whose coefficients are
+    not admissible at a state its paths visit raises CoefficientError (see
+    simulate_paths), even where `solve` masks that vertex per node."""
     cfg = replace(cfg, horizon=t)
     means, ses = [], []
     best, winner = 0, None

@@ -191,6 +191,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", path]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["uniqueness_certified"] is True
+        assert meta["uniqueness_gate_status"] == "pass"
 
     def test_hat_mode_uncertified_still_solves(self, tmp_path, capsys):
         out = tmp_path / "out"

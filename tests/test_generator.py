@@ -3,7 +3,8 @@ import pytest
 
 import nlaffine as nl
 from nlaffine.generator import NoAdmissibleVertexError
-from nlaffine.params import truncation_moment
+from nlaffine.montecarlo import _diffusion_root
+from nlaffine.params import CoefficientError, truncation_moment
 
 from test_params import random_theta, reference_coefficients, reference_generator
 
@@ -345,60 +346,79 @@ class TestOperatorMatchesPointwiseGenerator:
         assert op.adm[:, grid.node_index([0.3])[0]].tolist() == [True, False]
 
 
-class TestMatrixSqrt:
-    def test_stack_matches_single(self):
-        rng = np.random.default_rng(5)
-        for d in (1, 2):
-            m = rng.normal(size=(200, d, d))
-            a = m @ np.swapaxes(m, 1, 2)
-            single = np.array([nl.matrix_sqrt(x) for x in a])
-            assert np.array_equal(nl.matrix_sqrt(a), single)
-
-    def test_identity_and_zero(self):
-        assert np.allclose(nl.matrix_sqrt(np.eye(3)), np.eye(3))
-        assert np.allclose(nl.matrix_sqrt(np.zeros((2, 2))), 0.0)
-
-    def test_diagonal(self):
-        s = nl.matrix_sqrt(np.diag([4.0, 9.0]))
-        assert np.allclose(s, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_square_property_random(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            b = rng.normal(size=(3, 3))
-            a = b @ b.T
-            s = nl.matrix_sqrt(a)
-            assert np.linalg.norm(s @ s - a) < 1e-8
-            assert np.min(np.linalg.eigvalsh(s)) >= -1e-12
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError, match="PSD"):
-            nl.matrix_sqrt(np.diag([1.0, -1.0]))
+def hat_diffusion_set(*alpha):
+    """One hat-mode vertex with no drift or jumps and diffusion coefficients
+    alpha_0, ..., alpha_d."""
+    alpha = np.array(alpha, dtype=float)
+    d = alpha.shape[-1]
+    empty = nl.AtomicLevyMeasure.empty(d)
+    return nl.FiniteParameterSet(
+        [nl.AffineParameter(np.zeros((d + 1, d)), alpha, (empty,) * (d + 1))])
 
 
 class TestSqrtDiffusionLipschitz:
     def test_constant_diffusion_zero(self):
         theta = nl.AffineParameter.scalar(alpha0=0.7)
-        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]),
-                                          ([0.0], [4.0]), n_samples=50)
-        assert est.constant == pytest.approx(0.0, abs=1e-12)
+        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]), ([0.0], [4.0]))
+        assert est.constant == 0.0
 
     def test_sqrt_slope_on_positive_box(self):
         # a(x) = x+ on [1, 4]: the slope peaks at 1/(2 sqrt(1)) = 1/2
         theta = nl.AffineParameter.scalar(alpha1=1.0)
-        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]),
-                                          ([1.0], [4.0]), n_samples=100)
-        assert est.constant == pytest.approx(0.5, abs=0.02)
-        assert not est.blown_up
+        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]), ([1.0], [4.0]))
+        assert est.constant == 0.5
+
+    def test_slope_across_zero_is_true_supremum(self):
+        # a(x) = 0.2 + 0.5 x+ on [-1, 4]: sup of the derivative, at x = 0+
+        theta = nl.AffineParameter.scalar(alpha0=0.2, alpha1=0.5)
+        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]), ([-1.0], [4.0]))
+        assert est.constant == 0.5 / (2.0 * np.sqrt(0.2))
 
     def test_kink_at_zero_blows_up(self):
         theta = nl.AffineParameter.scalar(alpha1=1.0)
-        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]),
-                                          ([-1.0], [4.0]), n_samples=100)
-        assert est.blown_up
+        est = nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]), ([-1.0], [4.0]))
+        assert est.constant == np.inf
+
+    def test_singular_axis_blows_up_in_2d(self):
+        # a(x) = diag(1, x2+): the second eigenvalue leaves 0 linearly
+        ps = hat_diffusion_set(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0]))
+        est = nl.sqrt_diffusion_lipschitz(ps, ([-1.0, -1.0], [2.0, 2.0]))
+        assert est.constant == np.inf
+        assert est.vertex == 0 and est.state[1] in (-1.0, 0.0)
+
+    def test_constant_kernel_decides_on_largest_eigenvalue(self):
+        # a(x) = (1 + x1+ / 2) [[1, 1], [1, 1]]: kernel (1, -1) everywhere,
+        # and sqrt a = sqrt(2 + x1+) u u^T with u = (1, 1)/sqrt 2
+        ones = np.ones((2, 2))
+        ps = hat_diffusion_set(ones, 0.5 * ones, np.zeros((2, 2)))
+        est = nl.sqrt_diffusion_lipschitz(ps, ([-1.0, -1.0], [2.0, 2.0]))
+        assert est.constant == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), rel=1e-12)
+
+    def test_bounds_sampled_secant_slopes(self):
+        # the constant bounds every secant of the closed-form root the
+        # simulator steps with, on random 1-D and 2-D boxes and PSD maps
+        rng = np.random.default_rng(41)
+        hat = nl.GeneratorMode.hat()
+        for trial in range(60):
+            d = 1 + trial % 2
+            b = rng.normal(size=(d + 1, d, d))
+            ps = hat_diffusion_set(*(b @ np.swapaxes(b, 1, 2)))
+            lo, hi = np.sort(rng.uniform(-3.0, 3.0, size=(2, d)), axis=0)
+            width = hi - lo
+            est = nl.sqrt_diffusion_lipschitz(ps, (lo, hi))
+            x = lo + rng.uniform(size=(300, d)) * width
+            x[:100] = est.state  # the corner that decides the constant
+            step = rng.normal(size=x.shape) * width * 10.0 ** -rng.uniform(0, 4, (300, 1))
+            y = np.clip(x + step, lo, hi)
+            gap = np.linalg.norm(x - y, axis=1)
+            keep = gap >= 1e-4 * np.linalg.norm(width)
+            form = hat.coefficients(ps.vertices()[0])
+            diff = _diffusion_root(form.diffusion(x), x) - _diffusion_root(form.diffusion(y), y)
+            slope = np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1)[keep] / gap[keep]
+            assert np.isfinite(est.constant)
+            assert np.max(slope) <= est.constant * (1.0 + 1e-6)
 
     def test_non_psd_named(self):
         theta = nl.AffineParameter.scalar(alpha0=-0.5)
-        with pytest.raises(ValueError, match="PSD"):
-            nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]),
-                                        ([0.0], [1.0]), n_samples=20)
+        with pytest.raises(CoefficientError, match="PSD at corner x = \\[0.\\] \\(vertex 0\\)"):
+            nl.sqrt_diffusion_lipschitz(nl.FiniteParameterSet([theta]), ([0.0], [1.0]))

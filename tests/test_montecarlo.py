@@ -7,6 +7,7 @@ import pytest
 import nlaffine as nl
 from nlaffine.config import generalized_compound_poisson_set
 from nlaffine.montecarlo import bundle_to_csv
+from nlaffine.params import CoefficientError
 
 
 FULL = nl.GeneratorMode.standard(nl.StateSpace.full(1))
@@ -303,6 +304,22 @@ class TestMonotonicityAndBounds:
         want = nl.simulate_paths(thetas[1], [0.0], cfg, FULL)
         assert np.array_equal(res.bundle.terminal, want.terminal)
         assert np.array_equal(res.bundle.running_sup, want.running_sup)
+
+    def test_vertex_solve_masks_is_refused(self):
+        # the second vertex's diffusion is -0.5 at every state: the solver
+        # masks it per node, but a constant-vertex law needs admissible
+        # coefficients wherever its paths go, and the gate checks the box
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=0.2),
+                                    nl.AffineParameter.scalar(beta0=3.0, alpha0=-0.5)])
+        hat = nl.GeneratorMode.hat()
+        square = nl.make_payoff("square")
+        surface = nl.solve(ps, nl.Grid.line(-1.0, 1.0, 21), square, 0.1, hat)
+        assert np.all(np.isfinite(surface.values))
+        cfg = nl.SimConfig(dt=0.01, horizon=0.1, n_paths=100)
+        with pytest.raises(CoefficientError, match=r"diffusion matrix not PSD at state \[0.3\]"):
+            nl.lower_bound_sublinear(ps, [0.3], square, 0.1, cfg, hat)
+        with pytest.raises(CoefficientError, match=r"not PSD at corner x = .* \(vertex 1\)"):
+            nl.uniqueness_gate(ps, ([-1.0], [1.0]), n_samples=16)
 
 
 class TestThinningCounts:

@@ -41,7 +41,8 @@ def test_traced_library_calls_summarise():
     spans, counts = summary["spans"], summary["counts"]
     for name in ("pide.dpp_gap", "conditions.uniqueness_gate",
                  "montecarlo.lower_bound_sublinear", "montecarlo.simulate_paths",
-                 "params.check_coefficient_bounds"):
+                 "params.check_coefficient_bounds", "generator.sqrt_diffusion_lipschitz",
+                 "conditions.check_comparison_conditions"):
         assert spans[name][0] >= 1, name
     assert spans["pide.solve"][0] == 1  # dpp_gap marches without a second solve
     assert counts["pide.node_steps"] > 0
