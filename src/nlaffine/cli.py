@@ -43,11 +43,12 @@ def cmd_solve(args) -> int:
     mode = cfg.mode()
     grid = cfg.grid()
     started = time.perf_counter()
+    bounds = check_coefficient_bounds(theta_set)
     gate = None
     if mode.is_hat:
         lo = grid.lower.tolist()
         hi = grid.upper.tolist()
-        gate = uniqueness_gate(theta_set, (lo, hi), n_samples=64)
+        gate = uniqueness_gate(theta_set, (lo, hi), n_samples=64, bounds=bounds)
         if gate.status == "fail":
             print("warning: uniqueness gate failed; solution is not "
                   "certified unique", file=sys.stderr)
@@ -59,7 +60,6 @@ def cmd_solve(args) -> int:
     marched = time.perf_counter()
     surface.to_csv(os.path.join(out, "surface.csv"))
     written = time.perf_counter()
-    bounds = check_coefficient_bounds(theta_set)
     meta = {
         "version": __version__,
         "config_hash": cfg.config_hash(),
@@ -142,11 +142,15 @@ def cmd_check(args) -> int:
     os.makedirs(out, exist_ok=True)
     theta_set = cfg.theta_set()
     grid = cfg.grid()
+    mode = cfg.mode()
     report = uniqueness_gate(
         theta_set, (grid.lower.tolist(), grid.upper.tolist()), n_samples=128
     )
     report.config_hash = cfg.config_hash()
-    _write_json(os.path.join(out, "report.json"), asdict(report))
+    _write_json(os.path.join(out, "report.json"), dict(asdict(report), mode=mode.kind))
+    if not mode.is_hat:
+        print(f"warning: the uniqueness gate checked the hat-mode coefficient map, "
+              f"not this config's {mode.kind}-mode one", file=sys.stderr)
     print(f"uniqueness gate: {report.status}")
     return 0
 

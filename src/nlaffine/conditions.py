@@ -12,6 +12,7 @@ import numpy as np
 
 from .generator import GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (
+    CoefficientBoundReport,
     FiniteParameterSet,
     affine_at,
     atom_norms,
@@ -137,12 +138,15 @@ def check_comparison_conditions(theta_set: FiniteParameterSet, sample_box,
 
 
 def uniqueness_gate(theta_set: FiniteParameterSet, sample_box,
-                    n_samples: int = 200, seed: int = 0) -> ConditionReport:
+                    n_samples: int = 200, seed: int = 0,
+                    bounds: CoefficientBoundReport | None = None) -> ConditionReport:
     """Run every hat-mode prerequisite: coefficient bounds, the linear-part
     bound and the comparison clauses.  The status is pass or fail; a hat-mode
     solve is labelled as the certified-unique solution only when it passes,
-    and still runs (with a warning) when it fails."""
-    bounds = check_coefficient_bounds(theta_set)
+    and still runs (with a warning) when it fails.  `bounds`, when given, is
+    check_coefficient_bounds(theta_set) already at hand."""
+    if bounds is None:
+        bounds = check_coefficient_bounds(theta_set)
     linear = check_linear_bound(theta_set)
     comparison = check_comparison_conditions(theta_set, sample_box, n_samples, seed)
     failed = (not bounds.passed) or (not linear.passed) or comparison.status == "fail"

@@ -233,6 +233,7 @@ class ExperimentConfig:
 
     def __init__(self, data: dict):
         self.data = data
+        self._theta_set = None  # built on the first theta_set() call
 
     # -- parsing ------------------------------------------------------------
 
@@ -361,17 +362,21 @@ class ExperimentConfig:
             raise ConfigError(f"bad grid spec: {exc}") from exc
 
     def theta_set(self) -> FiniteParameterSet:
+        """The parameter set, built once: `validate` and the command share it."""
+        if self._theta_set is not None:
+            return self._theta_set
         spec = self.data.get("parameter_set")
         if not isinstance(spec, dict):
             raise ConfigError("missing field: parameter_set")
         try:
-            return parameter_set_from_json(spec, self.dimension, self.truncation())
+            self._theta_set = parameter_set_from_json(spec, self.dimension, self.truncation())
         except ConfigError:
             raise
         except KeyError as exc:
             raise ConfigError(f"parameter_set lacks the field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameter_set: {exc}") from exc
+        return self._theta_set
 
     def scheme(self) -> SchemeConfig:
         spec = self.data.get("scheme", {})

@@ -28,15 +28,27 @@ from .params import (
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar function with explicit gradient and Hessian callables."""
+    """Scalar function with explicit gradient and Hessian callables.  The
+    optional `array_value` evaluates every row of an (n, d) array at once and
+    must equal `value` row by row, bit for bit."""
 
     name: str
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    array_value: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.atleast_1d(np.asarray(x, dtype=float))))
+
+    def values(self, points) -> np.ndarray:
+        """The function at each row of an (n, d) array.  Without an array
+        form `value` runs row by row: a scalar callable handed the whole array
+        could broadcast to wrong values (x[0] + 2 * x[1] adds rows)."""
+        points = np.asarray(points, dtype=float)
+        if self.array_value is not None:
+            return self.array_value(points)
+        return np.array([self.value(x) for x in points], dtype=float)
 
 
 class GeneratorMode:

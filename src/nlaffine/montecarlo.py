@@ -27,7 +27,12 @@ the half-line leaves it only by a jump.
 
 Each path owns a counter-based random stream keyed by (base seed, path
 index): results are bitwise reproducible and independent of the number of
-paths simulated alongside.
+paths simulated alongside.  So a batch's draws depend only on the draw class
+(seed, batch start, batch size, steps, d, has_diffusion, lam_bar * dt), and
+lower_bound_sublinear steps the vertices of one class on one shared,
+read-only draw set per batch (common random numbers): each vertex's result
+is the one its own simulate_paths gives.  Payoffs are scored on the (N, d)
+terminal array at once (TestFunction.values).
 """
 
 from __future__ import annotations
@@ -147,15 +152,8 @@ def default_clamp_box(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x0 - r, x0 + r
 
 
-def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
-                   mode: GeneratorMode,
-                   snapshot_steps: tuple[int, ...] = ()) -> PathBundle:
-    """Paths of the law with theta fixed, from x0.  A diffusion that is not
-    PSD or a negative jump weight at a state a path visits raises
-    CoefficientError: a constant-vertex law needs admissible coefficients
-    at every such state, and it cannot mask the vertex per node the way the
-    PIDE's sup does."""
-    d = theta.dim
+def _start(x0, d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x0 as a d-vector and the clamp box (lo, hi), which must contain it."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
         raise ValueError("initial state dimension mismatch")
@@ -164,13 +162,75 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("clamp box must contain the initial point")
+    return x0, lo, hi
+
+
+def _law(theta: AffineParameter, lo: np.ndarray, hi: np.ndarray, cfg: SimConfig,
+         mode: GeneratorMode) -> tuple[CoefficientForm, tuple[bool, float]]:
+    """theta's coefficient form and its draw class (has_diffusion, lam_bar)."""
     form = mode.coefficients(theta, cfg.truncation)
-    lam_bar = _lam_bar(form, lo, hi)
-    has_diffusion = bool(np.any(theta.alpha))
+    return form, (bool(np.any(theta.alpha)), _lam_bar(form, lo, hi))
+
+
+def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
+                has_diffusion: bool, lam_dt: float) -> tuple:
+    """The draws (Z, counts, pool, pool_off) of paths b0 .. b0 + B - 1 over
+    n_steps steps: normals Z (B, n_steps, d) when the law diffuses; when
+    lam_dt > 0, candidate jump counts (B, n_steps) of mean lam_dt and two
+    uniforms per candidate in `pool`, path i's from pool_off[i] on.  Absent
+    draws are None.  The set depends on these arguments alone, so every
+    vertex of one draw class can step on it; its arrays are read-only."""
+    Z = counts = pool = pool_off = None
+    if n_steps and (has_diffusion or lam_dt > 0.0):
+        if has_diffusion:
+            Z = np.empty((B, n_steps, d))  # path-major: one draw fills a row
+        if lam_dt > 0.0:
+            counts = np.empty((B, n_steps), dtype=np.int64)
+            pools = []
+        # per-path counter-based streams, fixed draw pattern: a Philox
+        # stream is fixed by its key alone, so one bit generator re-keyed
+        # to (seed, path) and reset to its fresh state per path draws
+        # exactly what a generator built for that path would
+        bitgen = np.random.Philox(key=np.array([seed, b0], dtype=np.uint64))
+        rng = np.random.Generator(bitgen)
+        fresh = bitgen.state
+        key = fresh["state"]["key"]
+        for i in range(B):
+            key[1] = b0 + i
+            bitgen.state = fresh
+            if Z is not None:
+                rng.standard_normal(out=Z[i])
+            if counts is not None:
+                c = rng.poisson(lam_dt, n_steps)
+                counts[i] = c
+                pools.append(rng.random(2 * sum(c.tolist())))
+        if counts is not None:
+            lens = 2 * counts.sum(axis=1)
+            pool_off = np.cumsum(lens) - lens
+            pool = np.concatenate(pools)
+    drawn = (Z, counts, pool, pool_off)
+    for a in drawn:
+        if a is not None:
+            a.flags.writeable = False
+    return drawn
+
+
+def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
+                   mode: GeneratorMode,
+                   snapshot_steps: tuple[int, ...] = (),
+                   draws=_draw_batch) -> PathBundle:
+    """Paths of the law with theta fixed, from x0.  A diffusion that is not
+    PSD or a negative jump weight at a state a path visits raises
+    CoefficientError: a constant-vertex law needs admissible coefficients
+    at every such state, and it cannot mask the vertex per node the way the
+    PIDE's sup does.  `draws` takes `_draw_batch`'s arguments and returns
+    its draw set; a sweep passes one that shares sets between vertices."""
+    d = theta.dim
+    x0, lo, hi = _start(x0, d, cfg)
+    form, (has_diffusion, lam_bar) = _law(theta, lo, hi, cfg, mode)
     n_steps, dt = step_count(cfg.horizon, cfg.dt)
     times = dt * np.arange(n_steps + 1)
     start_outside = not mode.inside(x0[None, :])[0]
-    jumps_active = lam_bar > 0.0
 
     N = cfg.n_paths
     terminal = np.empty((N, d))
@@ -185,37 +245,9 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
     for b0 in range(0, N, cfg.batch_size):
         b1 = min(b0 + cfg.batch_size, N)
         B = b1 - b0
-        Z = None
-        counts = None
-        pool = None
-        pool_off = np.zeros(B, dtype=np.int64)
-        if n_steps:
-            if has_diffusion:
-                Z = np.empty((B, n_steps, d))  # path-major: one draw fills a row
-            if jumps_active:
-                counts = np.zeros((B, n_steps), dtype=np.int64)
-                pools = []
-            # per-path counter-based streams, fixed draw pattern: a Philox
-            # stream is fixed by its key alone, so one bit generator re-keyed
-            # to (seed, path) and reset to its fresh state per path draws
-            # exactly what a generator built for that path would
-            bitgen = np.random.Philox(key=np.array([cfg.seed, b0], dtype=np.uint64))
-            rng = np.random.Generator(bitgen)
-            fresh = bitgen.state
-            key = fresh["state"]["key"]
-            for i in range(B):
-                key[1] = b0 + i
-                bitgen.state = fresh
-                if has_diffusion:
-                    rng.standard_normal(out=Z[i])
-                if jumps_active:
-                    c = rng.poisson(lam_bar * dt, n_steps)
-                    counts[i] = c
-                    pools.append(rng.random(2 * sum(c.tolist())))
-            if jumps_active:
-                lens = 2 * counts.sum(axis=1)
-                pool_off = np.cumsum(lens) - lens
-                pool = np.concatenate(pools)
+        Z = counts = pool = pool_off = None  # release the last set before the next draw
+        Z, counts, pool, pool_off = draws(cfg.seed, b0, B, n_steps, d,
+                                          has_diffusion, lam_bar * dt)
 
         X = np.tile(x0, (B, 1))
         frozen = np.zeros(B, dtype=bool)
@@ -233,13 +265,13 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
                 idx = np.nonzero(alive)[0]
                 xa = X[idx]
                 newx = xa + dt * form.drift(xa)
-                if has_diffusion:
+                if Z is not None:
                     root = _diffusion_root(form.diffusion(xa), xa)
                     newx = newx + sqdt * np.einsum("nij,nj->ni", root, Z[idx, j])
                 Xn = X.copy()
                 Xn[idx] = newx
                 jumped = np.zeros(B, dtype=bool)
-                if jumps_active:
+                if counts is not None:
                     cnt = counts[:, j].copy()
                     cnt[frozen] = 0
                     max_c = int(cnt.max()) if cnt.size else 0
@@ -307,7 +339,7 @@ def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
 
 
 def _payoff_moments(payoff: TestFunction, bundle: PathBundle) -> tuple[float, float]:
-    vals = np.array([payoff.value(x) for x in bundle.terminal])
+    vals = payoff.values(bundle.terminal)
     if np.all(vals == vals[0]):
         return float(vals[0]), 0.0
     mean = float(np.mean(vals))
@@ -333,6 +365,31 @@ class LowerBoundResult:
     bundle: PathBundle  # the paths simulated under the winning vertex
 
 
+def _shared_draws():
+    """A draw source for one sweep: it hands the set it holds to every call
+    with the same arguments and drops it before drawing another, so at most
+    one set is alive."""
+    slot = {}
+
+    def draws(*key):
+        if key not in slot:
+            slot.clear()
+            slot[key] = _draw_batch(*key)
+        return slot[key]
+
+    return draws
+
+
+def _first_max_rank(k: int, mean: float) -> tuple:
+    """Vertex k's rank under the first-max rule in vertex order: the largest
+    mean wins and a tie goes to the lower index; a NaN mean never wins
+    unless it is vertex 0's, which no later mean displaces.  Ranks compare
+    the same in any sweep order."""
+    if math.isnan(mean):
+        return (1,) if k == 0 else (-1,)
+    return (0, mean, -k)
+
+
 def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunction,
                           t: float, cfg: SimConfig,
                           mode: GeneratorMode) -> LowerBoundResult:
@@ -341,16 +398,25 @@ def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunctio
     statistical lower bound for the worst-case expectation.  One simulation
     per vertex; ties go to the first vertex.  A vertex whose coefficients are
     not admissible at a state its paths visit raises CoefficientError (see
-    simulate_paths), even where `solve` masks that vertex per node."""
+    simulate_paths), even where `solve` masks that vertex per node.
+
+    Vertices of one draw class (equal has_diffusion and lam_bar) run back to
+    back, and a batch drawn for one is handed to the next: common random
+    numbers, with every result equal to that vertex's own simulate_paths.
+    One draw set at most is alive, so when n_paths spans several batches
+    each vertex of a class draws them again."""
     cfg = replace(cfg, horizon=t)
-    means, ses = [], []
-    best, winner = 0, None
-    for k, theta in enumerate(theta_set.vertices()):
-        bundle = simulate_paths(theta, x0, cfg, mode)
-        m, s = _payoff_moments(payoff, bundle)
-        means.append(m)
-        ses.append(s)
-        if winner is None or m > means[best]:
+    thetas = theta_set.vertices()
+    x0, lo, hi = _start(x0, theta_set.dim, cfg)
+    classes = [_law(theta, lo, hi, cfg, mode)[1] for theta in thetas]
+    order = sorted(range(len(thetas)), key=lambda k: classes.index(classes[k]))
+    draws = _shared_draws()
+    means, ses = [0.0] * len(thetas), [0.0] * len(thetas)
+    best, winner = None, None
+    for k in order:
+        bundle = simulate_paths(thetas[k], x0, cfg, mode, draws=draws)
+        means[k], ses[k] = _payoff_moments(payoff, bundle)
+        if best is None or _first_max_rank(k, means[k]) > _first_max_rank(best, means[best]):
             best, winner = k, bundle
     return LowerBoundResult(means[best], best, ses[best], means, ses, winner)
 

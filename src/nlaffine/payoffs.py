@@ -1,7 +1,10 @@
 """Named payoff library with hand-written derivatives.
 
 Every payoff is total on R^d; at kinks the derivative callables return the
-one-sided/zero convention so generator evaluations stay defined.
+one-sided/zero convention so generator evaluations stay defined.  Each also
+has an array form over the rows of an (n, d) array that equals its scalar
+value bit for bit: `np.vecdot` sums a row's products the way `x @ x` does,
+where `np.sum(X * X, 1)` can round differently for d = 2.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ def indicator_ge(c: float) -> TestFunction:
         d = x.shape[0]
         return np.zeros((d, d))
 
-    return TestFunction(f"indicator_ge({c!r})", value, gradient, hessian)
+    def values(X):
+        return np.where(X[:, 0] >= c, 1.0, 0.0)
+
+    return TestFunction(f"indicator_ge({c!r})", value, gradient, hessian, values)
 
 
 def min_cap(c: float) -> TestFunction:
@@ -42,7 +48,10 @@ def min_cap(c: float) -> TestFunction:
         d = x.shape[0]
         return np.zeros((d, d))
 
-    return TestFunction(f"min_cap({c!r})", value, gradient, hessian)
+    def values(X):
+        return np.where(c < X[:, 0], c, X[:, 0])  # min's choice, NaN included
+
+    return TestFunction(f"min_cap({c!r})", value, gradient, hessian, values)
 
 
 def abs_payoff() -> TestFunction:
@@ -65,7 +74,10 @@ def abs_payoff() -> TestFunction:
         u = x / r
         return (np.eye(d) - np.outer(u, u)) / r
 
-    return TestFunction("abs", value, gradient, hessian)
+    def values(X):
+        return np.sqrt(np.vecdot(X, X))
+
+    return TestFunction("abs", value, gradient, hessian, values)
 
 
 def square_payoff() -> TestFunction:
@@ -80,7 +92,10 @@ def square_payoff() -> TestFunction:
     def hessian(x):
         return 2.0 * np.eye(x.shape[0])
 
-    return TestFunction("square", value, gradient, hessian)
+    def values(X):
+        return np.vecdot(X, X)
+
+    return TestFunction("square", value, gradient, hessian, values)
 
 
 def cos_payoff() -> TestFunction:
@@ -96,7 +111,10 @@ def cos_payoff() -> TestFunction:
         d = x.shape[0]
         return -np.cos(np.sum(x)) * np.ones((d, d))
 
-    return TestFunction("cos", value, gradient, hessian)
+    def values(X):
+        return np.cos(np.sum(X, axis=1))
+
+    return TestFunction("cos", value, gradient, hessian, values)
 
 
 # name -> (builder, the parameters it takes, each a number)

@@ -380,7 +380,7 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     n_steps, dt = _n_steps(horizon, scheme, stable_dt)
 
     values = np.empty((n_steps + 1, grid.n_nodes))
-    values[0] = [payoff.value(p) for p in grid.points()]
+    values[0] = payoff.values(grid.points())
     if not np.all(np.isfinite(values[0])):
         raise NonFiniteError("payoff is not finite on the grid")
     _, inc = op.march(values[0], n_steps, dt, values)

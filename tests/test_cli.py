@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import nlaffine as nl
-from nlaffine import cli
+from nlaffine import cli, conditions
+from nlaffine import config as config_module
 from nlaffine.cli import main
 from nlaffine.config import (
     ExperimentConfig,
@@ -571,6 +572,67 @@ class TestCheckCommand:
         rep = json.loads((out / "report.json").read_text())
         assert rep["name"] == "uniqueness_gate"
         assert rep["config_hash"]
+
+    def test_standard_mode_names_the_checked_map(self, tmp_path, capsys):
+        # a(x) = 0.5 + x is negative for x < -0.5: solve and simulate refuse
+        # this standard-mode config, while the hat-mode map a(x) = 0.5 + x+
+        # that the gate checks passes
+        out = tmp_path / "out"
+        raw = base_config(out)
+        raw["parameter_set"]["parameter"]["alpha"] = [[[0.5]], [[1.0]]]
+        raw["grid"] = {"lower": [-1.0], "upper": [1.0], "nodes": [41]}
+        path = write_config(tmp_path, raw)
+        assert main(["check", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "uniqueness gate: pass\n"
+        assert captured.err == ("warning: the uniqueness gate checked the hat-mode "
+                                "coefficient map, not this config's standard-mode one\n")
+        assert json.loads((out / "report.json").read_text())["mode"] == "standard"
+        assert main(["solve", "--config", path]) == 2
+        assert main(["simulate", "--config", path]) == 2
+
+    def test_hat_mode_check_has_no_warning(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        raw = base_config(out)
+        raw["mode"] = "hat"
+        path = write_config(tmp_path, raw)
+        assert main(["check", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "report.json").read_text())["mode"] == "hat"
+
+
+class TestBuildOnce:
+    def test_parameter_set_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = config_module.parameter_set_from_json
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(config_module, "parameter_set_from_json", counting)
+        cfg = ExperimentConfig.from_file(write_config(tmp_path, base_config(tmp_path)))
+        assert cfg.theta_set() is cfg.theta_set()
+        assert len(built) == 1
+
+    def test_hat_solve_checks_coefficient_bounds_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = cli.check_coefficient_bounds
+
+        def counting(theta_set):
+            calls.append(theta_set)
+            return check(theta_set)
+
+        monkeypatch.setattr(cli, "check_coefficient_bounds", counting)
+        monkeypatch.setattr(conditions, "check_coefficient_bounds", counting)
+        out = tmp_path / "out"
+        raw = base_config(out)
+        raw["mode"] = "hat"
+        assert main(["solve", "--config", write_config(tmp_path, raw)]) == 0
+        assert len(calls) == 1
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["growth_bound"] == check(calls[0]).growth
+        assert meta["uniqueness_gate_status"] == "pass"
 
 
 def small_surface(dim):

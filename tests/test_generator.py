@@ -244,6 +244,50 @@ class TestDerivativeConsistency:
                 assert np.linalg.norm(H - Hfd) / hscale < 1e-4
 
 
+class TestArrayValues:
+    """`TestFunction.values` on an (n, d) array equals `value` row by row,
+    bit for bit, for every built-in payoff: the PIDE's initial layer and the
+    Monte Carlo payoff moments read it."""
+
+    @staticmethod
+    def rows(d):
+        rng = np.random.default_rng(40 + d)
+        X = np.concatenate([rng.normal(size=(20000, d)) * 3.0,
+                            rng.normal(size=(200, d)) * 1e150,
+                            rng.normal(size=(200, d)) * 1e-150])
+        kinks = np.zeros((6, d))
+        kinks[:, 0] = [0.5, 0.5, -0.0, 0.0, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]
+        kinks[1, 1:] = -2.0
+        return np.concatenate([X, kinks])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name, params", [
+        ("indicator_ge", {"c": 0.5}), ("min_cap", {"c": 0.5}), ("abs", {}),
+        ("square", {}), ("cos", {}), ("min_cap", {"c": 0.0}), ("indicator_ge", {"c": 0.0}),
+    ])
+    def test_builtin_matches_scalar(self, name, params, d):
+        f = nl.make_payoff(name, **params)
+        X = self.rows(d)
+        got = f.values(X)
+        want = np.array([f.value(x) for x in X])
+        assert got.dtype == np.float64 and got.shape == (X.shape[0],)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_only_callable_runs_row_by_row(self):
+        seen = []
+
+        def value(x):
+            seen.append(x.shape)
+            return x[0] + 2 * x[1]
+
+        lin = nl.TestFunction("lin", value, lambda x: np.array([1.0, 2.0]),
+                              lambda x: np.zeros((2, 2)))
+        X = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
+        assert lin.values(X).tolist() == [5.0, 1.0, 1.0]
+        assert seen == [(2,)] * 3
+        assert lin.values(np.empty((0, 2))).shape == (0,)
+
+
 class TestCoefficientForm:
     """The array form read by the solver, the simulator and the gate agrees
     with the pointwise reference maps, with the drift compensated by

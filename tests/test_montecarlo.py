@@ -1,12 +1,14 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import nlaffine as nl
+from nlaffine import montecarlo
 from nlaffine.config import generalized_compound_poisson_set
-from nlaffine.montecarlo import bundle_to_csv
+from nlaffine.montecarlo import _draw_batch, _payoff_moments, bundle_to_csv
 from nlaffine.params import CoefficientError
 
 
@@ -320,6 +322,125 @@ class TestMonotonicityAndBounds:
             nl.lower_bound_sublinear(ps, [0.3], square, 0.1, cfg, hat)
         with pytest.raises(CoefficientError, match=r"not PSD at corner x = .* \(vertex 1\)"):
             nl.uniqueness_gate(ps, ([-1.0], [1.0]), n_samples=16)
+
+
+def interleaved_classes():
+    """Three diffusing vertices with jump-intensity bounds 0.5, 1.0, 0.5:
+    draw classes A, B, A."""
+    def theta(beta0, alpha0, lam):
+        nu0 = nl.AtomicLevyMeasure([[0.5], [-0.3]], [lam, 0.2])
+        return nl.AffineParameter.scalar(beta0=beta0, alpha0=alpha0, nu0=nu0)
+
+    return nl.FiniteParameterSet([theta(0.1, 0.5, 0.3), theta(0.0, 0.4, 0.8),
+                                  theta(-0.2, 0.3, 0.3)])
+
+
+def hat_box_2d():
+    """Eight diffusing 2-D vertices with one jump measure: one draw class."""
+    zero = np.zeros((2, 2))
+    nu0 = nl.AtomicLevyMeasure([[0.37, -0.61], [-0.37, 0.61]], [0.25, 0.25], dim=2)
+    empty = nl.AtomicLevyMeasure.empty(2)
+    return nl.CoefficientBox(
+        beta_lo=np.zeros((3, 2)), beta_hi=np.zeros((3, 2)),
+        alpha_lo=[[[0.25, -0.1], [-0.1, 0.25]], zero, zero],
+        alpha_hi=[[[1.0, 0.1], [0.1, 1.0]], zero, zero],
+        nu_tuples=[(nu0, empty, empty)])
+
+
+SWEEPS = {
+    # name: (parameter set, x0, t, mode, payoff, SimConfig)
+    "interleaved classes, several batches": (
+        interleaved_classes(), [0.2], 0.5, FULL, nl.make_payoff("min_cap", c=0.5),
+        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=11, batch_size=128)),
+    "zero horizon": (
+        interleaved_classes(), [0.2], 0.0, FULL, nl.make_payoff("square"),
+        nl.SimConfig(dt=0.05, horizon=0.0, n_paths=40, seed=11)),
+    "2-D with jumps, several batches": (
+        hat_box_2d(), [0.0, 0.0], 0.5, nl.GeneratorMode.hat(), nl.make_payoff("square"),
+        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=500, seed=4, batch_size=200)),
+}
+
+
+class TestSharedDraws:
+    """lower_bound_sublinear steps the vertices of one draw class on one
+    shared draw set; each vertex's result is still its own simulate_paths."""
+
+    @pytest.mark.parametrize("case", list(SWEEPS))
+    def test_sweep_matches_per_vertex_runs(self, case):
+        ps, x0, t, mode, payoff, cfg = SWEEPS[case]
+        res = nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
+        own = [nl.simulate_paths(theta, x0, cfg, mode) for theta in ps.vertices()]
+        for k, bundle in enumerate(own):
+            assert (res.all_means[k], res.all_ses[k]) == _payoff_moments(payoff, bundle)
+        assert res.vertex == int(np.argmax(res.all_means))
+        assert stream_digest(res.bundle) == stream_digest(own[res.vertex])
+
+    def test_first_max_rule_across_classes(self):
+        # min(x, 0) is exactly 0 on paths that never go below 0: vertices 1
+        # (jumps up, zero net drift) and 2 (drift up) tie at the maximum.
+        # Vertices 0 and 2 share a class, so the sweep runs 0, 2, 1, and the
+        # tie must still go to vertex 1.
+        down = nl.AffineParameter.scalar(beta0=-0.5)
+        up = nl.AffineParameter.scalar(beta0=0.1)
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=200, seed=3)
+        res = nl.lower_bound_sublinear(nl.FiniteParameterSet([down, unit_jump_theta(), up]),
+                                       [0.0], nl.make_payoff("min_cap", c=0.0), 0.5, cfg,
+                                       FULL)
+        assert res.all_means[0] < res.all_means[1] == res.all_means[2] == 0.0
+        assert res.vertex == 1
+        assert res.bundle.thinning_proposed > 0
+
+    @staticmethod
+    def count_generators(monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["key"].tolist())
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        return built
+
+    @pytest.mark.parametrize("ps, x0, mode, n_paths, classes", [
+        (hat_box_2d(), [0.0, 0.0], nl.GeneratorMode.hat(), 300, 1),
+        (interleaved_classes(), [0.2], FULL, 300, 2),
+    ])
+    def test_one_generator_per_class_in_one_batch(self, monkeypatch, ps, x0, mode,
+                                                  n_paths, classes):
+        built = self.count_generators(monkeypatch)
+        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=n_paths, seed=8)
+        nl.lower_bound_sublinear(ps, x0, nl.make_payoff("square"), 0.5, cfg, mode)
+        assert len(built) == classes
+
+    def test_one_generator_per_batch_for_single_vertex_classes(self, monkeypatch):
+        built = self.count_generators(monkeypatch)
+        ps = nl.FiniteParameterSet(interleaved_classes().vertices()[:2])
+        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8, batch_size=128)
+        nl.lower_bound_sublinear(ps, [0.2], nl.make_payoff("square"), 0.5, cfg, FULL)
+        assert built == [[8, b0] for b0 in (0, 128, 256)] * 2
+
+    def test_one_draw_set_alive(self, monkeypatch):
+        alive, refs = [], []
+        draw = montecarlo._draw_batch
+
+        def recording(*key):
+            alive.append(sum(ref() is not None for ref in refs))
+            drawn = draw(*key)
+            refs.append(weakref.ref(drawn[0]))
+            return drawn
+
+        monkeypatch.setattr(montecarlo, "_draw_batch", recording)
+        ps, x0, t, mode, payoff, cfg = SWEEPS["interleaved classes, several batches"]
+        nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
+        # with several batches each vertex draws its own: the set of the
+        # last batch is gone before the first batch is drawn again
+        assert alive == [0] * 9
+
+    def test_draw_set_is_read_only(self):
+        drawn = _draw_batch(5, 0, 10, 4, 1, True, 0.3)
+        assert all(a is not None and not a.flags.writeable for a in drawn)
+        assert _draw_batch(5, 0, 10, 4, 1, False, 0.0) == (None, None, None, None)
 
 
 class TestThinningCounts:
