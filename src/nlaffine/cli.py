@@ -232,21 +232,18 @@ def cmd_compare(args) -> int:
     meta_path = args.meta or os.path.join(os.path.dirname(args.surface), "meta.json")
     if not os.path.exists(meta_path):
         if not args.force:
-            print("error: meta.json with the surface config hash not found; "
-                  "rerun solve or pass --force", file=sys.stderr)
-            return 2
+            raise ConfigError("meta.json with the surface config hash not found; "
+                              "rerun solve or pass --force")
         meta = {}
     else:
         meta = _read_json(meta_path)
     if meta and meta.get("config_hash") != est.get("config_hash") and not args.force:
-        print("error: surface and estimate come from different configs "
-              "(hash mismatch); pass --force to compare anyway", file=sys.stderr)
-        return 2
+        raise ConfigError("surface and estimate come from different configs "
+                          "(hash mismatch); pass --force to compare anyway")
     header, rows = _read_layer(args.surface, t_target)
     d = len(header) - 2
     if rows.shape[0] == 0:
-        print(f"error: surface carries no layer at t = {t_target}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"surface carries no layer at t = {t_target}")
     nodes = meta.get("grid", {}).get("nodes")
     if nodes is not None and rows.shape[0] != np.prod(nodes):
         raise ConfigError(f"{args.surface}: the layer at t = {t_target} has "
@@ -260,13 +257,10 @@ def cmd_compare(args) -> int:
     j = int(np.argmin(dist))
     if dist[j] > grid_tol(float(np.linalg.norm(x0))):
         if not args.interpolate:
-            print("error: x0 is not a node of the surface grid; "
-                  "pass --interpolate to allow interpolation", file=sys.stderr)
-            return 2
+            raise ConfigError("x0 is not a node of the surface grid; "
+                              "pass --interpolate to allow interpolation")
         if d != 1:
-            print("error: interpolation is only supported on 1-D surfaces",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("interpolation is only supported on 1-D surfaces")
         order = np.argsort(xs[:, 0])
         pide_value = float(np.interp(x0[0], xs[order, 0], rows[order, -1]))
     else:
@@ -341,15 +335,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, ConfigError, NoAdmissibleVertexError,
-            CoefficientError) as exc:
+            CoefficientError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, NonFiniteError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -113,9 +113,7 @@ def measure_to_json(m: AtomicLevyMeasure) -> list:
 def theta_from_json(tj: dict, dim: int) -> AffineParameter:
     beta = _coefficients(tj["beta"], (dim + 1, dim))
     alpha = _coefficients(tj["alpha"], (dim + 1, dim, dim))
-    nu = tuple(measure_from_json(mj, dim) for mj in tj.get("nu", [None] * (dim + 1)))
-    if len(nu) != dim + 1:
-        raise ConfigError(f"need {dim + 1} jump measures, got {len(nu)}")
+    nu = [measure_from_json(mj, dim) for mj in tj["nu"]] if "nu" in tj else None
     return AffineParameter(beta, alpha, nu)
 
 
@@ -379,16 +377,18 @@ class ExperimentConfig:
         return self._theta_set
 
     def scheme(self) -> SchemeConfig:
+        """The scheme block; a key left out takes SchemeConfig's default."""
         spec = self.data.get("scheme", {})
         if not isinstance(spec, dict):
             raise ConfigError(f"scheme must be an object, got {spec!r}")
+
+        def optional(v):
+            return None if v is None else _num(v)
+
+        read = {"cfl": _num, "dt": optional, "r_jump": optional,
+                "min_time_steps": lambda v: _int(v, "scheme.min_time_steps")}
         try:
-            return SchemeConfig(
-                cfl=_num(spec.get("cfl", 0.4)),
-                dt=(None if spec.get("dt") is None else _num(spec["dt"])),
-                min_time_steps=_int(spec.get("min_time_steps", 256), "scheme.min_time_steps"),
-                r_jump=(None if spec.get("r_jump") is None else _num(spec["r_jump"])),
-            )
+            return SchemeConfig(**{k: f(spec[k]) for k, f in read.items() if k in spec})
         except ValueError as exc:
             raise ConfigError(f"bad scheme spec: {exc}") from exc
 

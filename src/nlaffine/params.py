@@ -296,35 +296,34 @@ class AffineParameter:
 
     beta: (d+1, d) array, rows beta_0..beta_d
     alpha: (d+1, d, d) array of symmetric matrices alpha_0..alpha_d
-    nu: tuple of d+1 AtomicLevyMeasure
+    nu: tuple of d+1 AtomicLevyMeasure, or None for no jumps
+
+    This constructor is the one place that decides what a valid tuple is.
     """
 
     __slots__ = ("dim", "beta", "alpha", "nu")
 
-    def __init__(self, beta, alpha, nu):
+    def __init__(self, beta, alpha, nu=None):
         beta = np.asarray(beta, dtype=float)
-        if beta.ndim == 1:  # scalar case given as flat d+1 values
-            beta = beta[:, None]
-        d = beta.shape[1]
-        if beta.shape != (d + 1, d):
+        if beta.ndim != 2 or beta.shape[0] != beta.shape[1] + 1:
             raise DimensionError(f"beta must have shape (d+1, d), got {beta.shape}")
+        d = beta.shape[1]
         if d not in (1, 2):
             raise DimensionError(f"dimension must be 1 or 2, got {d}")
         alpha = np.asarray(alpha, dtype=float)
-        if alpha.ndim == 1:
-            alpha = alpha[:, None, None]
         if alpha.shape != (d + 1, d, d):
             raise DimensionError(f"alpha must have shape (d+1, d, d), got {alpha.shape}")
-        sym_gap = np.max(np.abs(alpha - np.transpose(alpha, (0, 2, 1)))) if d > 1 else 0.0
+        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(alpha))):
+            raise ValueError("beta and alpha must be finite")
+        sym_gap = np.max(np.abs(alpha - np.transpose(alpha, (0, 2, 1))))
         if sym_gap > 1e-9:
             raise ValueError(f"alpha components must be symmetric (gap {sym_gap:.3e})")
         alpha = 0.5 * (alpha + np.transpose(alpha, (0, 2, 1)))
-        nu = tuple(nu)
+        nu = (AtomicLevyMeasure.empty(d),) * (d + 1) if nu is None else tuple(nu)
         if len(nu) != d + 1:
-            raise DimensionError(f"need d+1 jump measures, got {len(nu)}")
-        for m in nu:
-            if m.dim != d:
-                raise DimensionError("jump measure dimension mismatch")
+            raise DimensionError(f"need {d + 1} jump measures, got {len(nu)}")
+        if any(m.dim != d for m in nu):
+            raise DimensionError("jump measure dimension mismatch")
         self.dim = d
         self.beta = beta
         self.beta.setflags(write=False)
@@ -334,19 +333,15 @@ class AffineParameter:
 
     @classmethod
     def zero(cls, dim: int) -> "AffineParameter":
-        return cls(
-            np.zeros((dim + 1, dim)),
-            np.zeros((dim + 1, dim, dim)),
-            tuple(AtomicLevyMeasure.empty(dim) for _ in range(dim + 1)),
-        )
+        return cls(np.zeros((dim + 1, dim)), np.zeros((dim + 1, dim, dim)))
 
     @classmethod
     def scalar(cls, beta0=0.0, beta1=0.0, alpha0=0.0, alpha1=0.0,
                nu0=None, nu1=None) -> "AffineParameter":
         """Convenience constructor for d = 1."""
-        nu0 = nu0 if nu0 is not None else AtomicLevyMeasure.empty(1)
-        nu1 = nu1 if nu1 is not None else AtomicLevyMeasure.empty(1)
-        return cls([[beta0], [beta1]], [[[alpha0]], [[alpha1]]], (nu0, nu1))
+        empty = AtomicLevyMeasure.empty(1)
+        return cls([[beta0], [beta1]], [[[alpha0]], [[alpha1]]],
+                   (empty if nu0 is None else nu0, empty if nu1 is None else nu1))
 
     def convex_combination(self, other: "AffineParameter", lam: float) -> "AffineParameter":
         """(1 - lam) * self + lam * other."""
@@ -399,7 +394,9 @@ class FiniteParameterSet:
 
 class CoefficientBox(FiniteParameterSet):
     """Independent closed intervals for every scalar drift/diffusion
-    coefficient, crossed with a finite list of jump-measure tuples.
+    coefficient, crossed with a finite list of jump-measure tuples.  The
+    corners (beta_lo, alpha_lo) and (beta_hi, alpha_hi) are checked as
+    AffineParameter tuples, and each jump tuple as its vertices are built.
 
     The vertices, enumerated once here, are the Cartesian product of the
     free (non-degenerate) interval endpoints with the listed jump tuples:
@@ -409,36 +406,19 @@ class CoefficientBox(FiniteParameterSet):
 
     def __init__(self, beta_lo, beta_hi, alpha_lo, alpha_hi, nu_tuples=None,
                  vertex_cap: int = DEFAULT_VERTEX_CAP):
-        beta_lo = np.asarray(beta_lo, dtype=float)
-        beta_hi = np.asarray(beta_hi, dtype=float)
-        if beta_lo.ndim == 1:
-            beta_lo, beta_hi = beta_lo[:, None], beta_hi[:, None]
-        d = beta_lo.shape[1]
-        alpha_lo = np.asarray(alpha_lo, dtype=float)
-        alpha_hi = np.asarray(alpha_hi, dtype=float)
-        if alpha_lo.ndim == 1:
-            alpha_lo, alpha_hi = alpha_lo[:, None, None], alpha_hi[:, None, None]
-        if beta_lo.shape != (d + 1, d) or beta_hi.shape != (d + 1, d):
-            raise DimensionError("beta bounds must have shape (d+1, d)")
-        if alpha_lo.shape != (d + 1, d, d) or alpha_hi.shape != (d + 1, d, d):
-            raise DimensionError("alpha bounds must have shape (d+1, d, d)")
-        if np.any(beta_lo > beta_hi) or np.any(alpha_lo > alpha_hi):
+        lo, hi = AffineParameter(beta_lo, alpha_lo), AffineParameter(beta_hi, alpha_hi)
+        d = lo.dim
+        if hi.dim != d:
+            raise DimensionError(f"box corners have dimensions {d} and {hi.dim}")
+        if np.any(lo.beta > hi.beta) or np.any(lo.alpha > hi.alpha):
             raise ValueError("interval lower bounds exceed upper bounds")
-        for arr in (alpha_lo, alpha_hi):
-            if d > 1 and np.max(np.abs(arr - np.transpose(arr, (0, 2, 1)))) > 1e-9:
-                raise ValueError("alpha bounds must be symmetric")
-        if nu_tuples is None:
-            nu_tuples = [tuple(AtomicLevyMeasure.empty(d) for _ in range(d + 1))]
-        nu_tuples = [tuple(t) for t in nu_tuples]
-        for t in nu_tuples:
-            if len(t) != d + 1 or any(m.dim != d for m in t):
-                raise DimensionError("jump tuple dimension mismatch")
+        nu_tuples = [None] if nu_tuples is None else list(nu_tuples)
         # free coordinates in a fixed order: beta entries (component, coord),
         # then alpha upper-triangle entries (component, i, j)
         free = [("beta", c, i, 0) for c in range(d + 1) for i in range(d)
-                if beta_lo[c, i] != beta_hi[c, i]]
+                if lo.beta[c, i] != hi.beta[c, i]]
         free += [("alpha", c, i, j) for c in range(d + 1) for i in range(d)
-                 for j in range(i, d) if alpha_lo[c, i, j] != alpha_hi[c, i, j]]
+                 for j in range(i, d) if lo.alpha[c, i, j] != hi.alpha[c, i, j]]
         count = (1 << len(free)) * len(nu_tuples)
         if count > vertex_cap:
             raise ValueError(
@@ -447,15 +427,14 @@ class CoefficientBox(FiniteParameterSet):
             )
         vertices = []
         for nu in nu_tuples:
-            for ends in itertools.product((False, True), repeat=len(free)):
-                beta, alpha = beta_lo.copy(), alpha_lo.copy()
+            for ends in itertools.product((lo, hi), repeat=len(free)):
+                beta, alpha = lo.beta.copy(), lo.alpha.copy()
                 # product toggles its last factor fastest: that is free[0]
-                for hi, (kind, c, i, j) in zip(reversed(ends), free):
+                for end, (kind, c, i, j) in zip(reversed(ends), free):
                     if kind == "beta":
-                        beta[c, i] = (beta_hi if hi else beta_lo)[c, i]
+                        beta[c, i] = end.beta[c, i]
                     else:
-                        val = (alpha_hi if hi else alpha_lo)[c, i, j]
-                        alpha[c, i, j] = alpha[c, j, i] = val
+                        alpha[c, i, j] = alpha[c, j, i] = end.alpha[c, i, j]
                 vertices.append(AffineParameter(beta, alpha, nu))
         super().__init__(vertices)
 

@@ -92,6 +92,13 @@ class TestConfigParsing:
         box = ExperimentConfig.from_dict(raw).theta_set().vertices()
         assert len(box) == 1 and np.array_equal(box[0].alpha, full.alpha)
 
+    def test_scheme_defaults_come_from_scheme_config(self, tmp_path):
+        raw = base_config(tmp_path)
+        del raw["scheme"]
+        assert ExperimentConfig.from_dict(raw).scheme() == nl.SchemeConfig()
+        raw["scheme"] = {"dt": None, "min_time_steps": 64}
+        assert ExperimentConfig.from_dict(raw).scheme() == nl.SchemeConfig(min_time_steps=64)
+
     def test_unknown_example_rejected(self, tmp_path):
         raw = base_config(tmp_path)
         raw["parameter_set"] = {"kind": "example", "name": "nope"}
@@ -388,6 +395,55 @@ def _ragged_alpha(raw):
     raw["parameter_set"]["parameter"]["alpha"] = [[0.5, 0.7], [0.0]]
 
 
+def _box(raw, **fields):
+    """A 1-D box with alpha_0 in [0.25, 1]; keyword arguments replace fields."""
+    raw["parameter_set"] = {"kind": "box", "beta_lo": [[0.0], [0.0]],
+                            "beta_hi": [[0.0], [0.0]],
+                            "alpha_lo": [[[0.25]], [[0.0]]],
+                            "alpha_hi": [[[1.0]], [[0.0]]], **fields}
+
+
+def _plane(raw, dim=2):
+    raw["dimension"] = dim
+    raw["grid"] = {"lower": [-1.0] * dim, "upper": [1.0] * dim, "nodes": [11] * dim}
+    raw["sim"]["x0"] = [0.0] * dim
+
+
+def _box_corners_of_two_dimensions(raw):
+    _box(raw, beta_hi=[[0.0, 0.0]] * 3)
+
+
+def _dimension_three(raw):
+    _plane(raw, dim=3)
+    zero = np.zeros((3, 3)).tolist()
+    _box(raw, beta_lo=[[0.0] * 3] * 4, beta_hi=[[0.0] * 3] * 4,
+         alpha_lo=[zero] * 4, alpha_hi=[np.eye(3).tolist()] + [zero] * 3)
+
+
+def _asymmetric_box_alpha_2d(raw):
+    _plane(raw)
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    _box(raw, beta_lo=[[0.0, 0.0]] * 3, beta_hi=[[0.0, 0.0]] * 3,
+         alpha_lo=[[[0.25, 0.1], [0.0, 0.25]], zero, zero],
+         alpha_hi=[[[1.0, 0.1], [0.1, 1.0]], zero, zero])
+
+
+def _jump_tuple_of_three(raw):
+    _box(raw, nu_tuples=[[[], [], []]])
+
+
+def _jump_tuple_of_dimension_two(raw):
+    _box(raw, nu_tuples=[[[[[0.5, 0.5], 1.0]], []]])
+
+
+def _box_lo_above_hi(raw):
+    _box(raw, beta_lo=[[1.0], [0.0]])
+
+
+def _three_jump_measures(raw):
+    raw["parameter_set"]["parameter"]["nu"] = [[], [], []]
+
+
 def _unknown_payoff(raw):
     raw["payoff"] = {"name": "nope"}
 
@@ -443,6 +499,15 @@ class TestErrorContract:
         (_boolean_grid_lower, "bad grid spec: expected a number, got True"),
         (_boolean_box_alpha, "expected a number, got True"),
         (_ragged_alpha, "expected coefficients of shape (2, 1, 1), got [[0.5, 0.7], [0.0]]"),
+        (_box_corners_of_two_dimensions, "expected coefficients of shape (2, 1), got "
+                                         "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"),
+        (_dimension_three, "bad grid spec: grids are supported in one and two dimensions"),
+        (_asymmetric_box_alpha_2d, "bad parameter_set: alpha components must be "
+                                   "symmetric (gap 1.000e-01)"),
+        (_jump_tuple_of_three, "bad parameter_set: need 2 jump measures, got 3"),
+        (_jump_tuple_of_dimension_two, "atom [0.5, 0.5] does not have dimension 1"),
+        (_box_lo_above_hi, "bad parameter_set: interval lower bounds exceed upper bounds"),
+        (_three_jump_measures, "bad parameter_set: need 2 jump measures, got 3"),
         (_unknown_payoff, "config error: unknown payoff 'nope'; available: "),
         (_numeric_output_dir, "output_dir must be a string, got 5"),
         (_list_payoff_name, "config error: unknown payoff ['min_cap']; available: "),
@@ -738,6 +803,13 @@ class TestCompareCommand:
         ("nan_x0", "estimate.json: x0 must be finite, got [nan]"),
         ("nan_mean", "estimate.json: mean must be finite, got nan"),
         ("inf_se", "estimate.json: se must be finite, got inf"),
+        ("meta_missing", "meta.json with the surface config hash not found; "
+                         "rerun solve or pass --force"),
+        ("hash_mismatch", "surface and estimate come from different configs "
+                          "(hash mismatch); pass --force to compare anyway"),
+        ("t_off_surface", "surface carries no layer at t = 0.123456"),
+        ("x0_off_grid", "x0 is not a node of the surface grid; "
+                        "pass --interpolate to allow interpolation"),
     ])
     def test_bad_inputs_exit_2_with_one_line(self, tmp_path, capsys, edit, message):
         out = self.run_pair(tmp_path, paths=300)
@@ -757,6 +829,14 @@ class TestCompareCommand:
         elif edit.startswith(("nan_", "inf_")):
             bad = float(edit[:3])
             est[edit[4:]] = [bad] if edit == "nan_x0" else bad
+        elif edit == "meta_missing":
+            (out / "meta.json").unlink()
+        elif edit == "hash_mismatch":
+            est["config_hash"] = "deadbeef"
+        elif edit == "t_off_surface":
+            est["t"] = 0.123456
+        elif edit == "x0_off_grid":
+            est["x0"] = [0.012]  # not a node of the 0.05-spaced grid
         surface.write_text("".join(lines))
         estimate.write_text("{" if edit == "estimate_not_json" else json.dumps(est))
         capsys.readouterr()
@@ -764,6 +844,17 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
+
+    def test_interpolation_on_2d_surface_exits_2_with_one_line(self, tmp_path, capsys):
+        surface = small_surface(2)
+        surface.to_csv(tmp_path / "surface.csv")
+        (tmp_path / "estimate.json").write_text(json.dumps(
+            {"t": surface.n_steps * surface.dt, "x0": [0.05, 0.0], "mean": 0.0, "se": 0.0}))
+        assert main(["compare", "--surface", str(tmp_path / "surface.csv"),
+                     "--estimate", str(tmp_path / "estimate.json"),
+                     "--force", "--interpolate"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: interpolation is only supported on 1-D surfaces\n"
 
     def test_matched_run_brackets(self, tmp_path):
         out = self.run_pair(tmp_path)

@@ -465,6 +465,70 @@ class TestVertexEnumeration:
         ]
 
 
+def _box(d=1, nu_tuples=None, **corners):
+    """A box with alpha_0 in [0.25, 1] * I and every other bound 0; keyword
+    arguments replace corners."""
+    bounds = dict(beta_lo=np.zeros((d + 1, d)), beta_hi=np.zeros((d + 1, d)),
+                  alpha_lo=np.zeros((d + 1, d, d)), alpha_hi=np.zeros((d + 1, d, d)))
+    bounds["alpha_lo"][0] = 0.25 * np.eye(d)
+    bounds["alpha_hi"][0] = np.eye(d)
+    bounds.update(corners)
+    return nl.CoefficientBox(nu_tuples=nu_tuples, **bounds)
+
+
+EMPTY1 = nl.AtomicLevyMeasure.empty(1)
+EMPTY2 = nl.AtomicLevyMeasure.empty(2)
+ZERO2 = np.zeros((2, 2))
+
+
+class TestOneValidator:
+    """AffineParameter decides what a valid tuple is, for a tuple given
+    directly and for the corners and vertices of a box."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: _box(beta_hi=np.zeros((3, 2)), alpha_hi=np.zeros((3, 2, 2))),
+         DimensionError, "box corners have dimensions 1 and 2"),
+        (lambda: _box(d=3), DimensionError, "dimension must be 1 or 2, got 3"),
+        (lambda: _box(d=2, alpha_lo=np.array([[[0.25, 0.1], [0.0, 0.25]]] + [ZERO2] * 2)),
+         ValueError, "alpha components must be symmetric (gap 1.000e-01)"),
+        (lambda: _box(nu_tuples=[(EMPTY1,) * 3]), DimensionError, "need 2 jump measures, got 3"),
+        (lambda: _box(nu_tuples=[(EMPTY2, EMPTY2)]), DimensionError,
+         "jump measure dimension mismatch"),
+        (lambda: _box(beta_lo=np.array([[1.0], [0.0]])), ValueError,
+         "interval lower bounds exceed upper bounds"),
+        (lambda: _box(beta_hi=np.array([[np.inf], [0.0]])), ValueError,
+         "beta and alpha must be finite"),
+        (lambda: nl.AffineParameter([0.1, 0.0], [0.5, 0.0], (EMPTY1, EMPTY1)),
+         DimensionError, "beta must have shape (d+1, d), got (2,)"),
+        (lambda: nl.AffineParameter([[0.1], [0.0]], [0.5, 0.0]),
+         DimensionError, "alpha must have shape (d+1, d, d), got (2,)"),
+        # an infinite drift made solve divide by a zero stable step; a NaN
+        # drift made lower_bound_sublinear return NaN without an error
+        (lambda: nl.AffineParameter.scalar(beta0=np.inf), ValueError,
+         "beta and alpha must be finite"),
+        (lambda: nl.AffineParameter.scalar(beta0=np.nan), ValueError,
+         "beta and alpha must be finite"),
+        (lambda: nl.AffineParameter.scalar(alpha1=np.nan), ValueError,
+         "beta and alpha must be finite"),
+    ])
+    def test_malformed_input_raises(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert message in str(info.value)
+
+    def test_omitted_nu_means_no_jumps(self):
+        theta = nl.AffineParameter(np.zeros((3, 2)), np.zeros((3, 2, 2)))
+        assert theta.nu == (EMPTY2,) * 3
+
+    def test_box_bounds_within_tolerance_are_symmetrised(self):
+        lo = np.array([[[0.25, 0.1], [0.1 + 4e-10, 0.25]]] + [ZERO2] * 2)
+        hi = np.array([[[1.0, 0.2], [0.2, 1.0]]] + [ZERO2] * 2)
+        ps = _box(d=2, alpha_lo=lo, alpha_hi=hi)
+        got = sorted({(v.alpha[0, 0, 1], v.alpha[0, 1, 0]) for v in ps.vertices()})
+        mid = 0.5 * (0.1 + (0.1 + 4e-10))
+        assert len(ps) == 8 and got == [(mid, mid), (0.2, 0.2)]
+
+
 class TestGrowthBound:
     def test_consistency_with_parts(self):
         rng = np.random.default_rng(8)
