@@ -5,8 +5,7 @@ the uniqueness gate for hat-mode solves."""
 from __future__ import annotations
 
 import datetime
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +52,6 @@ class ConditionReport:
         if not self.timestamp:
             self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def to_json(self) -> str:
-        return json.dumps(jsonable(asdict(self)), indent=2, sort_keys=True)
-
 
 def check_comparison_conditions(theta_set: FiniteParameterSet, sample_box,
                                 n_samples: int = 200,
@@ -89,8 +85,8 @@ def check_comparison_conditions(theta_set: FiniteParameterSet, sample_box,
         a = hat.coefficients(theta).diffusion(xs)
         top = np.clip(np.linalg.eigvalsh(a)[:, -1], 0.0, None)
         b = affine_at(theta.beta, xs)
-        local_sup = max(local_sup, float(np.max(np.linalg.norm(b, axis=1) + np.sqrt(top),
-                                                initial=0.0)))
+        b_norm = np.hypot.reduce(np.abs(b), axis=1)  # |b| at d = 1: no squares to overflow
+        local_sup = max(local_sup, float(np.max(b_norm + np.sqrt(top), initial=0.0)))
         jump_sup = max(jump_sup, sum(jump_tails(theta.nu[0], 1.0)))
     clauses["boundedness"] = {
         "status": "pass" if np.isfinite(local_sup) and np.isfinite(jump_sup) else "fail",

@@ -102,27 +102,11 @@ def measure_from_json(mj, dim: int) -> AtomicLevyMeasure:
     return AtomicLevyMeasure(atoms, weights, dim=dim)
 
 
-def measure_to_json(m: AtomicLevyMeasure) -> list:
-    out = []
-    for z, w in zip(m.atoms, m.weights):
-        zc = float(z[0]) if m.dim == 1 else [float(c) for c in z]
-        out.append([zc, float(w)])
-    return out
-
-
 def theta_from_json(tj: dict, dim: int) -> AffineParameter:
     beta = _coefficients(tj["beta"], (dim + 1, dim))
     alpha = _coefficients(tj["alpha"], (dim + 1, dim, dim))
     nu = [measure_from_json(mj, dim) for mj in tj["nu"]] if "nu" in tj else None
     return AffineParameter(beta, alpha, nu)
-
-
-def theta_to_json(theta: AffineParameter) -> dict:
-    return {
-        "beta": theta.beta.tolist(),
-        "alpha": theta.alpha.tolist(),
-        "nu": [measure_to_json(m) for m in theta.nu],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@ registry's drift authoring share params.truncation_moment, so a registry
 tuple has a net drift of exactly zero and a path started on the boundary of
 the half-line leaves it only by a jump.
 
-Each path owns a counter-based random stream keyed by (base seed, path
-index): results are bitwise reproducible and independent of the number of
-paths simulated alongside.  So a batch's draws depend only on the draw class
+Block k of BLOCK = 1,024 paths owns the counter-based random stream
+Philox(key=(base seed, k)), one sub-stream per kind of draw, each kind
+drawn for the block's rows in one call: path i's draws depend only on
+(base seed, i // BLOCK, i % BLOCK), so results are bitwise reproducible and
+independent of the batch size and of the number of paths simulated
+alongside.  So a batch's draws depend only on the draw class
 (seed, batch start, batch size, steps, d, has_diffusion, lam_bar * dt), and
 lower_bound_sublinear steps the vertices of one class on one shared,
 read-only draw set per batch (common random numbers): each vertex's result
@@ -85,7 +88,7 @@ class PathBundle:
     terminal: np.ndarray          # (N, d)
     running_sup: np.ndarray       # (N,) sup_s |X_s - X_0|
     exit_time: np.ndarray         # (N,) float; nan when the path never left
-    seeds: np.ndarray             # (N,) per-path stream labels
+    seeds: np.ndarray             # (N,) labels mixed from (seed, path), not stream keys
     flagged: np.ndarray           # (N,) left the clamp box; frozen and counted
     no_jump_exit_count: int       # exits recorded on steps without a jump event
     thinning_proposed: int        # candidate jump events at rate lam_bar on live paths
@@ -119,6 +122,17 @@ def _path_seed_labels(seed: int, count: int) -> np.ndarray:
     mix = np.uint64(0x9E3779B97F4A7C15)
     with np.errstate(over="ignore"):  # modular 64-bit mixing is intended
         return (np.uint64(seed) * mix + idx) * mix
+
+
+BLOCK = 1024  # paths per Philox key (seed, block)
+_KINDS = ("normal", "count", "uniform")  # sub-stream i starts 2**128 * i counter steps in
+
+
+def _substream(rng: np.random.Generator, fresh: dict, kind: str) -> np.random.Generator:
+    """rng reset to its fresh state and moved to the start of `kind`'s sub-stream."""
+    rng.bit_generator.state = fresh
+    rng.bit_generator.advance(_KINDS.index(kind) << 128)
+    return rng
 
 
 def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -179,35 +193,41 @@ def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
     lam_dt > 0, candidate jump counts (B, n_steps) of mean lam_dt and two
     uniforms per candidate in `pool`, path i's from pool_off[i] on.  Absent
     draws are None.  The set depends on these arguments alone, so every
-    vertex of one draw class can step on it; its arrays are read-only."""
+    vertex of one draw class can step on it; its arrays are read-only.
+    Block k's paths draw from Philox(key=(seed, k)), each kind from its own
+    sub-stream in one path-major call into the batch's array: a batch that
+    covers rows s .. e - 1 of a block draws the block's first e rows of each
+    kind, the first s into a scratch array."""
     Z = counts = pool = pool_off = None
     if n_steps and (has_diffusion or lam_dt > 0.0):
         if has_diffusion:
-            Z = np.empty((B, n_steps, d))  # path-major: one draw fills a row
+            Z = np.empty((B, n_steps, d))
         if lam_dt > 0.0:
             counts = np.empty((B, n_steps), dtype=np.int64)
-            pools = []
-        # per-path counter-based streams, fixed draw pattern: a Philox
-        # stream is fixed by its key alone, so one bit generator re-keyed
-        # to (seed, path) and reset to its fresh state per path draws
-        # exactly what a generator built for that path would
-        bitgen = np.random.Philox(key=np.array([seed, b0], dtype=np.uint64))
-        rng = np.random.Generator(bitgen)
-        fresh = bitgen.state
-        key = fresh["state"]["key"]
-        for i in range(B):
-            key[1] = b0 + i
-            bitgen.state = fresh
-            if Z is not None:
-                rng.standard_normal(out=Z[i])
-            if counts is not None:
-                c = rng.poisson(lam_dt, n_steps)
-                counts[i] = c
-                pools.append(rng.random(2 * sum(c.tolist())))
+        blocks = []  # (generator, fresh state, skipped rows, batch rows) per block
+        for k in range(b0 // BLOCK, (b0 + B - 1) // BLOCK + 1):
+            start, stop = max(b0, k * BLOCK), min(b0 + B, (k + 1) * BLOCK)
+            key = np.array([seed, k], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            blocks.append((rng, rng.bit_generator.state, start - k * BLOCK,
+                           slice(start - b0, stop - b0)))
+        if Z is not None:
+            for rng, fresh, skip, rows in blocks:
+                _substream(rng, fresh, "normal").standard_normal((skip, n_steps, d))
+                rng.standard_normal(out=Z[rows])
         if counts is not None:
+            skipped = []  # candidates of each block's skipped rows
+            for rng, fresh, skip, rows in blocks:
+                skipped.append(int(_substream(rng, fresh, "count").poisson(
+                    lam_dt, (skip, n_steps)).sum()))
+                counts[rows] = rng.poisson(lam_dt, counts[rows].shape)
             lens = 2 * counts.sum(axis=1)
-            pool_off = np.cumsum(lens) - lens
-            pool = np.concatenate(pools)
+            ends = np.cumsum(lens)
+            pool_off = ends - lens
+            pool = np.empty(int(ends[-1]))
+            for (rng, fresh, skip, rows), n_skip in zip(blocks, skipped):
+                _substream(rng, fresh, "uniform").random(2 * n_skip)
+                rng.random(out=pool[pool_off[rows.start]:ends[rows.stop - 1]])
     drawn = (Z, counts, pool, pool_off)
     for a in drawn:
         if a is not None:

@@ -510,7 +510,7 @@ def growth_norm(theta: AffineParameter, component: str) -> float:
     """
     lin = linear_part_norm(theta, component)
     if component == "beta":
-        return max(float(np.linalg.norm(theta.beta[0])), lin)
+        return max(float(np.hypot.reduce(np.abs(theta.beta[0]))), lin)  # no squares to overflow
     if component == "alpha":
         return max(spectral_norm(theta.alpha[0]), lin)
     return max(theta.nu[0].norm(), lin)

@@ -18,9 +18,7 @@ from nlaffine.config import (
     compound_poisson_set,
     generalized_compound_poisson_set,
     measure_from_json,
-    measure_to_json,
     theta_from_json,
-    theta_to_json,
 )
 
 
@@ -112,11 +110,15 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(raw)
 
     def test_measure_and_theta_json_round_trip(self):
+        def measure_json(m):
+            return conditions.jsonable(list(zip(m.atoms, m.weights)))
+
         m = nl.AtomicLevyMeasure([[0.125], [2.5]], [0.1, -0.75])
-        assert measure_from_json(measure_to_json(m), 1) == m
+        assert measure_from_json(json.loads(json.dumps(measure_json(m))), 1) == m
         theta = nl.AffineParameter.scalar(beta0=0.1, beta1=-0.2, alpha0=0.3,
                                           nu0=m)
-        tj = theta_to_json(theta)
+        tj = conditions.jsonable({"beta": theta.beta, "alpha": theta.alpha,
+                                  "nu": [measure_json(n) for n in theta.nu]})
         back = theta_from_json(json.loads(json.dumps(tj)), 1)
         assert np.array_equal(back.beta, theta.beta)
         assert np.array_equal(back.alpha, theta.alpha)

@@ -1,13 +1,24 @@
 import json
+import warnings
+from dataclasses import asdict
 
 import numpy as np
+import pytest
 
 import nlaffine as nl
+from nlaffine import cli
 from nlaffine.config import compound_poisson_set
 
 
-def report_content(report):
-    d = json.loads(report.to_json())
+def report_json(report, tmp_path) -> str:
+    """report as the CLI writes it to report.json."""
+    path = tmp_path / "report.json"
+    cli._write_json(path, asdict(report))
+    return path.read_text()
+
+
+def report_content(report, tmp_path):
+    d = json.loads(report_json(report, tmp_path))
     d.pop("timestamp")
     return d
 
@@ -38,7 +49,7 @@ class TestComparisonConditions:
         rep = nl.check_comparison_conditions(ps, ([-1.0], [1.0]), n_samples=40)
         assert rep.clauses["continuity"]["drift_lipschitz"] == 1.7
 
-    def test_sqrt_kink_flags_continuity(self):
+    def test_sqrt_kink_flags_continuity(self, tmp_path):
         theta = nl.AffineParameter.scalar(alpha1=1.0)  # a(x) = x+, kink at 0
         ps = nl.FiniteParameterSet([theta])
         rep = nl.check_comparison_conditions(ps, ([-1.0], [4.0]), n_samples=60)
@@ -46,22 +57,23 @@ class TestComparisonConditions:
         assert rep.clauses["continuity"]["status"] == "fail"
         assert rep.clauses["continuity"]["sqrt_diffusion_lipschitz"] == np.inf
         assert rep.witnesses == [{"clause": "continuity", "state": [-1.0], "vertex": 0}]
-        assert json.loads(rep.to_json())["clauses"]["continuity"][
+        assert json.loads(report_json(rep, tmp_path))["clauses"]["continuity"][
             "sqrt_diffusion_lipschitz"] == "inf"
 
-    def test_deterministic_given_inputs(self):
+    def test_deterministic_given_inputs(self, tmp_path):
         h = nl.TruncationFunction(1.0)
         m = nl.AtomicLevyMeasure([[1.0]], [1.0])
         ps = compound_poisson_set([0.5, 1.0], [m], h)
         r1 = nl.check_comparison_conditions(ps, ([-2.0], [2.0]), n_samples=50, seed=3)
         r2 = nl.check_comparison_conditions(ps, ([-2.0], [2.0]), n_samples=50, seed=3)
-        assert report_content(r1) == report_content(r2)
+        assert report_content(r1, tmp_path) == report_content(r2, tmp_path)
 
-    def test_json_stable_key_order(self):
+    def test_json_stable_key_order(self, tmp_path):
         ps = nl.FiniteParameterSet([nl.AffineParameter.zero(1)])
         rep = nl.check_comparison_conditions(ps, ([-1.0], [1.0]), n_samples=20)
-        assert rep.to_json() == rep.to_json()
-        keys = list(json.loads(rep.to_json()))
+        text = report_json(rep, tmp_path)
+        assert report_json(rep, tmp_path) == text
+        keys = list(json.loads(text))
         assert keys == sorted(keys)
 
 
@@ -108,6 +120,21 @@ class TestUniquenessGate:
         ps = nl.FiniteParameterSet([theta])
         rep = nl.uniqueness_gate(ps, ([-1.0], [4.0]), n_samples=60)
         assert rep.status == "fail"
+
+    @pytest.mark.parametrize("beta0", [[1e200], [3e200, -4e200]])
+    def test_huge_drift_does_not_overflow(self, beta0):
+        d = len(beta0)
+        beta = np.zeros((d + 1, d))
+        beta[0] = beta0
+        ps = nl.FiniteParameterSet([nl.AffineParameter(beta, np.zeros((d + 1, d, d)))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = nl.uniqueness_gate(ps, ([-1.0] * d, [1.0] * d), n_samples=20)
+        bounds = rep.clauses["coefficient_bounds"]
+        boundedness = rep.clauses["comparison"]["boundedness"]
+        assert bounds["status"] == boundedness["status"] == rep.status == "pass"
+        assert bounds["growth"] == boundedness["local_sup"] == pytest.approx(
+            [1e200, 5e200][d - 1], rel=1e-15)
 
     def test_gate_pass_implies_linear_bound(self):
         rng = np.random.default_rng(19)

@@ -24,7 +24,7 @@ def unit_jump_theta(lam=1.0, h=None):
     return nl.AffineParameter.scalar(beta0=b0, nu0=m)
 
 
-def jump_diffusion_stream(batch_size):
+def jump_diffusion_stream(batch_size, n_paths=250):
     """Diffusion plus two atoms, one with a state-dependent weight, started
     near the half-line boundary: thinning rejects and paths exit."""
     theta = nl.AffineParameter.scalar(
@@ -32,7 +32,8 @@ def jump_diffusion_stream(batch_size):
         nu0=nl.AtomicLevyMeasure([[0.5], [-0.3]], [0.4, 0.6]),
         nu1=nl.AtomicLevyMeasure([[0.5]], [0.3]),
     )
-    cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=250, seed=77, batch_size=batch_size)
+    cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=n_paths, seed=77,
+                       batch_size=batch_size)
     return nl.simulate_paths(theta, [0.3], cfg, HALF)
 
 
@@ -114,12 +115,12 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("batch_size", [64, 250])
     def test_stream_golden_digest(self, batch_size):
-        """Pins the draws of every path: recorded when each path built its
-        own Generator(Philox(key=(seed, index)))."""
+        """Pins the draws of every path: recorded with one Philox stream
+        per (seed, 1,024-path block) and a sub-stream per kind of draw."""
         b = jump_diffusion_stream(batch_size)
         assert np.any(np.isnan(b.exit_time)) and not np.all(np.isnan(b.exit_time))
         assert stream_digest(b) == (
-            "89b9f2f9a04b03fe878e6a38fb3b2f87ad8dc6481e9a34d94b8e859ad53eae20")
+            "bf6c27560e395143a856f0ed6242edd6aa7cfca361339328dc4a47c6f559d391")
 
     def test_one_bit_generator_per_batch(self, monkeypatch):
         built = []
@@ -132,6 +133,65 @@ class TestReproducibility:
         monkeypatch.setattr(np.random, "Philox", counting)
         jump_diffusion_stream(64)
         assert 1 <= len(built) <= math.ceil(250 / 64)
+
+
+class TestBlockKeys:
+    """Path i's draws depend only on (seed, i // BLOCK, i % BLOCK): 2,500
+    paths cross two block boundaries."""
+
+    @staticmethod
+    def bundle_bytes(tmp_path, batch_size, n_paths=2500):
+        p = tmp_path / f"bundle_{batch_size}_{n_paths}.csv"
+        bundle_to_csv(jump_diffusion_stream(batch_size, n_paths), p)
+        return p.read_bytes()
+
+    def test_block_stream_is_the_documented_key(self):
+        # rows 0-9 of block 1: Philox(key=(seed, 1)), kind i advanced i * 2**128
+        def substream(kind):
+            key = np.array([5, 1], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key).advance(kind << 128))
+
+        Z, counts, pool, _ = _draw_batch(5, montecarlo.BLOCK, 10, 4, 1, True, 0.3)
+        assert np.array_equal(Z, substream(0).standard_normal((10, 4, 1)))
+        assert np.array_equal(counts, substream(1).poisson(0.3, (10, 4)))
+        assert np.array_equal(pool, substream(2).random(2 * int(counts.sum())))
+
+    def test_bundle_independent_of_batch_size(self, tmp_path):
+        assert montecarlo.BLOCK == 1024
+        files = [self.bundle_bytes(tmp_path, bs) for bs in (1000, 1024, 2500, 25000)]
+        assert files[0].count(b"\n") == 2501
+        assert all(f == files[0] for f in files[1:])
+
+    def test_prefix_of_a_longer_run(self, tmp_path):
+        longer = self.bundle_bytes(tmp_path, 25000).splitlines()
+        assert self.bundle_bytes(tmp_path, 25000, 1500).splitlines() == longer[:1501]
+
+    def test_a_batch_draws_a_prefix_of_each_block_it_covers(self, monkeypatch):
+        made = []
+
+        class Recording(np.random.Generator):
+            def __init__(self, bitgen):
+                super().__init__(bitgen)
+                self.rows = {"normal": 0, "count": 0}
+                made.append(self)
+
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                self.rows["normal"] += (size if out is None else out.shape)[0]
+                return super().standard_normal(size, dtype=dtype, out=out)
+
+            def poisson(self, lam=1.0, size=None):
+                self.rows["count"] += size[0]
+                return super().poisson(lam, size)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        jump_diffusion_stream(1000, 2500)
+        # batch [0, 1000) draws block 0's first 1000 rows; [1000, 2000) all
+        # of block 0 and block 1's first 976; [2000, 2500) all of block 1
+        # and block 2's first 452
+        drawn = [(int(g.bit_generator.state["state"]["key"][1]), g.rows["normal"])
+                 for g in made]
+        assert drawn == [(0, 1000), (0, 1024), (1, 976), (1, 1024), (2, 452)]
+        assert all(g.rows["count"] == g.rows["normal"] for g in made)
 
 
 class TestExitBehaviour:
@@ -418,7 +478,7 @@ class TestSharedDraws:
         ps = nl.FiniteParameterSet(interleaved_classes().vertices()[:2])
         cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8, batch_size=128)
         nl.lower_bound_sublinear(ps, [0.2], nl.make_payoff("square"), 0.5, cfg, FULL)
-        assert built == [[8, b0] for b0 in (0, 128, 256)] * 2
+        assert built == [[8, 0]] * 6  # three batches of block 0 per vertex
 
     def test_one_draw_set_alive(self, monkeypatch):
         alive, refs = [], []
@@ -518,17 +578,17 @@ class TestBundleCsv:
         assert b"\r" not in raw
 
     def test_golden_bytes_half_line_with_exits(self, tmp_path):
-        """sha256 recorded from the row-at-a-time writer; 124 of the 300 paths
-        exit, so the file mixes filled and empty exit_time fields."""
+        """sha256 recorded on the (seed, block)-keyed stream; 128 of the 300
+        paths exit, so the file mixes filled and empty exit_time fields."""
         theta = nl.AffineParameter.scalar(
             beta0=0.1, alpha0=0.3, nu0=nl.AtomicLevyMeasure([[-0.5], [0.3]], [0.6, 0.4]))
         cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=300, seed=21)
         b = nl.simulate_paths(theta, [0.4], cfg, HALF)
-        assert int(np.sum(~np.isnan(b.exit_time))) == 124
+        assert int(np.sum(~np.isnan(b.exit_time))) == 128
         p = tmp_path / "bundle.csv"
         bundle_to_csv(b, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "8cdf7cd47c5a3326e79e06583fd0e278db4cdc035357fc5e26363a39676ee182")
+            "0e4ade33db9d009b4052d9a26efffac67bb93146982a016b4a5d5cb9c833c5bf")
 
     def test_golden_bytes_2d(self, tmp_path):
         theta = nl.AffineParameter(
@@ -545,4 +605,4 @@ class TestBundleCsv:
         assert p.read_bytes().startswith(
             b"path_index,seed,terminal1,terminal2,running_sup,exit_time\n")
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "0a95e04d1e438b367cbeb15d5242382971aee1ebef47e0a55413c84fcd6d5ad5")
+            "d7f7a0a36848f619c823ade04ec4b20da886464d2119604798141334f305c6e7")
