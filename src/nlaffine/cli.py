@@ -58,7 +58,7 @@ def cmd_solve(args) -> int:
         scheme=cfg.scheme(), truncation=cfg.truncation(),
     )
     marched = time.perf_counter()
-    surface.to_csv(os.path.join(out, "surface.csv"))
+    writers = surface.to_csv(os.path.join(out, "surface.csv"))
     written = time.perf_counter()
     meta = {
         "version": __version__,
@@ -82,6 +82,7 @@ def cmd_solve(args) -> int:
             "nodes": list(grid.shape),
         },
         "uniqueness_certified": gate is not None and gate.status == "pass",
+        "surface_writers": writers,
         "wall_time_s": time.perf_counter() - started,
         "timings": {
             "gate_s": gated - started,

@@ -58,7 +58,10 @@ from .params import (
     affine_at,
     min_eigenvalue,
 )
-from .pide import grid_index, step_count
+from .pide import grid_index, step_count, write_chunks
+
+
+BLOCK = 1024  # paths per Philox key (seed, block)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class SimConfig:
     truncation: TruncationFunction = TruncationFunction(1.0)
     clamp_box: tuple | None = None  # (lower, upper); default x0 +- 10 (1 + |x0|)
     store_paths: bool = False
-    batch_size: int = 25000
+    batch_size: int = 24 * BLOCK  # batches start on block boundaries
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < 0 or self.n_paths < 1:
@@ -124,7 +127,6 @@ def _path_seed_labels(seed: int, count: int) -> np.ndarray:
         return (np.uint64(seed) * mix + idx) * mix
 
 
-BLOCK = 1024  # paths per Philox key (seed, block)
 _KINDS = ("normal", "count", "uniform")  # sub-stream i starts 2**128 * i counter steps in
 
 
@@ -491,25 +493,28 @@ def moment_bound_report(theta: AffineParameter, x0, p: float, t_grid,
     )
 
 
-_CSV_BLOCK = 4096  # rows formatted per write; bounds the writer's memory
+_CSV_BLOCK = 4096  # rows per chunk of write_chunks; bounds the writer's memory
 
 
 def bundle_to_csv(bundle: PathBundle, path) -> None:
     """Rows path_index,seed,terminal,running_sup,exit_time (terminal columns
     expand per coordinate for d = 2); LF endings, 17 significant digits, an
     empty exit_time for a path that never left.  Columns are formatted a
-    block of rows at a time."""
+    block of rows at a time, one chunk of write_chunks per block."""
     d = bundle.terminal.shape[1]
     term_cols = ["terminal"] if d == 1 else [f"terminal{i+1}" for i in range(d)]
     header = ["path_index", "seed"] + term_cols + ["running_sup", "exit_time"]
     row = "%d,%d," + "%.17g," * (d + 1) + "%s\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for b0 in range(0, bundle.n_paths, _CSV_BLOCK):
-            block = slice(b0, b0 + _CSV_BLOCK)
-            exits = ["" if math.isnan(e) else "%.17g" % e
-                     for e in bundle.exit_time[block].tolist()]
-            cols = zip(range(b0, b0 + len(exits)), bundle.seeds[block].tolist(),
-                       *bundle.terminal[block].T.tolist(),
-                       bundle.running_sup[block].tolist(), exits)
-            fh.write("".join(map(row.__mod__, cols)))
+
+    def block(k: int) -> bytes:
+        b0 = k * _CSV_BLOCK
+        rows = slice(b0, b0 + _CSV_BLOCK)
+        exits = ["" if math.isnan(e) else "%.17g" % e
+                 for e in bundle.exit_time[rows].tolist()]
+        cols = zip(range(b0, b0 + len(exits)), bundle.seeds[rows].tolist(),
+                   *bundle.terminal[rows].T.tolist(),
+                   bundle.running_sup[rows].tolist(), exits)
+        return "".join(map(row.__mod__, cols)).encode()
+
+    write_chunks(path, (",".join(header) + "\n").encode(), block,
+                 -(-bundle.n_paths // _CSV_BLOCK))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,6 +68,76 @@ def step_count(horizon: float, max_dt: float, floor: int = 0) -> tuple[int, floa
     max_dt, that cover [0, horizon]; horizon 0 takes no step."""
     n = max(floor, 1, math.ceil(horizon / max_dt - 1e-12)) if horizon else 0
     return n, horizon / max(n, 1)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def write_chunks(path, header: bytes, chunk, n: int) -> int:
+    """Write header, chunk(0), ..., chunk(n - 1) to path and return W, the
+    number of processes that formatted the chunks: min(usable_cpus(), n),
+    or 1 where os.fork is missing.
+
+    This process formats the chunks j = 0 mod W.  Forked writer c formats
+    the chunks j = c mod W and sends each, after its 8-byte length, down its
+    own pipe.  The file is written in chunk order, so its bytes do not
+    depend on W, and this process holds at most one chunk at a time.  The
+    path is opened before any fork.  Every writer is reaped before this
+    returns or raises; one that fails or sends short raises OSError."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        w = max(1, min(usable_cpus(), n)) if hasattr(os, "fork") else 1
+        readers, pids = [], []
+        try:
+            for c in range(1, w):
+                r, wr = os.pipe()
+                readers.append(open(r, "rb"))
+                with open(wr, "wb") as out:  # this process's copy closes once forked
+                    pid = os.fork()
+                    if pid == 0:
+                        _writer(out, readers, chunk, range(c, n, w))
+                pids.append(pid)
+            for j in range(n):
+                fh.write(_receive(readers[j % w - 1]) if j % w else chunk(j))
+        finally:
+            for reader in readers:
+                reader.close()  # a writer still sending gets EPIPE and exits
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        if any(codes):
+            raise OSError(f"writer processes of {path} exited with status {codes}")
+    return w
+
+
+def _writer(out, readers, chunk, js) -> None:
+    """A forked writer's whole life: send chunk(j) for j in js down `out`,
+    and leave by os._exit, 1 on any exception, so that no atexit handler
+    runs and no inherited buffer is flushed."""
+    code = 1
+    try:
+        for reader in readers:  # its own read end and those of earlier writers
+            reader.close()
+        for j in js:
+            data = chunk(j)
+            out.write(len(data).to_bytes(8, "little"))
+            out.write(data)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(reader) -> bytes:
+    """The next length-prefixed chunk from a writer's pipe."""
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise OSError("a writer process ended before sending its chunk")
+    return data
 
 
 class Grid:
@@ -188,23 +259,27 @@ class ValueSurface:
         margin = max(self.r_jump, 10.0 * float(np.max(self.grid.dx)))
         return self.grid.interior_mask(margin + extra_margin)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> int:
         """Rows t,x1[,x2],v over all space-time nodes, 17 significant digits,
         LF line endings.  The rows are time-major: one block of grid-node
         rows per layer, in stable node order (x1 outer, x2 inner), with the
         layer time j * dt nondecreasing down the file; `nlaffine compare`
         bisects the file on that order to read one layer.  The node
         coordinates are formatted once, into a template with a time and a
-        value slot per node; each layer is one formatting pass and one write."""
+        value slot per node; each layer is one formatting pass, and
+        write_chunks spreads the layers over processes.  Returns their
+        number; the bytes do not depend on it."""
         fmt = b"%%s" + b"%.17g," * self.grid.dim + b"%%.17g\n"
         template = b"".join(fmt % tuple(p) for p in self.grid.points().tolist())
         cols = ["t", "x1", "v"] if self.grid.dim == 1 else ["t", "x1", "x2", "v"]
-        with open(path, "wb") as fh:
-            fh.write(",".join(cols).encode() + b"\n")
-            for j, layer in enumerate(self.values.reshape(self.values.shape[0], -1)):
-                slots = [b"%.17g," % (j * self.dt)] * (2 * layer.shape[0])
-                slots[1::2] = layer.tolist()
-                fh.write(template % tuple(slots))
+        values = self.values.reshape(self.values.shape[0], -1)
+
+        def layer(j: int) -> bytes:
+            slots = [b"%.17g," % (j * self.dt)] * (2 * values.shape[1])
+            slots[1::2] = values[j].tolist()
+            return template % tuple(slots)
+
+        return write_chunks(path, ",".join(cols).encode() + b"\n", layer, values.shape[0])
 
 
 # ---------------------------------------------------------------------------

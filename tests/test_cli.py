@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nlaffine as nl
-from nlaffine import cli, conditions
+from nlaffine import cli, conditions, pide
 from nlaffine import config as config_module
 from nlaffine.cli import main
 from nlaffine.config import (
@@ -176,6 +176,15 @@ class TestSolveCommand:
         assert set(timings) == {"gate_s", "march_s", "write_s"}
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings.values()) <= meta["wall_time_s"]
+
+    def test_meta_surface_writers(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", path]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        layers = meta["cfl"]["n_steps"] + 1
+        want = min(pide.usable_cpus(), layers) if hasattr(os, "fork") else 1
+        assert meta["surface_writers"] == want
 
     def test_cfl_violation_exit_3(self, tmp_path, capsys):
         raw = base_config(tmp_path / "out")
@@ -585,6 +594,18 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out == ["[]", "True"]
+
+
+def test_cli_import_loads_no_process_pools():
+    # the surface and bundle writers fork with os alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, nlaffine.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]"]
 
 
 class TestReadmeLibraryUse:

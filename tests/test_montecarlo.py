@@ -1,12 +1,13 @@
 import hashlib
 import math
+import os
 import weakref
 
 import numpy as np
 import pytest
 
 import nlaffine as nl
-from nlaffine import montecarlo
+from nlaffine import montecarlo, pide
 from nlaffine.config import generalized_compound_poisson_set
 from nlaffine.montecarlo import _draw_batch, _payoff_moments, bundle_to_csv
 from nlaffine.params import CoefficientError
@@ -166,7 +167,10 @@ class TestBlockKeys:
         longer = self.bundle_bytes(tmp_path, 25000).splitlines()
         assert self.bundle_bytes(tmp_path, 25000, 1500).splitlines() == longer[:1501]
 
-    def test_a_batch_draws_a_prefix_of_each_block_it_covers(self, monkeypatch):
+    @staticmethod
+    def record_generators(monkeypatch) -> list:
+        """Every Generator built from now on, each counting the rows of
+        normals and of Poisson counts it draws."""
         made = []
 
         class Recording(np.random.Generator):
@@ -184,6 +188,10 @@ class TestBlockKeys:
                 return super().poisson(lam, size)
 
         monkeypatch.setattr(np.random, "Generator", Recording)
+        return made
+
+    def test_a_batch_draws_a_prefix_of_each_block_it_covers(self, monkeypatch):
+        made = self.record_generators(monkeypatch)
         jump_diffusion_stream(1000, 2500)
         # batch [0, 1000) draws block 0's first 1000 rows; [1000, 2000) all
         # of block 0 and block 1's first 976; [2000, 2500) all of block 1
@@ -192,6 +200,19 @@ class TestBlockKeys:
                  for g in made]
         assert drawn == [(0, 1000), (0, 1024), (1, 976), (1, 1024), (2, 452)]
         assert all(g.rows["count"] == g.rows["normal"] for g in made)
+
+    def test_default_batches_skip_no_rows(self, monkeypatch):
+        # three default batches per vertex, two single-vertex draw classes:
+        # each batch starts on a block boundary, so no row is drawn twice
+        cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=2 * 24576 + 1500, seed=3)
+        assert cfg.batch_size == 24576 and cfg.batch_size % montecarlo.BLOCK == 0
+        thetas = [nl.AffineParameter.scalar(
+            alpha0=0.5, nu0=nl.AtomicLevyMeasure([[0.3]], [lam])) for lam in (0.5, 1.0)]
+        made = self.record_generators(monkeypatch)
+        nl.lower_bound_sublinear(nl.FiniteParameterSet(thetas), [0.0],
+                                 nl.make_payoff("square"), 0.5, cfg, FULL)
+        for kind in ("normal", "count"):
+            assert sum(g.rows[kind] for g in made) == 2 * cfg.n_paths
 
 
 class TestExitBehaviour:
@@ -564,6 +585,16 @@ class TestMomentBound:
         assert rep.ratio_spread <= 5.0
 
 
+HALF_LINE_BUNDLE_DIGEST = "0e4ade33db9d009b4052d9a26efffac67bb93146982a016b4a5d5cb9c833c5bf"
+
+
+def half_line_exit_bundle():
+    theta = nl.AffineParameter.scalar(
+        beta0=0.1, alpha0=0.3, nu0=nl.AtomicLevyMeasure([[-0.5], [0.3]], [0.6, 0.4]))
+    cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=300, seed=21)
+    return nl.simulate_paths(theta, [0.4], cfg, HALF)
+
+
 class TestBundleCsv:
     def test_format(self, tmp_path):
         theta = nl.AffineParameter.scalar(beta0=0.05, alpha1=1.0)
@@ -580,15 +611,22 @@ class TestBundleCsv:
     def test_golden_bytes_half_line_with_exits(self, tmp_path):
         """sha256 recorded on the (seed, block)-keyed stream; 128 of the 300
         paths exit, so the file mixes filled and empty exit_time fields."""
-        theta = nl.AffineParameter.scalar(
-            beta0=0.1, alpha0=0.3, nu0=nl.AtomicLevyMeasure([[-0.5], [0.3]], [0.6, 0.4]))
-        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=300, seed=21)
-        b = nl.simulate_paths(theta, [0.4], cfg, HALF)
+        b = half_line_exit_bundle()
         assert int(np.sum(~np.isnan(b.exit_time))) == 128
         p = tmp_path / "bundle.csv"
         bundle_to_csv(b, p)
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "0e4ade33db9d009b4052d9a26efffac67bb93146982a016b4a5d5cb9c833c5bf")
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == HALF_LINE_BUNDLE_DIGEST
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_golden_bytes_for_any_writer_count(self, tmp_path, monkeypatch, workers):
+        # 64-row blocks make the 300 paths five chunks; 8 CPUs still fork 4 writers
+        monkeypatch.setattr(montecarlo, "_CSV_BLOCK", 64)
+        monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
+        p = tmp_path / "bundle.csv"
+        bundle_to_csv(half_line_exit_bundle(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == HALF_LINE_BUNDLE_DIGEST
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_golden_bytes_2d(self, tmp_path):
         theta = nl.AffineParameter(

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
 import nlaffine as nl
+from nlaffine import pide
 from nlaffine.pide import step_count
 
 
@@ -350,6 +353,12 @@ class TestTwoDimensions:
         assert np.max(np.abs(surf.values[-1] - true)[mask]) < 1e-5
 
 
+GOLDEN_SURFACES = [
+    ("criterion1", "7b0dbe2eea5c50dd7e9f5e997ace20d87b61a7101c8bb6ce157c0c6d041b3469"),
+    ("half_space_2d", "8bdf014016390e4453b7db21c52a1212131016892c0add24eeb08e1e02627a9f"),
+]
+
+
 class TestSurfaceExport:
     def test_csv_format(self, tmp_path):
         ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(beta0=0.5)])
@@ -363,10 +372,7 @@ class TestSurfaceExport:
         assert len(lines) == 1 + 5 * 11 + 1  # header + rows + trailing newline
         assert b"\r" not in path.read_bytes()
 
-    @pytest.mark.parametrize("problem, digest", [
-        ("criterion1", "7b0dbe2eea5c50dd7e9f5e997ace20d87b61a7101c8bb6ce157c0c6d041b3469"),
-        ("half_space_2d", "8bdf014016390e4453b7db21c52a1212131016892c0add24eeb08e1e02627a9f"),
-    ])
+    @pytest.mark.parametrize("problem, digest", GOLDEN_SURFACES)
     def test_golden_bytes(self, tmp_path, problem, digest):
         """sha256 of surface.csv as written by the row-at-a-time writer that
         the per-layer writer replaced."""
@@ -374,6 +380,93 @@ class TestSurfaceExport:
         path = tmp_path / "surface.csv"
         surf.to_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestWriterProcesses:
+    """write_chunks formats with min(usable CPUs, chunks) processes; the
+    bytes do not depend on their number, and none outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A writer that never exits would hang the test; fail it instead."""
+        def expire(signum, frame):
+            raise TimeoutError("the writer processes did not finish in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("problem, digest", GOLDEN_SURFACES)
+    def test_golden_bytes_for_any_writer_count(self, tmp_path, monkeypatch, problem,
+                                               digest, workers):
+        surf = criterion1_surface() if problem == "criterion1" else golden_2d_problem()
+        monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
+        path = tmp_path / "surface.csv"
+        assert surf.to_csv(path) == workers
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert no_child_left()
+
+    def test_more_cpus_than_layers(self, tmp_path, monkeypatch):
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(beta0=0.5)])
+        surf = nl.solve(ps, nl.Grid.line(0.0, 1.0, 11), nl.make_payoff("square"), 0.0, FULL)
+        assert surf.n_steps == 0
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 1)
+        surf.to_csv(tmp_path / "one.csv")
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 4)
+        assert surf.to_csv(tmp_path / "four.csv") == 1
+        assert (tmp_path / "four.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_failing_writer_raises_and_is_reaped(self, tmp_path, monkeypatch):
+        class Poisoned(np.ndarray):
+            def __getitem__(self, j):
+                if isinstance(j, int) and j == 1:  # formatted by writer 1 of 2
+                    raise RuntimeError("layer 1 does not format")
+                return super().__getitem__(j)
+
+        surf = criterion1_surface()
+        surf.values = surf.values.view(Poisoned)
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
+        with pytest.raises(OSError):
+            surf.to_csv(tmp_path / "surface.csv")
+        assert no_child_left()
+
+    @pytest.mark.parametrize("workers, failing", [(2, 1), (3, 2), (3, 3)])
+    def test_any_failure_reaps_every_writer(self, tmp_path, monkeypatch, workers, failing):
+        # 512 KB chunks fill the pipes, so writers are still sending when
+        # this process stops reading; chunk j = 0 mod workers fails here,
+        # any other in a writer
+        def chunk(j):
+            if j == failing:
+                raise ValueError(f"chunk {j}")
+            return b"%d\n" % j * (1 << 18)
+
+        monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
+        with pytest.raises(OSError if failing % workers else ValueError):
+            pide.write_chunks(tmp_path / "out", b"", chunk, 8)
+        assert no_child_left()
+
+    def test_directory_fails_before_any_fork(self, tmp_path, monkeypatch):
+        surf = criterion1_surface()
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
+
+        def fork():
+            raise AssertionError("forked before opening the path")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(IsADirectoryError):
+            surf.to_csv(tmp_path)
 
 
 def criterion1_surface():
