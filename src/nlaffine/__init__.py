@@ -12,7 +12,6 @@ from .params import (
     FiniteParameterSet,
     StateSpace,
     TruncationFunction,
-    check_admissible,
     check_coefficient_bounds,
     check_linear_bound,
     growth_bound,
@@ -45,7 +44,12 @@ from .montecarlo import (
     moment_bound_report,
     simulate_paths,
 )
-from .conditions import ConditionReport, check_comparison_conditions, uniqueness_gate
+from .conditions import (
+    ConditionReport,
+    check_admissible,
+    check_comparison_conditions,
+    uniqueness_gate,
+)
 from .config import ConfigError, ExperimentConfig
 
 __all__ = [

@@ -24,6 +24,9 @@ from .params import CoefficientError, check_coefficient_bounds
 from .pide import CFLError, NonFiniteError, dpp_gap, grid_tol, solve
 from . import __version__
 
+# states the uniqueness gate samples, in `solve`'s certificate and in `check`'s report
+GATE_SAMPLES = 128
+
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
@@ -46,17 +49,13 @@ def cmd_solve(args) -> int:
     bounds = check_coefficient_bounds(theta_set)
     gate = None
     if mode.is_hat:
-        lo = grid.lower.tolist()
-        hi = grid.upper.tolist()
-        gate = uniqueness_gate(theta_set, (lo, hi), n_samples=64, bounds=bounds)
+        gate = uniqueness_gate(theta_set, (grid.lower.tolist(), grid.upper.tolist()),
+                               n_samples=GATE_SAMPLES, bounds=bounds)
         if gate.status == "fail":
             print("warning: uniqueness gate failed; solution is not "
                   "certified unique", file=sys.stderr)
     gated = time.perf_counter()
-    surface = solve(
-        theta_set, grid, cfg.payoff(), cfg.horizon, mode,
-        scheme=cfg.scheme(), truncation=cfg.truncation(),
-    )
+    surface = solve(theta_set, grid, cfg.payoff(), cfg.horizon, mode, scheme=cfg.scheme())
     marched = time.perf_counter()
     writers = surface.to_csv(os.path.join(out, "surface.csv"))
     written = time.perf_counter()
@@ -144,9 +143,8 @@ def cmd_check(args) -> int:
     theta_set = cfg.theta_set()
     grid = cfg.grid()
     mode = cfg.mode()
-    report = uniqueness_gate(
-        theta_set, (grid.lower.tolist(), grid.upper.tolist()), n_samples=128
-    )
+    report = uniqueness_gate(theta_set, (grid.lower.tolist(), grid.upper.tolist()),
+                             n_samples=GATE_SAMPLES)
     report.config_hash = cfg.config_hash()
     _write_json(os.path.join(out, "report.json"), dict(asdict(report), mode=mode.kind))
     if not mode.is_hat:

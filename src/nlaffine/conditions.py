@@ -1,6 +1,7 @@
-"""Hypothesis checkers gating the solver modes: coefficient growth bounds,
-the comparison-principle clauses (boundedness, tightness, continuity), and
-the uniqueness gate for hat-mode solves."""
+"""Hypothesis checkers gating the solver modes: one-dimensional
+admissibility, coefficient growth bounds, the comparison-principle clauses
+(boundedness, tightness, continuity), and the uniqueness gate for hat-mode
+solves."""
 
 from __future__ import annotations
 
@@ -11,7 +12,10 @@ import numpy as np
 
 from .generator import GeneratorMode, sqrt_diffusion_lipschitz
 from .params import (
+    WEIGHT_TOL,
+    AffineParameter,
     CoefficientBoundReport,
+    DimensionError,
     FiniteParameterSet,
     affine_at,
     atom_norms,
@@ -37,6 +41,53 @@ def jsonable(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
+
+
+@dataclass
+class AdmissibilityResult:
+    admissible: bool
+    violations: list[str]
+
+
+def check_admissible(theta: AffineParameter, mode: GeneratorMode) -> AdmissibilityResult:
+    """One-dimensional admissibility under a standard mode, on the half-line
+    or the full line.  The half-line drift condition is on beta0 - sum nu0 h
+    with the mode's h (Duffie, Filipovic & Schachermayer 2003, Def. 2.6)."""
+    if mode.is_hat:
+        raise ValueError("admissibility is defined for a standard mode")
+    if theta.dim != 1 or mode.space.dim != 1:
+        raise DimensionError("admissibility check is defined for d = 1")
+    tol = WEIGHT_TOL
+    a0 = float(theta.alpha[0, 0, 0])
+    a1 = float(theta.alpha[1, 0, 0])
+    nu0, nu1 = theta.nu
+    bad: list[str] = []
+    if not mode.space.is_full:
+        b0 = float(mode.coefficients(theta).net_drift[0, 0])
+        if b0 < -tol:
+            bad.append(f"beta0 - sum nu0 h >= 0 violated (net drift {b0})")
+        if abs(a0) > tol:
+            bad.append(f"alpha0 = 0 violated (alpha0 = {a0})")
+        if a1 < -tol:
+            bad.append(f"alpha1 >= 0 violated (alpha1 = {a1})")
+        for name, m in (("nu0", nu0), ("nu1", nu1)):
+            if m.min_weight() < -tol:
+                bad.append(f"{name} >= 0 violated (min weight {m.min_weight()})")
+            if np.any(m.atoms[:, 0] <= 0.0):
+                bad.append(f"{name} support in the positive half-line violated")
+            z = np.abs(m.atoms[:, 0])
+            if not np.isfinite(np.sum(np.abs(m.weights) * np.minimum(z, 1.0))):
+                bad.append(f"{name} small-jump first moment not finite")
+    else:
+        if a0 < -tol:
+            bad.append(f"alpha0 >= 0 violated (alpha0 = {a0})")
+        if abs(a1) > tol:
+            bad.append(f"alpha1 = 0 violated (alpha1 = {a1})")
+        if not nu1.is_empty():
+            bad.append("nu1 = 0 violated")
+        if nu0.min_weight() < -tol:
+            bad.append(f"nu0 >= 0 violated (min weight {nu0.min_weight()})")
+    return AdmissibilityResult(admissible=not bad, violations=bad)
 
 
 @dataclass

@@ -316,9 +316,14 @@ class ExperimentConfig:
     def mode(self) -> GeneratorMode:
         kind = self.data.get("mode", "standard")
         if kind == "hat":
+            radius = self.truncation().radius
+            if radius != 1.0:
+                raise ConfigError(f"hat mode fixes truncation_radius at 1, got {radius!r}")
+            if not self.state_space().is_full:
+                raise ConfigError("hat mode has no state space; state_space must be full")
             return GeneratorMode.hat()
         if kind == "standard":
-            return GeneratorMode.standard(self.state_space())
+            return GeneratorMode.standard(self.state_space(), self.truncation())
         raise ConfigError(f"mode must be standard or hat, got {kind!r}")
 
     def payoff(self) -> TestFunction:
@@ -395,7 +400,6 @@ class ExperimentConfig:
                 n_paths=_int(spec.get("paths", 10000), "sim.paths"),
                 seed=(seed_override if seed_override is not None
                       else _int(spec.get("seed", 0), "sim.seed")),
-                truncation=self.truncation(),
                 clamp_box=clamp,
             )
         except ValueError as exc:

@@ -52,23 +52,26 @@ class TestFunction:
 
 
 class GeneratorMode:
-    """standard: affine coefficients with the state-space indicator.
-    hat: drift affine, diffusion affine in the positive part, constant jump
-    measure; forces the unit-ball truncation."""
+    """standard: affine coefficients with the state-space indicator,
+    compensated with the model's truncation function h.  hat: drift affine,
+    diffusion affine in the positive part, constant jump measure, unit-ball h."""
 
-    __slots__ = ("kind", "space")
+    __slots__ = ("kind", "space", "h")
 
-    def __init__(self, kind: str, space: StateSpace | None = None):
+    def __init__(self, kind: str, space: StateSpace | None = None,
+                 h: TruncationFunction = TruncationFunction(1.0)):
         if kind not in ("standard", "hat"):
             raise ValueError("mode kind must be 'standard' or 'hat'")
-        if kind == "standard" and space is None:
-            raise ValueError("standard mode needs a state space")
-        self.kind = kind
-        self.space = space
+        if (kind == "standard") != (space is not None):
+            raise ValueError("a standard mode needs a state space; a hat mode has none")
+        if kind == "hat" and h != TruncationFunction(1.0):
+            raise ValueError("hat mode fixes the unit-ball truncation")
+        self.kind, self.space, self.h = kind, space, h
 
     @classmethod
-    def standard(cls, space: StateSpace) -> "GeneratorMode":
-        return cls("standard", space)
+    def standard(cls, space: StateSpace,
+                 h: TruncationFunction = TruncationFunction(1.0)) -> "GeneratorMode":
+        return cls("standard", space, h)
 
     @classmethod
     def hat(cls) -> "GeneratorMode":
@@ -78,11 +81,6 @@ class GeneratorMode:
     def is_hat(self) -> bool:
         return self.kind == "hat"
 
-    def truncation(self, h: TruncationFunction | None) -> TruncationFunction:
-        if self.is_hat:
-            return TruncationFunction(1.0)
-        return h if h is not None else TruncationFunction(1.0)
-
     def inside(self, xs: np.ndarray) -> np.ndarray:
         """State-space indicator of each row of an (n, d) state array; hat
         mode has no state space."""
@@ -90,17 +88,15 @@ class GeneratorMode:
             return np.ones(xs.shape[0], dtype=bool)
         return self.space.contains_many(xs)
 
-    def coefficients(self, theta: AffineParameter,
-                     h: TruncationFunction | None = None) -> "CoefficientForm":
+    def coefficients(self, theta: AffineParameter) -> "CoefficientForm":
         """theta's coefficient map under this mode as array forms."""
-        h = self.truncation(h)
         if self.is_hat:
             m = theta.nu[0]
             atoms = m.atoms
             W = np.column_stack([m.weights, np.zeros((m.n_atoms, theta.dim))])
         else:
             atoms, W = combined_atom_table(theta.nu)
-        compensation = np.array([truncation_moment(atoms, w, h) for w in W.T])
+        compensation = np.array([truncation_moment(atoms, w, self.h) for w in W.T])
         return CoefficientForm(self, atoms, W, theta.beta - compensation, theta.alpha)
 
     def __repr__(self) -> str:
@@ -168,8 +164,7 @@ class NoAdmissibleVertexError(RuntimeError):
 
 
 def worst_case_generator(theta_set: FiniteParameterSet, y, f: TestFunction, x,
-                         mode: GeneratorMode,
-                         h: TruncationFunction | None = None) -> tuple[float, int]:
+                         mode: GeneratorMode) -> tuple[float, int]:
     """Maximum of the linear generator over the vertex enumeration, with
     coefficients evaluated at y and derivatives at x.
 
@@ -182,7 +177,7 @@ def worst_case_generator(theta_set: FiniteParameterSet, y, f: TestFunction, x,
     best: float | None = None
     best_idx = -1
     for i, theta in enumerate(theta_set.vertices()):
-        form = mode.coefficients(theta, h)
+        form = mode.coefficients(theta)
         _, a, w = form.at(y[None, :])
         if not admissible(a[0], w[0]):
             continue

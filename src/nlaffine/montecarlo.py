@@ -8,15 +8,17 @@ with probability intensity(state)/lam_bar; accepted events draw the jump
 size from the normalised atom weights at the current state.
 
 Drift convention: the drift coefficient b is the rate of the finite-variation
-part relative to the configured truncation h, so the simulated increments are
+part relative to the mode's truncation function h, so the simulated
+increments are
 
     dX = (b(X) - sum_j w_j(X) h(z_j)) dt + sqrt(a(X)) dW + raw jumps.
 
 Raw jumps are added without separate compensation; the h-dependent term above
 is what the canonical decomposition assigns to the continuous drift once the
-jump martingale and the compensator are recombined into raw jumps.  Authors
-of a coefficient tuple must therefore use the same h here as in the drift
-specification; the solver/simulator agreement tests pin this convention.
+jump martingale and the compensator are recombined into raw jumps.  h belongs
+to the model: GeneratorMode holds it, so a solve and a simulation under one
+mode compensate alike, and a tuple's drift must be authored with that h (the
+solver/simulator agreement tests pin this convention).
 
 The compensated drift, the diffusion and the jump weights come from
 GeneratorMode.coefficients, the one array coefficient form that the PIDE
@@ -54,7 +56,6 @@ from .params import (
     AffineParameter,
     CoefficientError,
     FiniteParameterSet,
-    TruncationFunction,
     affine_at,
     min_eigenvalue,
 )
@@ -70,7 +71,6 @@ class SimConfig:
     horizon: float
     n_paths: int
     seed: int = 0
-    truncation: TruncationFunction = TruncationFunction(1.0)
     clamp_box: tuple | None = None  # (lower, upper); default x0 +- 10 (1 + |x0|)
     store_paths: bool = False
     batch_size: int = 24 * BLOCK  # batches start on block boundaries
@@ -184,7 +184,7 @@ def _start(x0, d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _law(theta: AffineParameter, lo: np.ndarray, hi: np.ndarray, cfg: SimConfig,
          mode: GeneratorMode) -> tuple[CoefficientForm, tuple[bool, float]]:
     """theta's coefficient form and its draw class (has_diffusion, lam_bar)."""
-    form = mode.coefficients(theta, cfg.truncation)
+    form = mode.coefficients(theta)
     return form, (bool(np.any(theta.alpha)), _lam_bar(form, lo, hi))
 
 

@@ -579,54 +579,3 @@ def check_coefficient_bounds(theta_set: FiniteParameterSet) -> CoefficientBoundR
         min_atom_norm=min_atom,
         passed=bool(np.isfinite(K)),
     )
-
-
-# ---------------------------------------------------------------------------
-# admissibility (d = 1)
-
-
-@dataclass
-class AdmissibilityResult:
-    admissible: bool
-    violations: list[str]
-
-
-def check_admissible(theta: AffineParameter, space: StateSpace) -> AdmissibilityResult:
-    """One-dimensional admissibility for the half-line or the full line."""
-    if theta.dim != 1:
-        raise DimensionError("admissibility check is defined for d = 1")
-    tol = WEIGHT_TOL
-    b0 = float(theta.beta[0, 0])
-    a0 = float(theta.alpha[0, 0, 0])
-    a1 = float(theta.alpha[1, 0, 0])
-    nu0, nu1 = theta.nu
-    bad: list[str] = []
-    if space.nonneg_coords == 1:
-        if b0 < -tol:
-            bad.append(f"beta0 >= 0 violated (beta0 = {b0})")
-        if abs(a0) > tol:
-            bad.append(f"alpha0 = 0 violated (alpha0 = {a0})")
-        if a1 < -tol:
-            bad.append(f"alpha1 >= 0 violated (alpha1 = {a1})")
-        for name, m in (("nu0", nu0), ("nu1", nu1)):
-            if m.n_atoms and m.min_weight() < -tol:
-                bad.append(f"{name} >= 0 violated (min weight {m.min_weight()})")
-            if m.n_atoms and np.any(m.atoms[:, 0] <= 0.0):
-                bad.append(f"{name} support in the positive half-line violated")
-            if m.n_atoms:
-                z = np.abs(m.atoms[:, 0])
-                first_moment = float(np.sum(np.abs(m.weights) * np.minimum(z, 1.0)))
-                if not np.isfinite(first_moment):
-                    bad.append(f"{name} small-jump first moment not finite")
-    elif space.is_full:
-        if a0 < -tol:
-            bad.append(f"alpha0 >= 0 violated (alpha0 = {a0})")
-        if abs(a1) > tol:
-            bad.append(f"alpha1 = 0 violated (alpha1 = {a1})")
-        if not nu1.is_empty():
-            bad.append("nu1 = 0 violated")
-        if nu0.n_atoms and nu0.min_weight() < -tol:
-            bad.append(f"nu0 >= 0 violated (min weight {nu0.min_weight()})")
-    else:
-        raise ValueError("unsupported state space for admissibility")
-    return AdmissibilityResult(admissible=not bad, violations=bad)

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .generator import GeneratorMode, NoAdmissibleVertexError, TestFunction, admissible
-from .params import FiniteParameterSet, TruncationFunction, atom_norms
+from .params import FiniteParameterSet, atom_norms
 
 
 class CFLError(RuntimeError):
@@ -312,8 +312,7 @@ class _Operator:
     Inadmissible (vertex, node) pairs get zero coefficients and a -inf
     penalty, so they never attain the max."""
 
-    def __init__(self, vertices, grid: Grid, mode: GeneratorMode,
-                 h: TruncationFunction):
+    def __init__(self, vertices, grid: Grid, mode: GeneratorMode):
         d, n, dx = grid.dim, grid.n_nodes, grid.dx
         eye = np.eye(d, dtype=int)
         stencils: dict = {}
@@ -331,7 +330,7 @@ class _Operator:
         for i, j in pairs:
             register(unit_weights(eye[i] + eye[j], -eye[i] - eye[j]))
             register(unit_weights(eye[i] - eye[j], eye[j] - eye[i]))
-        forms = [mode.coefficients(theta, h) for theta in vertices]
+        forms = [mode.coefficients(theta) for theta in vertices]
         atom_rows = [[register(_interpolation_stencil(z / dx)) for z in f.atoms]
                      for f in forms]
 
@@ -425,8 +424,7 @@ def _n_steps(horizon: float, scheme: SchemeConfig,
 
 def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
           horizon: float, mode: GeneratorMode,
-          scheme: SchemeConfig | None = None,
-          truncation: TruncationFunction | None = None) -> ValueSurface:
+          scheme: SchemeConfig | None = None) -> ValueSurface:
     """March the explicit scheme from the payoff to the horizon.
 
     The step satisfies  dt * rate <= cfl  at every admissible node/vertex
@@ -439,7 +437,7 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     if not mode.is_hat and mode.space.dim != grid.dim:
         raise ValueError("state space and grid dimensions differ")
 
-    op = _Operator(theta_set.vertices(), grid, mode, mode.truncation(truncation))
+    op = _Operator(theta_set.vertices(), grid, mode)
     uncovered = op.in_s & ~np.any(op.adm, axis=0)
     if np.any(uncovered):
         raise NoAdmissibleVertexError(

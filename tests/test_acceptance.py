@@ -61,12 +61,12 @@ class TestCriterion1:
         payoff = nl.make_payoff("min_cap", c=2.0)
         oracle = poisson_capped_mean(1.0, 2.0)
 
-        surf = nl.solve(ps, grid, payoff, 1.0, FULL, scheme=scheme, truncation=h)
+        mode = nl.GeneratorMode.standard(nl.StateSpace.full(1), h)
+        surf = nl.solve(ps, grid, payoff, 1.0, mode, scheme=scheme)
         pide_err = abs(surf.value_at(1.0, [0.0]) - oracle)
 
-        sim = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=100000, seed=7,
-                           truncation=h)
-        mean, se = nl.estimate_expectation(theta, [0.0], payoff, 1.0, sim, FULL)
+        sim = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=100000, seed=7)
+        mean, se = nl.estimate_expectation(theta, [0.0], payoff, 1.0, sim, mode)
         mc_err = abs(mean - oracle)
         elapsed = time.perf_counter() - started
 
@@ -98,8 +98,8 @@ class TestCriterion2:
 class TestCriterion3:
     def test_restart_identity(self):
         theta, ps, grid, scheme, h = crit1_problem()
-        surf1 = nl.solve(ps, grid, nl.make_payoff("min_cap", c=2.0), 1.0, FULL,
-                         scheme=scheme, truncation=h)
+        surf1 = nl.solve(ps, grid, nl.make_payoff("min_cap", c=2.0), 1.0,
+                         nl.GeneratorMode.standard(nl.StateSpace.full(1), h), scheme=scheme)
         gap1 = nl.dpp_gap(surf1, 0.5)
 
         ps2, grid2 = crit2_problem()
@@ -222,7 +222,6 @@ class TestCriterion5:
 class TestCriterion6:
     def test_vertex_sufficiency(self):
         rng = np.random.default_rng(77)
-        h = nl.TruncationFunction(1.0)
         worst = -np.inf
         checked = 0
         for _ in range(20):
@@ -244,14 +243,14 @@ class TestCriterion6:
             for _ in range(50):
                 y = rng.normal(size=1) * 2
                 x = rng.normal(size=1) * 2
-                vmax, _ = nl.worst_case_generator(ps, y, f, x, mode, h)
+                vmax, _ = nl.worst_case_generator(ps, y, f, x, mode)
                 lam = rng.dirichlet(np.ones(len(vs)))
                 mix = vs[0]
                 acc = lam[0]
                 for w, t in zip(lam[1:], vs[1:]):
                     mix = mix.convex_combination(t, w / (acc + w))
                     acc += w
-                val = nl.generator_value(mode.coefficients(mix, h), f, x, y)
+                val = nl.generator_value(mode.coefficients(mix), f, x, y)
                 worst = max(worst, val - vmax)
                 checked += 1
         ok = worst <= 1e-12
@@ -354,11 +353,11 @@ class TestCriterion9:
         cp = registry["compound_poisson"]
         gcp = registry["generalized_compound_poisson"]
         adm_ok = all(
-            nl.check_admissible(t, HALF.space).admissible
-            and nl.check_admissible(t, FULL.space).admissible
+            nl.check_admissible(t, HALF).admissible
+            and nl.check_admissible(t, FULL).admissible
             for t in cp.vertices()
         ) and all(
-            nl.check_admissible(t, HALF.space).admissible for t in gcp.vertices()
+            nl.check_admissible(t, HALF).admissible for t in gcp.vertices()
         )
         ok = lin_ok and rand_ok and adm_ok
         report(9, ok,

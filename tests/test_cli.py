@@ -131,8 +131,8 @@ class TestRegistry:
         m = nl.AtomicLevyMeasure([[1.0], [0.5]], [0.6, 0.4])
         ps = compound_poisson_set([0.5, 2.0], [m], h)
         for theta in ps.vertices():
-            assert nl.check_admissible(theta, nl.StateSpace.full(1)).admissible
-            assert nl.check_admissible(theta, nl.StateSpace.half(1)).admissible
+            for space in (nl.StateSpace.full(1), nl.StateSpace.half(1)):
+                assert nl.check_admissible(theta, nl.GeneratorMode.standard(space, h)).admissible
 
     def test_generalized_compound_poisson_admissible(self):
         h = nl.TruncationFunction(1.0)
@@ -140,7 +140,8 @@ class TestRegistry:
         ps = generalized_compound_poisson_set([0.2, 1.0], [0.0, 0.5], [m], h)
         assert len(ps.vertices()) == 4
         for theta in ps.vertices():
-            assert nl.check_admissible(theta, nl.StateSpace.half(1)).admissible
+            assert nl.check_admissible(
+                theta, nl.GeneratorMode.standard(nl.StateSpace.half(1), h)).admissible
 
     def test_gaussian_box_vertices(self, tmp_path):
         raw = base_config(tmp_path)
@@ -475,6 +476,16 @@ def _object_payoff_parameter(raw):
     raw["payoff"] = {"name": "min_cap", "c": {"a": 1}}
 
 
+def _hat_with_truncation_radius(raw):
+    raw["mode"] = "hat"
+    raw["truncation_radius"] = 2.0
+
+
+def _hat_on_half_line(raw):
+    raw["mode"] = "hat"
+    raw["state_space"] = {"kind": "half"}
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("edit, message", [
         (_atom_at_origin, "atom at the origin"),
@@ -526,6 +537,8 @@ class TestErrorContract:
                                  "real number, not 'list'"),
         (_object_payoff_parameter, "bad payoff: float() argument must be a string or a "
                                    "real number, not 'dict'"),
+        (_hat_with_truncation_radius, "hat mode fixes truncation_radius at 1, got 2.0"),
+        (_hat_on_half_line, "hat mode has no state space; state_space must be full"),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
         raw = base_config(tmp_path / "out")
@@ -723,6 +736,71 @@ class TestBuildOnce:
         assert meta["uniqueness_gate_status"] == "pass"
 
 
+    def test_solve_and_check_run_one_gate(self, tmp_path, monkeypatch):
+        samples = []
+        gate = cli.uniqueness_gate
+
+        def recording(*args, n_samples, **kwargs):
+            samples.append(n_samples)
+            return gate(*args, n_samples=n_samples, **kwargs)
+
+        monkeypatch.setattr(cli, "uniqueness_gate", recording)
+        raw = base_config(tmp_path / "out")
+        raw["mode"] = "hat"
+        path = write_config(tmp_path, raw)
+        assert main(["solve", "--config", path]) == 0
+        assert main(["check", "--config", path]) == 0
+        assert samples == [cli.GATE_SAMPLES, cli.GATE_SAMPLES]
+
+
+class TestTruncationRadius:
+    """A standard compound-Poisson config with truncation_radius 0.75: the
+    atom at 0.5 lies in the ball and the one at 1.5 outside it.  The atom at
+    0.9 lies in the unit ball but not in this one, so a solve or a simulation
+    that fell back to the unit-ball h would not compensate the drift the
+    registry authored."""
+
+    h = nl.TruncationFunction(0.75)
+
+    def raw(self, tmp_path):
+        raw = base_config(tmp_path / "out", paths=400)
+        raw["truncation_radius"] = 0.75
+        raw["parameter_set"] = {
+            "kind": "example", "name": "compound_poisson", "lambda": [0.5, 1.0],
+            "measures": [[[0.5, 0.5], [0.9, 0.3], [1.5, 0.2]]],
+        }
+        return raw
+
+    def library(self):
+        m = nl.AtomicLevyMeasure([[0.5], [0.9], [1.5]], [0.5, 0.3, 0.2])
+        return (compound_poisson_set([0.5, 1.0], [m], self.h),
+                nl.GeneratorMode.standard(nl.StateSpace.full(1), self.h))
+
+    def test_net_drift_is_exactly_zero(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(self.raw(tmp_path))
+        mode = cfg.mode()
+        assert mode.h == self.h
+        for theta in cfg.theta_set().vertices():
+            assert theta.beta[0, 0] != 0.0
+            assert np.all(mode.coefficients(theta).net_drift == 0.0)
+
+    def test_cli_matches_library(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self.raw(tmp_path))
+        assert main(["solve", "--config", path]) == 0
+        assert main(["simulate", "--config", path]) == 0
+        theta_set, mode = self.library()
+        surface = nl.solve(theta_set, nl.Grid.line(-4.0, 4.0, 161),
+                           nl.make_payoff("min_cap", c=1.0), 0.5, mode,
+                           scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=64))
+        surface.to_csv(str(tmp_path / "library.csv"))
+        assert (out / "surface.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+        sim = nl.SimConfig(dt=0.01, horizon=0.5, n_paths=400, seed=3)
+        lb = nl.lower_bound_sublinear(theta_set, [0.0], nl.make_payoff("min_cap", c=1.0),
+                                      0.5, sim, mode)
+        assert json.loads((out / "estimate.json").read_text())["mean"] == lb.mean
+
+
 def small_surface(dim):
     """A small solved surface: 41 nodes and 65 layers in 1-D, 11 x 11 nodes
     and 17 layers in 2-D."""
@@ -780,7 +858,7 @@ class TestCompareCommand:
         raw = base_config(tmp_path / "out", paths=300)
         cfg = ExperimentConfig.from_dict(raw)
         surface = nl.solve(cfg.theta_set(), cfg.grid(), cfg.payoff(), cfg.horizon,
-                           cfg.mode(), scheme=cfg.scheme(), truncation=cfg.truncation())
+                           cfg.mode(), scheme=cfg.scheme())
         j = surface.n_steps // 2
         raw["sim"]["t"] = j * surface.dt
         out = self.run_pair(tmp_path, raw=raw)

@@ -40,11 +40,11 @@ CONST = nl.TestFunction(
 )
 
 
-def form_of(h=None, **coefficients):
+def form_of(h=nl.TruncationFunction(1.0), **coefficients):
     """The coefficient form of a d = 1 tuple on the full line; generator_value
     checks no admissibility, so signed measures evaluate too."""
     theta = nl.AffineParameter.scalar(**coefficients)
-    return nl.GeneratorMode.standard(nl.StateSpace.full(1)).coefficients(theta, h)
+    return nl.GeneratorMode.standard(nl.StateSpace.full(1), h).coefficients(theta)
 
 
 class TestJumpIntegral:
@@ -92,8 +92,8 @@ class TestWorstCaseGenerator:
     def test_singleton_equals_linear(self):
         rng = np.random.default_rng(10)
         space = nl.StateSpace.full(1)
-        mode = nl.GeneratorMode.standard(space)
         h = nl.TruncationFunction(1.0)
+        mode = nl.GeneratorMode.standard(space, h)
         for _ in range(10):
             theta = random_theta(rng, signed=False)
             ps = nl.FiniteParameterSet([theta])
@@ -102,8 +102,8 @@ class TestWorstCaseGenerator:
             _, a, k = reference_coefficients(theta, y, mode)
             if np.any(a < 0) or (k.n_atoms and k.min_weight() < 0):
                 continue
-            want = reference_generator(theta, nl.make_payoff("cos"), x, y, mode, h)
-            got, idx = nl.worst_case_generator(ps, y, nl.make_payoff("cos"), x, mode, h)
+            want = reference_generator(theta, nl.make_payoff("cos"), x, y, mode)
+            got, idx = nl.worst_case_generator(ps, y, nl.make_payoff("cos"), x, mode)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert idx == 0
 
@@ -195,7 +195,6 @@ class TestWorstCaseGenerator:
         # interior convex combinations never beat the vertex maximum
         rng = np.random.default_rng(15)
         mode = nl.GeneratorMode.hat()
-        h = nl.TruncationFunction(1.0)
         f = nl.make_payoff("square")
         for _ in range(10):
             ps = nl.CoefficientBox(
@@ -205,7 +204,7 @@ class TestWorstCaseGenerator:
             vs = ps.vertices()
             y = rng.normal(size=1)
             x = rng.normal(size=1)
-            vmax, _ = nl.worst_case_generator(ps, y, f, x, mode, h)
+            vmax, _ = nl.worst_case_generator(ps, y, f, x, mode)
             for _ in range(20):
                 lam = rng.dirichlet(np.ones(len(vs)))
                 mix = vs[0]
@@ -213,7 +212,7 @@ class TestWorstCaseGenerator:
                 for w, t in zip(lam[1:], vs[1:]):
                     mix = mix.convex_combination(t, w / (acc + w))
                     acc += w
-                val = nl.generator_value(mode.coefficients(mix, h), f, x, y)
+                val = nl.generator_value(mode.coefficients(mix), f, x, y)
                 assert val <= vmax + 1e-12
 
 
@@ -288,6 +287,22 @@ class TestArrayValues:
         assert lin.values(np.empty((0, 2))).shape == (0,)
 
 
+class TestModeTruncation:
+    def test_standard_mode_holds_h(self):
+        h = nl.TruncationFunction(0.4)
+        assert nl.GeneratorMode.standard(nl.StateSpace.full(1), h).h is h
+        assert nl.GeneratorMode.standard(nl.StateSpace.full(1)).h == nl.TruncationFunction(1.0)
+        assert nl.GeneratorMode.hat().h == nl.TruncationFunction(1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"space": nl.StateSpace.full(1)},
+        {"h": nl.TruncationFunction(2.0)},
+    ])
+    def test_hat_mode_refuses_what_it_would_ignore(self, kwargs):
+        with pytest.raises(ValueError):
+            nl.GeneratorMode("hat", **kwargs)
+
+
 class TestCoefficientForm:
     """The array form read by the solver, the simulator and the gate agrees
     with the pointwise reference maps, with the drift compensated by
@@ -302,7 +317,7 @@ class TestCoefficientForm:
     def test_matches_pointwise_triplets(self, kind, d):
         rng = np.random.default_rng(11 + d)
         h = nl.TruncationFunction(1.3)
-        mode = (nl.GeneratorMode.standard(nl.StateSpace.half(d, 1)) if kind == "standard"
+        mode = (nl.GeneratorMode.standard(nl.StateSpace.half(d, 1), h) if kind == "standard"
                 else nl.GeneratorMode.hat())
         # half the states have a negative first coordinate: outside the
         # half-space, and on the positive-part kink side in hat mode
@@ -310,15 +325,14 @@ class TestCoefficientForm:
         assert np.sum(xs[:, 0] < 0) > 50
         for _ in range(4):
             theta = random_theta(rng, d=d)
-            form = mode.coefficients(theta, h)
+            form = mode.coefficients(theta)
             b, a, w = form.at(xs)
-            hh = mode.truncation(h)
             for i, x in enumerate(xs):
                 tb, ta, tk = reference_coefficients(theta, x, mode)
                 want_w = dict(zip(map(tuple, tk.atoms), tk.weights))
                 assert set(want_w) <= set(map(tuple, form.atoms))
                 got_w = np.array([want_w.get(tuple(z), 0.0) for z in form.atoms])
-                net = tb - truncation_moment(tk.atoms, tk.weights, hh)
+                net = tb - truncation_moment(tk.atoms, tk.weights, mode.h)
                 assert self.close(b[i], net)
                 assert self.close(a[i], ta)
                 assert self.close(w[i], got_w)

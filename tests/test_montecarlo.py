@@ -257,8 +257,8 @@ class TestExitBehaviour:
         m = nl.AtomicLevyMeasure([[0.4], [-0.2]], [0.3, 0.4])
         theta = generalized_compound_poisson_set([0.15, 0.15], [0.05, 0.05], [m],
                                                  h).vertices()[0]
-        cfg = nl.SimConfig(dt=0.01, horizon=0.5, n_paths=2000, seed=1, truncation=h)
-        b = nl.simulate_paths(theta, [0.0], cfg, HALF)
+        cfg = nl.SimConfig(dt=0.01, horizon=0.5, n_paths=2000, seed=1)
+        b = nl.simulate_paths(theta, [0.0], cfg, nl.GeneratorMode.standard(HALF.space, h))
         assert b.no_jump_exit_count == 0
         assert 0 < np.sum(~np.isnan(b.exit_time)) < 2000
 
@@ -271,7 +271,8 @@ class TestExitBehaviour:
             lam0, lam1 = rng.uniform(0.01, 1.0, size=2)
             theta = generalized_compound_poisson_set([lam0, lam0], [lam1, lam1], [m],
                                                      h).vertices()[0]
-            net = HALF.coefficients(theta, h).drift(np.zeros((1, 1)))
+            net = nl.GeneratorMode.standard(HALF.space, h).coefficients(theta).drift(
+                np.zeros((1, 1)))
             assert net[0, 0] == 0.0
 
     def test_clamp_box_flags_paths(self):

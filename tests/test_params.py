@@ -131,11 +131,11 @@ def reference_coefficients(theta, x, mode):
     return b, a, k
 
 
-def reference_generator(theta, f, x, y, mode, h=None):
+def reference_generator(theta, f, x, y, mode):
     """grad f . b + 1/2 tr[Hess f a] + sum_j w_j [f(x + z_j) - f(x) -
     grad f . h(z_j)] with (b, a, k) = reference_coefficients at y."""
     b, a, k = reference_coefficients(theta, y, mode)
-    h = mode.truncation(h)
+    h = mode.h
     x = np.atleast_1d(np.asarray(x, dtype=float))
     grad = np.asarray(f.gradient(x), dtype=float)
     fx = f(x)
@@ -335,23 +335,44 @@ class TestAdmissibility:
         from nlaffine.config import compound_poisson_set
 
         ps = compound_poisson_set([1.0, 1.0], [m], h)
-        res = nl.check_admissible(ps.vertices()[0], nl.StateSpace.full(1))
+        full = nl.GeneratorMode.standard(nl.StateSpace.full(1), h)
+        res = nl.check_admissible(ps.vertices()[0], full)
         assert res.admissible, res.violations
 
     def test_diffusion_on_half_line_rejected(self):
         theta = nl.AffineParameter.scalar(alpha0=0.2)
-        res = nl.check_admissible(theta, nl.StateSpace.half(1))
+        res = nl.check_admissible(theta, nl.GeneratorMode.standard(nl.StateSpace.half(1)))
         assert not res.admissible
         assert any("alpha0" in v for v in res.violations)
 
     def test_zero_parameter_admissible_everywhere(self):
         zero = nl.AffineParameter.zero(1)
-        assert nl.check_admissible(zero, nl.StateSpace.half(1)).admissible
-        assert nl.check_admissible(zero, nl.StateSpace.full(1)).admissible
+        for space in (nl.StateSpace.half(1), nl.StateSpace.full(1)):
+            assert nl.check_admissible(zero, nl.GeneratorMode.standard(space)).admissible
 
     def test_needs_dimension_one(self):
         with pytest.raises(Exception):
-            nl.check_admissible(nl.AffineParameter.zero(2), nl.StateSpace.full(2))
+            nl.check_admissible(nl.AffineParameter.zero(2),
+                                nl.GeneratorMode.standard(nl.StateSpace.full(2)))
+
+    def test_half_line_uses_compensated_drift(self):
+        # beta0 = 0.1 is nonnegative, but the unit-ball h takes the atom at
+        # 0.5 out of the drift: the net drift at 0 is 0.1 - 0.5 = -0.4
+        theta = nl.AffineParameter.scalar(beta0=0.1, nu0=nl.AtomicLevyMeasure([[0.5]], [1.0]))
+        res = nl.check_admissible(theta, nl.GeneratorMode.standard(nl.StateSpace.half(1)))
+        assert not res.admissible
+        assert any("-0.4" in v for v in res.violations), res.violations
+
+    def test_half_line_atom_outside_the_ball(self):
+        # with an h of radius 0.4 the atom at 0.5 carries no compensation
+        theta = nl.AffineParameter.scalar(beta0=0.1, nu0=nl.AtomicLevyMeasure([[0.5]], [1.0]))
+        mode = nl.GeneratorMode.standard(nl.StateSpace.half(1), nl.TruncationFunction(0.4))
+        res = nl.check_admissible(theta, mode)
+        assert res.admissible, res.violations
+
+    def test_hat_mode_refused(self):
+        with pytest.raises(ValueError):
+            nl.check_admissible(nl.AffineParameter.zero(1), nl.GeneratorMode.hat())
 
 
 class TestTruncation:

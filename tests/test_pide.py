@@ -475,9 +475,9 @@ def criterion1_surface():
     theta = nl.AffineParameter.scalar(beta0=1.0,
                                       nu0=nl.AtomicLevyMeasure([[1.0]], [1.0]))
     return nl.solve(nl.FiniteParameterSet([theta]), nl.Grid.line(-5.0, 10.0, 601),
-                    nl.make_payoff("min_cap", c=2.0), 1.0, FULL,
-                    scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512),
-                    truncation=nl.TruncationFunction(1.0))
+                    nl.make_payoff("min_cap", c=2.0), 1.0,
+                    nl.GeneratorMode.standard(FULL.space, nl.TruncationFunction(1.0)),
+                    scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512))
 
 
 def golden_2d_problem():
@@ -522,8 +522,9 @@ class TestGoldenValues:
         theta = nl.AffineParameter.scalar(beta0=1.0,
                                           nu0=nl.AtomicLevyMeasure([[1.0]], [1.0]))
         surf = nl.solve(nl.FiniteParameterSet([theta]), nl.Grid.line(-5.0, 10.0, 601),
-                        nl.make_payoff("min_cap", c=2.0), 1.0, FULL,
-                        scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512), truncation=h)
+                        nl.make_payoff("min_cap", c=2.0), 1.0,
+                        nl.GeneratorMode.standard(FULL.space, h),
+                        scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512))
         self.check(surf, 512, 1.0, {
             (100,): -1.5024815636584847,
             (150,): -0.26844035299066943,
