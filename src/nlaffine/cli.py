@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -32,6 +33,12 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far (ru_maxrss is in KiB on
+    Linux); forked writer processes are not included."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def cmd_solve(args) -> int:
@@ -88,6 +95,7 @@ def cmd_solve(args) -> int:
             "march_s": marched - gated,
             "write_s": written - marched,
         },
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if gate is not None:
         meta["uniqueness_gate_status"] = gate.status
@@ -112,8 +120,11 @@ def cmd_simulate(args) -> int:
     x0 = cfg.sim_x0()
     payoff = cfg.payoff()
     t = sim.horizon
+    started = time.perf_counter()
     lb = lower_bound_sublinear(theta_set, x0, payoff, t, sim, mode)
+    swept = time.perf_counter()
     bundle_to_csv(lb.bundle, os.path.join(out, "bundle.csv"))
+    written = time.perf_counter()
     estimate = {
         "config_hash": cfg.config_hash(),
         "mean": lb.mean,
@@ -129,8 +140,11 @@ def cmd_simulate(args) -> int:
         "no_jump_exits": lb.bundle.no_jump_exit_count,
         "thinning_proposed": lb.bundle.thinning_proposed,
         "thinning_accepted": lb.bundle.thinning_accepted,
+        "thinning_bound": lb.bundle.thinning_bound,
         "payoff": payoff.name,
         "mode": mode.kind,
+        "timings": {"sweep_s": swept - started, "write_s": written - swept},
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(os.path.join(out, "estimate.json"), estimate)
     return 0

@@ -1,4 +1,4 @@
-"""Jump-diffusion path simulation for a fixed coefficient tuple, with
+"""Jump-diffusion path simulation for constant coefficient tuples, with
 statistical lower bounds for the worst-case expectation.
 
 Stepping is Euler for the continuous part plus exact atomic jump sampling by
@@ -32,16 +32,19 @@ Philox(key=(base seed, k)), one sub-stream per kind of draw, each kind
 drawn for the block's rows in one call: path i's draws depend only on
 (base seed, i // BLOCK, i % BLOCK), so results are bitwise reproducible and
 independent of the batch size and of the number of paths simulated
-alongside.  So a batch's draws depend only on the draw class
-(seed, batch start, batch size, steps, d, has_diffusion, lam_bar * dt), and
-lower_bound_sublinear steps the vertices of one class on one shared,
-read-only draw set per batch (common random numbers): each vertex's result
-is the one its own simulate_paths gives.  Payoffs are scored on the (N, d)
-terminal array at once (TestFunction.values).
+alongside.  simulate_paths steps one parameter or a sweep of V vertices
+with one stepper over (vertex, path) rows: each batch of paths is drawn
+once, and its V copies step on that one draw set (common random numbers),
+thinned at one bound, the largest of the vertices' lam_bar.  Thinning at
+any bound at or above the intensity is exact in law, and a vertex whose
+own bound is the largest gets the paths of its own simulate_paths bit for
+bit.  Payoffs are scored on the (N, d) terminal array at once
+(TestFunction.values).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -73,7 +76,10 @@ class SimConfig:
     seed: int = 0
     clamp_box: tuple | None = None  # (lower, upper); default x0 +- 10 (1 + |x0|)
     store_paths: bool = False
-    batch_size: int = 24 * BLOCK  # batches start on block boundaries
+    # (vertex, path) rows per batch: a V-vertex sweep steps the most whole
+    # blocks of paths whose V copies fit, or batch_size // V paths below one
+    # block (see _paths_per_batch)
+    batch_size: int = 12 * BLOCK
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < 0 or self.n_paths < 1:
@@ -86,18 +92,20 @@ class SimConfig:
 
 @dataclass
 class PathBundle:
+    """The paths of V constant-vertex laws from one start, vertex-major: rows
+    k N .. (k + 1) N - 1 are vertex k's N paths (V = 1 for one parameter)."""
+
     x0: np.ndarray
     times: np.ndarray
-    terminal: np.ndarray          # (N, d)
-    running_sup: np.ndarray       # (N,) sup_s |X_s - X_0|
-    exit_time: np.ndarray         # (N,) float; nan when the path never left
-    seeds: np.ndarray             # (N,) labels mixed from (seed, path), not stream keys
-    flagged: np.ndarray           # (N,) left the clamp box; frozen and counted
-    no_jump_exit_count: int       # exits recorded on steps without a jump event
-    thinning_proposed: int        # candidate jump events at rate lam_bar on live paths
-    thinning_accepted: int        # of those, accepted as jumps
-    skeletons: np.ndarray | None  # (N, steps+1, d) when store_paths
-    sup_snapshots: dict | None    # step index -> (N,) running sup at that step
+    terminal: np.ndarray          # (V N, d)
+    running_sup: np.ndarray       # (V N,) sup_s |X_s - X_0|
+    exit_time: np.ndarray         # (V N,) float; nan when the path never left
+    seeds: np.ndarray             # (V N,) labels mixed from (seed, path), not stream keys
+    flagged: np.ndarray           # (V N,) left the clamp box; frozen and counted
+    events: np.ndarray            # (V, 3) per vertex: no-jump exits, candidates, accepted
+    thinning_bound: float         # lam_bar, the candidates' rate
+    skeletons: np.ndarray | None  # (V N, steps+1, d) when store_paths
+    sup_snapshots: dict | None    # step index -> (V N,) running sup at that step
 
     @property
     def n_paths(self) -> int:
@@ -106,6 +114,40 @@ class PathBundle:
     @property
     def flagged_count(self) -> int:
         return int(np.sum(self.flagged))
+
+    @property
+    def no_jump_exit_count(self) -> int:
+        """Exits recorded on steps without a jump event."""
+        return int(self.events[:, 0].sum())
+
+    @property
+    def thinning_proposed(self) -> int:
+        """Candidate jump events at rate thinning_bound on live paths."""
+        return int(self.events[:, 1].sum())
+
+    @property
+    def thinning_accepted(self) -> int:
+        """Of those, the candidates accepted as jumps."""
+        return int(self.events[:, 2].sum())
+
+    def vertex(self, k: int) -> PathBundle:
+        """Vertex k's paths as a bundle of their own (copies, so the sweep
+        can be released)."""
+        n = self.n_paths // self.events.shape[0]
+        rows = slice(k * n, (k + 1) * n)
+
+        def cut(a):
+            return None if a is None else a[rows].copy()
+
+        return PathBundle(
+            x0=self.x0, times=self.times, terminal=cut(self.terminal),
+            running_sup=cut(self.running_sup), exit_time=cut(self.exit_time),
+            seeds=cut(self.seeds), flagged=cut(self.flagged),
+            events=self.events[k:k + 1].copy(), thinning_bound=self.thinning_bound,
+            skeletons=cut(self.skeletons),
+            sup_snapshots=None if self.sup_snapshots is None else
+            {j: cut(s) for j, s in self.sup_snapshots.items()},
+        )
 
     def verify_frozen_after_exit(self) -> None:
         """Stored skeletons must be exactly constant from the exit step on."""
@@ -147,9 +189,12 @@ def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
 
 
-def _diffusion_root(A: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Closed-form PSD square root of each (1x1 or 2x2) diffusion matrix."""
+def _diffusion_root(A: np.ndarray, xs: np.ndarray, live=None) -> np.ndarray:
+    """Closed-form PSD square root of each (1x1 or 2x2) diffusion matrix.  A
+    matrix of a `live` row (by default every row) that is not PSD raises."""
     mineig = min_eigenvalue(A)
+    if live is not None:
+        mineig = np.where(live, mineig, np.inf)
     if np.any(mineig < -PSD_TOL):
         bad = xs[np.argmin(mineig)]
         raise CoefficientError(f"diffusion matrix not PSD at state {bad}")
@@ -168,8 +213,13 @@ def default_clamp_box(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x0 - r, x0 + r
 
 
-def _start(x0, d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x0 as a d-vector and the clamp box (lo, hi), which must contain it."""
+def _start(x0, d: int, cfg: SimConfig,
+           mode: GeneratorMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x0 as a d-vector and the clamp box (lo, hi), which must contain it; a
+    standard mode's state space must have the parameters' dimension d."""
+    if not mode.is_hat and mode.space.dim != d:
+        raise ValueError(f"state space of dimension {mode.space.dim} for parameters "
+                         f"of dimension {d}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (d,):
         raise ValueError("initial state dimension mismatch")
@@ -181,25 +231,17 @@ def _start(x0, d: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return x0, lo, hi
 
 
-def _law(theta: AffineParameter, lo: np.ndarray, hi: np.ndarray, cfg: SimConfig,
-         mode: GeneratorMode) -> tuple[CoefficientForm, tuple[bool, float]]:
-    """theta's coefficient form and its draw class (has_diffusion, lam_bar)."""
-    form = mode.coefficients(theta)
-    return form, (bool(np.any(theta.alpha)), _lam_bar(form, lo, hi))
-
-
 def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
                 has_diffusion: bool, lam_dt: float) -> tuple:
     """The draws (Z, counts, pool, pool_off) of paths b0 .. b0 + B - 1 over
     n_steps steps: normals Z (B, n_steps, d) when the law diffuses; when
     lam_dt > 0, candidate jump counts (B, n_steps) of mean lam_dt and two
     uniforms per candidate in `pool`, path i's from pool_off[i] on.  Absent
-    draws are None.  The set depends on these arguments alone, so every
-    vertex of one draw class can step on it; its arrays are read-only.
-    Block k's paths draw from Philox(key=(seed, k)), each kind from its own
-    sub-stream in one path-major call into the batch's array: a batch that
-    covers rows s .. e - 1 of a block draws the block's first e rows of each
-    kind, the first s into a scratch array."""
+    draws are None; the arrays are read-only.  Block k's paths draw from
+    Philox(key=(seed, k)), each kind from its own sub-stream in one
+    path-major call into the batch's array: a batch that covers rows
+    s .. e - 1 of a block draws the block's first e rows of each kind, the
+    first s into a scratch array."""
     Z = counts = pool = pool_off = None
     if n_steps and (has_diffusion or lam_dt > 0.0):
         if has_diffusion:
@@ -237,131 +279,193 @@ def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
     return drawn
 
 
-def simulate_paths(theta: AffineParameter, x0, cfg: SimConfig,
-                   mode: GeneratorMode,
-                   snapshot_steps: tuple[int, ...] = (),
-                   draws=_draw_batch) -> PathBundle:
-    """Paths of the law with theta fixed, from x0.  A diffusion that is not
-    PSD or a negative jump weight at a state a path visits raises
-    CoefficientError: a constant-vertex law needs admissible coefficients
-    at every such state, and it cannot mask the vertex per node the way the
-    PIDE's sup does.  `draws` takes `_draw_batch`'s arguments and returns
-    its draw set; a sweep passes one that shares sets between vertices."""
-    d = theta.dim
-    x0, lo, hi = _start(x0, d, cfg)
-    form, (has_diffusion, lam_bar) = _law(theta, lo, hi, cfg, mode)
-    n_steps, dt = step_count(cfg.horizon, cfg.dt)
-    times = dt * np.arange(n_steps + 1)
-    start_outside = not mode.inside(x0[None, :])[0]
+def _across(op, a: np.ndarray) -> np.ndarray:
+    """op folded over the d <= 2 columns of an (n, d) array: for np.add the
+    row sums add.reduce(a, axis=1) gives, bit for bit, without its per-row
+    reduction overhead."""
+    return functools.reduce(op, a.T)
 
-    N = cfg.n_paths
-    terminal = np.empty((N, d))
-    running = np.zeros(N)
-    exit_time = np.full(N, np.nan)
-    flagged = np.zeros(N, dtype=bool)
-    seeds = _path_seed_labels(cfg.seed, N)
-    skeletons = np.empty((N, n_steps + 1, d)) if cfg.store_paths else None
-    snaps = {j: np.zeros(N) for j in snapshot_steps}
-    no_jump_exits = proposed = accepted = 0
 
-    for b0 in range(0, N, cfg.batch_size):
-        b1 = min(b0 + cfg.batch_size, N)
-        B = b1 - b0
-        Z = counts = pool = pool_off = None  # release the last set before the next draw
-        Z, counts, pool, pool_off = draws(cfg.seed, b0, B, n_steps, d,
-                                          has_diffusion, lam_bar * dt)
+def _paths_per_batch(batch_size: int, V: int) -> int:
+    """Paths per batch of a V-vertex sweep: the most whole blocks whose
+    V-fold rows fit in batch_size, or batch_size // V (at least one) when
+    that is below one block."""
+    P = max(batch_size // V, 1)
+    return P - P % BLOCK if P >= BLOCK else P
 
-        X = np.tile(x0, (B, 1))
-        frozen = np.zeros(B, dtype=bool)
-        if start_outside:
-            frozen[:] = True
-            exit_time[b0:b1] = 0.0
-        used = np.zeros(B, dtype=np.int64)
-        if cfg.store_paths:
-            skeletons[b0:b1, 0] = X
+
+def _runs(forms: list[CoefficientForm], *fields: str) -> list[tuple[int, int, CoefficientForm]]:
+    """(first vertex, end vertex, form) of each run of consecutive vertices
+    whose `fields` coefficient arrays are equal: one call evaluates a run's
+    rows, row by row exactly as one call per vertex would."""
+    runs = []
+    for v, form in enumerate(forms):
+        if runs and all(np.array_equal(getattr(form, f), getattr(runs[-1][2], f))
+                        for f in fields):
+            runs[-1][1] = v + 1
+        else:
+            runs.append([v, v + 1, form])
+    return [tuple(run) for run in runs]
+
+
+class _Sweep:
+    """The V coefficient forms of a sweep, stepped together over (vertex,
+    path) rows, row v B + i for vertex v and the batch's path i, into
+    (V, N)-shaped result arrays."""
+
+    def __init__(self, thetas, x0, cfg: SimConfig, mode: GeneratorMode,
+                 snapshot_steps: tuple[int, ...]):
+        V, d, N = len(thetas), thetas[0].dim, cfg.n_paths
+        self.x0, self.lo, self.hi = _start(x0, d, cfg, mode)
+        self.cfg, self.mode = cfg, mode
+        forms = [mode.coefficients(theta) for theta in thetas]
+        self.drift_runs = _runs(forms, "net_drift")
+        self.diffusion_runs = _runs(forms, "alpha")
+        self.jump_runs = _runs(forms, "W", "atoms")
+        self.lam_bar = max(_lam_bar(form, self.lo, self.hi) for form in forms)
+        self.diffuses = any(np.any(theta.alpha) for theta in thetas)
+        self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
+        self.terminal = np.empty((V, N, d))
+        self.running = np.zeros((V, N))
+        self.exit_time = np.full((V, N), np.nan)
+        self.flagged = np.zeros((V, N), dtype=bool)
+        self.events = np.zeros((V, 3), dtype=np.int64)
+        self.skeletons = np.empty((V, N, self.n_steps + 1, d)) if cfg.store_paths else None
+        self.snaps = {j: np.zeros((V, N)) for j in snapshot_steps}
+
+    def bundle(self) -> PathBundle:
+        V, N, d = self.terminal.shape
+        return PathBundle(
+            x0=self.x0,
+            times=self.dt * np.arange(self.n_steps + 1),
+            terminal=self.terminal.reshape(V * N, d),
+            running_sup=self.running.reshape(V * N),
+            exit_time=self.exit_time.reshape(V * N),
+            seeds=np.tile(_path_seed_labels(self.cfg.seed, N), V),
+            flagged=self.flagged.reshape(V * N),
+            events=self.events,
+            thinning_bound=self.lam_bar,
+            skeletons=None if self.skeletons is None else
+            self.skeletons.reshape(V * N, self.n_steps + 1, d),
+            sup_snapshots={j: s.reshape(V * N) for j, s in self.snaps.items()} or None,
+        )
+
+    def step_batch(self, p0: int, p1: int) -> None:
+        """Paths p0 .. p1 - 1 of every vertex, on one draw set.  Every row
+        steps and frozen rows keep their state; only live rows are checked
+        for admissible coefficients and thinned."""
+        mode, x0, lo, hi, dt, lam_bar = (self.mode, self.x0, self.lo, self.hi,
+                                         self.dt, self.lam_bar)
+        V, B, d = self.terminal.shape[0], p1 - p0, x0.shape[0]
+        Z, counts, pool, pool_off = _draw_batch(
+            self.cfg.seed, p0, B, self.n_steps, d, self.diffuses, lam_bar * dt)
         sqdt = math.sqrt(dt) if dt else 0.0
+        X = np.tile(x0, (V * B, 1))
+        frozen = np.zeros(V * B, dtype=bool)
+        exit_time = np.full(V * B, np.nan)
+        if not mode.inside(x0[None, :])[0]:
+            frozen[:] = True
+            exit_time[:] = 0.0
+        flagged = np.zeros(V * B, dtype=bool)
+        running = np.zeros(V * B)
+        events = np.zeros((3, V * B), dtype=np.int64)  # per row, as in self.events
+        pos = None if counts is None else pool_off.copy()  # each path's next uniform
+        if self.skeletons is not None:
+            self.skeletons[:, p0:p1, 0] = x0
 
-        for j in range(n_steps):
+        def by_run(runs, coefficient):
+            parts = [getattr(form, coefficient)(X[v0 * B:v1 * B]) for v0, v1, form in runs]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        for j in range(self.n_steps):
             alive = ~frozen
-            if np.any(alive):
-                idx = np.nonzero(alive)[0]
-                xa = X[idx]
-                newx = xa + dt * form.drift(xa)
+            any_frozen = np.any(frozen)
+            if not np.all(frozen):
+                Xn = X + dt * by_run(self.drift_runs, "drift")
                 if Z is not None:
-                    root = _diffusion_root(form.diffusion(xa), xa)
-                    newx = newx + sqdt * np.einsum("nij,nj->ni", root, Z[idx, j])
-                Xn = X.copy()
-                Xn[idx] = newx
-                jumped = np.zeros(B, dtype=bool)
+                    root = _diffusion_root(by_run(self.diffusion_runs, "diffusion"), X, alive)
+                    z = np.broadcast_to(Z[:, j], (V, B, d)).reshape(V * B, d)
+                    Xn = Xn + sqdt * np.einsum("nij,nj->ni", root, z)
+                if any_frozen:
+                    Xn = np.where(alive[:, None], Xn, X)
+                jumped = np.zeros(V * B, dtype=bool)
                 if counts is not None:
-                    cnt = counts[:, j].copy()
-                    cnt[frozen] = 0
-                    max_c = int(cnt.max()) if cnt.size else 0
-                    for r in range(max_c):
-                        m = np.nonzero(cnt > r)[0]
-                        xm = Xn[m]
-                        w = form.jump_weights(xm)
-                        if w.size and np.min(w) < -WEIGHT_TOL:
-                            bad = xm[np.argmin(np.min(w, axis=1))]
-                            raise CoefficientError(f"negative jump weight at state {bad}")
-                        wpos = np.clip(w, 0.0, None)
-                        lam = wpos.sum(axis=1)
-                        u1 = pool[pool_off[m] + 2 * used[m]]
-                        u2 = pool[pool_off[m] + 2 * used[m] + 1]
-                        used[m] += 1
-                        acc = u1 * lam_bar < lam
-                        am = m[acc]
-                        proposed += m.size
-                        accepted += am.size
-                        if am.size:
-                            cw = np.cumsum(wpos[acc], axis=1)
-                            r2 = (u2[acc] * lam[acc])[:, None]
-                            choice = np.argmax(cw > r2, axis=1)
-                            Xn[am] += form.atoms[choice]
-                            jumped[am] = True
+                    cand = np.tile(counts[:, j], V)  # candidates of live rows
+                    if any_frozen:
+                        cand[frozen] = 0
+                    events[1] += cand
+                    for r in range(int(cand.max())):
+                        for v0, v1, form in self.jump_runs:
+                            rows = v0 * B + np.nonzero(cand[v0 * B:v1 * B] > r)[0]
+                            if not rows.size:
+                                continue
+                            xm = Xn[rows]
+                            w = form.jump_weights(xm)
+                            if w.size and np.min(w) < -WEIGHT_TOL:
+                                bad = xm[np.argmin(np.min(w, axis=1))]
+                                raise CoefficientError(f"negative jump weight at state {bad}")
+                            wpos = np.clip(w, 0.0, None)
+                            lam = wpos.sum(axis=1)
+                            u = pos[rows % B] + 2 * r
+                            u1, u2 = pool[u], pool[u + 1]
+                            acc = u1 * lam_bar < lam
+                            hit = rows[acc]
+                            if hit.size:
+                                cw = np.cumsum(wpos[acc], axis=1)
+                                choice = np.argmax(cw > (u2[acc] * lam[acc])[:, None], axis=1)
+                                Xn[hit] += form.atoms[choice]
+                                jumped[hit] = True
+                                events[2, hit] += 1
+                    pos += 2 * counts[:, j]
                 # exits (standard mode): post-step membership; never re-enter
                 newly = alive & ~mode.inside(Xn)
                 if np.any(newly):
-                    exit_time[b0:b1][newly] = (j + 1) * dt
-                    frozen[newly] = True
-                    no_jump_exits += int(np.sum(newly & ~jumped))
+                    exit_time[newly] = (j + 1) * dt
+                    frozen |= newly
+                    events[0] += newly & ~jumped
                 # clamp box
-                inbox = np.all((Xn >= lo) & (Xn <= hi), axis=1)
-                out = alive & ~inbox & ~frozen
+                out = alive & ~frozen & ~_across(np.logical_and, (Xn >= lo) & (Xn <= hi))
                 if np.any(out):
-                    flagged[b0:b1][out] = True
-                    frozen[out] = True
-                moved = alive
-                dist = np.linalg.norm(Xn[moved] - x0[None, :], axis=1)
-                running[b0:b1][moved] = np.maximum(running[b0:b1][moved], dist)
+                    flagged[out] = True
+                    frozen |= out
+                # |Xn - x0| as np.linalg.norm computes it; a frozen row's
+                # distance is the one it had when it froze
+                moved = Xn - x0
+                np.maximum(running, np.sqrt(_across(np.add, moved * moved)), out=running)
                 X = Xn
-            if cfg.store_paths:
-                skeletons[b0:b1, j + 1] = X
-            if (j + 1) in snaps:
-                snaps[j + 1][b0:b1] = running[b0:b1]
-        terminal[b0:b1] = X
+            if self.skeletons is not None:
+                self.skeletons[:, p0:p1, j + 1] = X.reshape(V, B, d)
+            if (j + 1) in self.snaps:
+                self.snaps[j + 1][:, p0:p1] = running.reshape(V, B)
+        self.terminal[:, p0:p1] = X.reshape(V, B, d)
+        self.running[:, p0:p1] = running.reshape(V, B)
+        self.exit_time[:, p0:p1] = exit_time.reshape(V, B)
+        self.flagged[:, p0:p1] = flagged.reshape(V, B)
+        self.events += events.reshape(3, V, B).sum(axis=2).T
 
-    bundle = PathBundle(
-        x0=x0,
-        times=times,
-        terminal=terminal,
-        running_sup=running,
-        exit_time=exit_time,
-        seeds=seeds,
-        flagged=flagged,
-        no_jump_exit_count=no_jump_exits,
-        thinning_proposed=proposed,
-        thinning_accepted=accepted,
-        skeletons=skeletons,
-        sup_snapshots=snaps if snapshot_steps else None,
-    )
+
+def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConfig,
+                   mode: GeneratorMode,
+                   snapshot_steps: tuple[int, ...] = ()) -> PathBundle:
+    """Paths of the law with theta fixed, from x0; for a parameter set, one
+    sweep of its vertices' constant laws, in one bundle of V N rows (see
+    PathBundle).  A diffusion that is not PSD or a negative jump weight at
+    a state a live path visits raises CoefficientError: a constant-vertex
+    law needs admissible coefficients at every such state, and it cannot
+    mask the vertex per node the way the PIDE's sup does."""
+    thetas = theta.vertices() if isinstance(theta, FiniteParameterSet) else [theta]
+    sweep = _Sweep(thetas, x0, cfg, mode, snapshot_steps)
+    P = _paths_per_batch(cfg.batch_size, len(thetas))
+    for p0 in range(0, cfg.n_paths, P):
+        sweep.step_batch(p0, min(p0 + P, cfg.n_paths))
+    bundle = sweep.bundle()
     if cfg.store_paths:
         bundle.verify_frozen_after_exit()
     return bundle
 
 
-def _payoff_moments(payoff: TestFunction, bundle: PathBundle) -> tuple[float, float]:
-    vals = payoff.values(bundle.terminal)
+def _payoff_moments(payoff: TestFunction, terminal: np.ndarray) -> tuple[float, float]:
+    vals = payoff.values(terminal)
     if np.all(vals == vals[0]):
         return float(vals[0]), 0.0
     mean = float(np.mean(vals))
@@ -374,7 +478,7 @@ def estimate_expectation(theta: AffineParameter, x0, payoff: TestFunction,
                          mode: GeneratorMode) -> tuple[float, float]:
     """Sample mean and standard error of payoff(X_t) under one parameter."""
     bundle = simulate_paths(theta, x0, replace(cfg, horizon=t), mode)
-    return _payoff_moments(payoff, bundle)
+    return _payoff_moments(payoff, bundle.terminal)
 
 
 @dataclass
@@ -387,60 +491,29 @@ class LowerBoundResult:
     bundle: PathBundle  # the paths simulated under the winning vertex
 
 
-def _shared_draws():
-    """A draw source for one sweep: it hands the set it holds to every call
-    with the same arguments and drops it before drawing another, so at most
-    one set is alive."""
-    slot = {}
-
-    def draws(*key):
-        if key not in slot:
-            slot.clear()
-            slot[key] = _draw_batch(*key)
-        return slot[key]
-
-    return draws
-
-
-def _first_max_rank(k: int, mean: float) -> tuple:
-    """Vertex k's rank under the first-max rule in vertex order: the largest
-    mean wins and a tie goes to the lower index; a NaN mean never wins
-    unless it is vertex 0's, which no later mean displaces.  Ranks compare
-    the same in any sweep order."""
-    if math.isnan(mean):
-        return (1,) if k == 0 else (-1,)
-    return (0, mean, -k)
-
-
 def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunction,
                           t: float, cfg: SimConfig,
                           mode: GeneratorMode) -> LowerBoundResult:
     """Best constant-parameter estimate over the vertex enumeration.  Every
     fixed-parameter law is feasible for the uncertainty set, so this is a
-    statistical lower bound for the worst-case expectation.  One simulation
-    per vertex; ties go to the first vertex.  A vertex whose coefficients are
-    not admissible at a state its paths visit raises CoefficientError (see
-    simulate_paths), even where `solve` masks that vertex per node.
-
-    Vertices of one draw class (equal has_diffusion and lam_bar) run back to
-    back, and a batch drawn for one is handed to the next: common random
-    numbers, with every result equal to that vertex's own simulate_paths.
-    One draw set at most is alive, so when n_paths spans several batches
-    each vertex of a class draws them again."""
-    cfg = replace(cfg, horizon=t)
-    thetas = theta_set.vertices()
-    x0, lo, hi = _start(x0, theta_set.dim, cfg)
-    classes = [_law(theta, lo, hi, cfg, mode)[1] for theta in thetas]
-    order = sorted(range(len(thetas)), key=lambda k: classes.index(classes[k]))
-    draws = _shared_draws()
-    means, ses = [0.0] * len(thetas), [0.0] * len(thetas)
-    best, winner = None, None
-    for k in order:
-        bundle = simulate_paths(thetas[k], x0, cfg, mode, draws=draws)
-        means[k], ses[k] = _payoff_moments(payoff, bundle)
-        if best is None or _first_max_rank(k, means[k]) > _first_max_rank(best, means[best]):
-            best, winner = k, bundle
-    return LowerBoundResult(means[best], best, ses[best], means, ses, winner)
+    statistical lower bound for the worst-case expectation.  One sweep of
+    simulate_paths steps all vertices on common draws; the largest mean
+    wins, a tie goes to the first vertex, and a NaN mean wins only as
+    vertex 0's, which no later mean displaces.  A vertex whose coefficients
+    are not admissible at a state its paths visit raises CoefficientError
+    (see simulate_paths), even where `solve` masks that vertex per node."""
+    sweep = simulate_paths(theta_set, x0, replace(cfg, horizon=t), mode)
+    N = cfg.n_paths
+    means, ses = [], []
+    for k in range(len(theta_set.vertices())):
+        mean, se = _payoff_moments(payoff, sweep.terminal[k * N:(k + 1) * N])
+        means.append(mean)
+        ses.append(se)
+    best = 0
+    for k, mean in enumerate(means):
+        if mean > means[best]:
+            best = k
+    return LowerBoundResult(means[best], best, ses[best], means, ses, sweep.vertex(best))
 
 
 @dataclass

@@ -177,6 +177,7 @@ class TestSolveCommand:
         assert set(timings) == {"gate_s", "march_s", "write_s"}
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings.values()) <= meta["wall_time_s"]
+        assert meta["peak_rss_mb"] > 0.0
 
     def test_meta_surface_writers(self, tmp_path):
         out = tmp_path / "out"
@@ -663,6 +664,10 @@ class TestSimulateCommand:
         est = json.loads((out / "estimate.json").read_text())
         # constant intensity: lam_bar is exact and every candidate is a jump
         assert est["thinning_accepted"] == est["thinning_proposed"] > 0
+        assert est["thinning_bound"] == 0.5
+        assert set(est["timings"]) == {"sweep_s", "write_s"}
+        assert all(v >= 0.0 for v in est["timings"].values())
+        assert est["peak_rss_mb"] > 0.0
 
 
 class TestCheckCommand:

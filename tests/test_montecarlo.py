@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,17 +203,18 @@ class TestBlockKeys:
         assert all(g.rows["count"] == g.rows["normal"] for g in made)
 
     def test_default_batches_skip_no_rows(self, monkeypatch):
-        # three default batches per vertex, two single-vertex draw classes:
-        # each batch starts on a block boundary, so no row is drawn twice
+        # a two-vertex sweep runs default batches of 6,144 paths, each drawn
+        # once for both vertices and started on a block boundary, so no row
+        # is drawn twice
         cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=2 * 24576 + 1500, seed=3)
-        assert cfg.batch_size == 24576 and cfg.batch_size % montecarlo.BLOCK == 0
+        assert cfg.batch_size == 12 * montecarlo.BLOCK
         thetas = [nl.AffineParameter.scalar(
             alpha0=0.5, nu0=nl.AtomicLevyMeasure([[0.3]], [lam])) for lam in (0.5, 1.0)]
         made = self.record_generators(monkeypatch)
         nl.lower_bound_sublinear(nl.FiniteParameterSet(thetas), [0.0],
                                  nl.make_payoff("square"), 0.5, cfg, FULL)
         for kind in ("normal", "count"):
-            assert sum(g.rows[kind] for g in made) == 2 * cfg.n_paths
+            assert sum(g.rows[kind] for g in made) == cfg.n_paths
 
 
 class TestExitBehaviour:
@@ -287,6 +289,19 @@ class TestExitBehaviour:
                            clamp_box=([1.0], [2.0]))
         with pytest.raises(ValueError, match="clamp box"):
             nl.simulate_paths(nl.AffineParameter.zero(1), [0.0], cfg, FULL)
+
+    def test_state_space_of_another_dimension_refused(self):
+        # a 1-D tuple under a 2-D half-space: membership used to read only
+        # the columns an (n, 1) array has, and 94 of these 100 paths exited
+        theta = nl.AffineParameter.scalar(beta0=-1.0, alpha0=0.1)
+        mode = nl.GeneratorMode.standard(nl.StateSpace.half(2))
+        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=100, seed=1)
+        with pytest.raises(ValueError, match="state space of dimension 2 for "
+                                             "parameters of dimension 1"):
+            nl.simulate_paths(theta, [0.5], cfg, mode)
+        with pytest.raises(ValueError, match="state space of dimension 2"):
+            nl.lower_bound_sublinear(nl.FiniteParameterSet([theta]), [0.5],
+                                     nl.make_payoff("square"), 1.0, cfg, mode)
 
     def test_negative_state_dependent_weight_rejected(self):
         # nu0 + x nu1 turns negative left of x = -0.1 while the bound over
@@ -406,9 +421,9 @@ class TestMonotonicityAndBounds:
             nl.uniqueness_gate(ps, ([-1.0], [1.0]), n_samples=16)
 
 
-def interleaved_classes():
-    """Three diffusing vertices with jump-intensity bounds 0.5, 1.0, 0.5:
-    draw classes A, B, A."""
+def mixed_bounds():
+    """Three diffusing vertices with jump-intensity bounds 0.5, 1.0, 0.5: the
+    sweep thins at 1.0, vertex 1's own bound."""
     def theta(beta0, alpha0, lam):
         nu0 = nl.AtomicLevyMeasure([[0.5], [-0.3]], [lam, 0.2])
         return nl.AffineParameter.scalar(beta0=beta0, alpha0=alpha0, nu0=nu0)
@@ -418,7 +433,7 @@ def interleaved_classes():
 
 
 def hat_box_2d():
-    """Eight diffusing 2-D vertices with one jump measure: one draw class."""
+    """Eight diffusing 2-D vertices with one jump measure: one thinning bound."""
     zero = np.zeros((2, 2))
     nu0 = nl.AtomicLevyMeasure([[0.37, -0.61], [-0.37, 0.61]], [0.25, 0.25], dim=2)
     empty = nl.AtomicLevyMeasure.empty(2)
@@ -431,37 +446,95 @@ def hat_box_2d():
 
 SWEEPS = {
     # name: (parameter set, x0, t, mode, payoff, SimConfig)
-    "interleaved classes, several batches": (
-        interleaved_classes(), [0.2], 0.5, FULL, nl.make_payoff("min_cap", c=0.5),
-        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=11, batch_size=128)),
+    "mixed bounds, several batches": (
+        mixed_bounds(), [0.2], 0.5, FULL, nl.make_payoff("min_cap", c=0.5),
+        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=11, batch_size=3 * 128)),
     "zero horizon": (
-        interleaved_classes(), [0.2], 0.0, FULL, nl.make_payoff("square"),
+        mixed_bounds(), [0.2], 0.0, FULL, nl.make_payoff("square"),
         nl.SimConfig(dt=0.05, horizon=0.0, n_paths=40, seed=11)),
     "2-D with jumps, several batches": (
         hat_box_2d(), [0.0, 0.0], 0.5, nl.GeneratorMode.hat(), nl.make_payoff("square"),
-        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=500, seed=4, batch_size=200)),
+        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=500, seed=4, batch_size=8 * 200)),
 }
 
 
-class TestSharedDraws:
-    """lower_bound_sublinear steps the vertices of one draw class on one
-    shared draw set; each vertex's result is still its own simulate_paths."""
+def own_bound(theta, x0, cfg, mode):
+    """The thinning bound of theta's own simulate_paths."""
+    return nl.simulate_paths(theta, x0, replace(cfg, n_paths=1), mode).thinning_bound
+
+
+class TestSweep:
+    """lower_bound_sublinear steps all vertices in one simulate_paths sweep
+    on one draw set per batch, thinned at the largest vertex bound."""
+
+    def test_one_vertex_sweep_is_simulate_paths(self):
+        # the golden stream of test_stream_golden_digest, through a sweep
+        theta = nl.AffineParameter.scalar(
+            beta0=0.1, alpha0=0.4,
+            nu0=nl.AtomicLevyMeasure([[0.5], [-0.3]], [0.4, 0.6]),
+            nu1=nl.AtomicLevyMeasure([[0.5]], [0.3]),
+        )
+        cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=250, seed=77, batch_size=64)
+        res = nl.lower_bound_sublinear(nl.FiniteParameterSet([theta]), [0.3],
+                                       nl.make_payoff("square"), 0.6, cfg, HALF)
+        assert stream_digest(res.bundle) == (
+            "bf6c27560e395143a856f0ed6242edd6aa7cfca361339328dc4a47c6f559d391")
+        own = jump_diffusion_stream(64)
+        assert (res.mean, res.se) == _payoff_moments(nl.make_payoff("square"), own.terminal)
+        assert (res.bundle.thinning_proposed, res.bundle.thinning_accepted) == (
+            own.thinning_proposed, own.thinning_accepted)
 
     @pytest.mark.parametrize("case", list(SWEEPS))
-    def test_sweep_matches_per_vertex_runs(self, case):
+    def test_independent_of_batch_size(self, case):
         ps, x0, t, mode, payoff, cfg = SWEEPS[case]
-        res = nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
-        own = [nl.simulate_paths(theta, x0, cfg, mode) for theta in ps.vertices()]
-        for k, bundle in enumerate(own):
-            assert (res.all_means[k], res.all_ses[k]) == _payoff_moments(payoff, bundle)
-        assert res.vertex == int(np.argmax(res.all_means))
-        assert stream_digest(res.bundle) == stream_digest(own[res.vertex])
+        V = len(ps.vertices())
+        runs = [nl.lower_bound_sublinear(ps, x0, payoff, t, replace(cfg, batch_size=b),
+                                         mode)
+                for b in (cfg.batch_size, V * 7, V * montecarlo.BLOCK + 1, 10**6)]
+        for res in runs[1:]:
+            assert (res.all_means, res.all_ses, res.vertex) == (
+                runs[0].all_means, runs[0].all_ses, runs[0].vertex)
+            assert stream_digest(res.bundle) == stream_digest(runs[0].bundle)
+            assert (res.bundle.thinning_proposed, res.bundle.thinning_accepted) == (
+                runs[0].bundle.thinning_proposed, runs[0].bundle.thinning_accepted)
 
-    def test_first_max_rule_across_classes(self):
+    @pytest.mark.parametrize("case", list(SWEEPS))
+    def test_vertices_at_the_sweep_bound_match_their_own_runs(self, case):
+        # thinning at a larger bound changes a vertex's draws, not its law;
+        # a vertex whose own bound is the sweep's steps exactly as alone
+        ps, x0, t, mode, payoff, cfg = SWEEPS[case]
+        cfg = replace(cfg, horizon=t)
+        sweep = nl.simulate_paths(ps, x0, cfg, mode)
+        assert sweep.n_paths == len(ps.vertices()) * cfg.n_paths
+        matched = 0
+        for k, theta in enumerate(ps.vertices()):
+            if own_bound(theta, x0, cfg, mode) == sweep.thinning_bound:
+                own = nl.simulate_paths(theta, x0, cfg, mode)
+                assert stream_digest(sweep.vertex(k)) == stream_digest(own)
+                assert sweep.vertex(k).events.tolist() == own.events.tolist()
+                matched += 1
+        assert matched >= 1
+        res = nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
+        assert stream_digest(res.bundle) == stream_digest(sweep.vertex(res.vertex))
+        assert sum(res.all_means[k] > res.mean for k in range(len(res.all_means))) == 0
+
+    def test_mixed_bounds_thin_at_the_largest(self):
+        ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
+        sweep = nl.simulate_paths(ps, x0, cfg, mode)
+        bounds = [own_bound(theta, x0, cfg, mode) for theta in ps.vertices()]
+        assert bounds[0] == bounds[2] < bounds[1] == sweep.thinning_bound
+        # one candidate stream, and no path stops on the full line: every
+        # vertex sees the same candidates; vertex 1's constant intensity
+        # equals the bound and accepts them all, the others about half
+        _, proposed, accepted = sweep.events.T
+        assert proposed[0] == proposed[1] == proposed[2] > 0
+        assert accepted[0] < proposed[0] and accepted[1] == proposed[1]
+        assert accepted[2] < proposed[2]
+
+    def test_first_max_rule(self):
         # min(x, 0) is exactly 0 on paths that never go below 0: vertices 1
-        # (jumps up, zero net drift) and 2 (drift up) tie at the maximum.
-        # Vertices 0 and 2 share a class, so the sweep runs 0, 2, 1, and the
-        # tie must still go to vertex 1.
+        # (jumps up, zero net drift) and 2 (drift up) tie at the maximum,
+        # and the tie goes to vertex 1
         down = nl.AffineParameter.scalar(beta0=-0.5)
         up = nl.AffineParameter.scalar(beta0=0.1)
         cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=200, seed=3)
@@ -471,6 +544,18 @@ class TestSharedDraws:
         assert res.all_means[0] < res.all_means[1] == res.all_means[2] == 0.0
         assert res.vertex == 1
         assert res.bundle.thinning_proposed > 0
+
+    def test_nan_mean_wins_only_as_vertex_zero(self):
+        root = nl.TestFunction("root", lambda x: math.sqrt(x[0]) if x[0] >= 0 else math.nan,
+                               lambda x: np.zeros(1), lambda x: np.zeros((1, 1)))
+        down = nl.AffineParameter.scalar(beta0=-0.5)
+        up = nl.AffineParameter.scalar(beta0=0.5)
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=20, seed=3)
+        for order, want in (([down, up], 0), ([up, down], 0), ([up, down, up], 0)):
+            res = nl.lower_bound_sublinear(nl.FiniteParameterSet(order), [0.0], root,
+                                           0.5, cfg, FULL)
+            assert res.vertex == want
+        assert math.isnan(res.all_means[1]) and res.mean == res.all_means[0] > 0
 
     @staticmethod
     def count_generators(monkeypatch):
@@ -484,23 +569,22 @@ class TestSharedDraws:
         monkeypatch.setattr(np.random, "Philox", counting)
         return built
 
-    @pytest.mark.parametrize("ps, x0, mode, n_paths, classes", [
-        (hat_box_2d(), [0.0, 0.0], nl.GeneratorMode.hat(), 300, 1),
-        (interleaved_classes(), [0.2], FULL, 300, 2),
+    @pytest.mark.parametrize("ps, x0, mode", [
+        (hat_box_2d(), [0.0, 0.0], nl.GeneratorMode.hat()),
+        (mixed_bounds(), [0.2], FULL),
     ])
-    def test_one_generator_per_class_in_one_batch(self, monkeypatch, ps, x0, mode,
-                                                  n_paths, classes):
+    def test_one_generator_for_a_one_batch_sweep(self, monkeypatch, ps, x0, mode):
         built = self.count_generators(monkeypatch)
-        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=n_paths, seed=8)
+        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8)
         nl.lower_bound_sublinear(ps, x0, nl.make_payoff("square"), 0.5, cfg, mode)
-        assert len(built) == classes
+        assert built == [[8, 0]]
 
-    def test_one_generator_per_batch_for_single_vertex_classes(self, monkeypatch):
+    def test_one_generator_per_batch(self, monkeypatch):
         built = self.count_generators(monkeypatch)
-        ps = nl.FiniteParameterSet(interleaved_classes().vertices()[:2])
-        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8, batch_size=128)
+        ps = nl.FiniteParameterSet(mixed_bounds().vertices()[:2])
+        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8, batch_size=2 * 128)
         nl.lower_bound_sublinear(ps, [0.2], nl.make_payoff("square"), 0.5, cfg, FULL)
-        assert built == [[8, 0]] * 6  # three batches of block 0 per vertex
+        assert built == [[8, 0]] * 3  # three batches of block 0, each drawn once
 
     def test_one_draw_set_alive(self, monkeypatch):
         alive, refs = [], []
@@ -513,16 +597,23 @@ class TestSharedDraws:
             return drawn
 
         monkeypatch.setattr(montecarlo, "_draw_batch", recording)
-        ps, x0, t, mode, payoff, cfg = SWEEPS["interleaved classes, several batches"]
+        ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
         nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
-        # with several batches each vertex draws its own: the set of the
-        # last batch is gone before the first batch is drawn again
-        assert alive == [0] * 9
+        # one draw per batch of 128 paths, shared by the three vertices; the
+        # last batch's set is gone before the next is drawn
+        assert alive == [0] * 3
 
     def test_draw_set_is_read_only(self):
         drawn = _draw_batch(5, 0, 10, 4, 1, True, 0.3)
         assert all(a is not None and not a.flags.writeable for a in drawn)
         assert _draw_batch(5, 0, 10, 4, 1, False, 0.0) == (None, None, None, None)
+
+    @pytest.mark.parametrize("batch_size, V, paths", [
+        (12 * 1024, 1, 12 * 1024), (12 * 1024, 3, 4 * 1024), (12 * 1024, 8, 1024),
+        (12 * 1024, 12, 1024), (12 * 1024, 13, 945), (384, 3, 128), (5, 8, 1),
+    ])
+    def test_paths_per_batch(self, batch_size, V, paths):
+        assert montecarlo._paths_per_batch(batch_size, V) == paths
 
 
 class TestThinningCounts:
