@@ -101,12 +101,15 @@ def cmd_solve(args) -> int:
         meta["uniqueness_gate_status"] = gate.status
     _write_json(os.path.join(out, "meta.json"), meta)
     if split is not None:
+        restarted = time.perf_counter()
         try:
             gap = dpp_gap(surface, split)
         except ValueError as exc:  # the split is off the time grid
             raise ConfigError(str(exc)) from exc
         _write_json(os.path.join(out, "dpp.json"),
-                    {"split": split, "gap": gap, "config_hash": cfg.config_hash()})
+                    {"split": split, "gap": gap, "config_hash": cfg.config_hash(),
+                     "n_steps": surface.restart_steps(split),
+                     "march_s": time.perf_counter() - restarted})
     return 0
 
 

@@ -33,13 +33,13 @@ drawn for the block's rows in one call: path i's draws depend only on
 (base seed, i // BLOCK, i % BLOCK), so results are bitwise reproducible and
 independent of the batch size and of the number of paths simulated
 alongside.  simulate_paths steps one parameter or a sweep of V vertices
-with one stepper over (vertex, path) rows: each batch of paths is drawn
-once, and its V copies step on that one draw set (common random numbers),
-thinned at one bound, the largest of the vertices' lam_bar.  Thinning at
-any bound at or above the intensity is exact in law, and a vertex whose
-own bound is the largest gets the paths of its own simulate_paths bit for
-bit.  Payoffs are scored on the (N, d) terminal array at once
-(TestFunction.values).
+with one stepper over (vertex, path) rows: each block of paths is drawn
+once per sweep, and its V copies step on that one draw set (common random
+numbers), thinned at one bound, the largest of the vertices' lam_bar.
+Thinning at any bound at or above the intensity is exact in law, and a
+vertex whose own bound is the largest gets the paths of its own
+simulate_paths bit for bit.  Payoffs are scored on the (N, d) terminal
+array at once (TestFunction.values).
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class SimConfig:
     clamp_box: tuple | None = None  # (lower, upper); default x0 +- 10 (1 + |x0|)
     store_paths: bool = False
     # (vertex, path) rows per batch: a V-vertex sweep steps the most whole
-    # blocks of paths whose V copies fit, or batch_size // V paths below one
-    # block (see _paths_per_batch)
+    # blocks of paths whose V copies fit, or batch_size // V paths of one
+    # block's draw set at a time below one block (see _paths_per_batch)
     batch_size: int = 12 * BLOCK
 
     def __post_init__(self):
@@ -234,44 +234,36 @@ def _start(x0, d: int, cfg: SimConfig,
 def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
                 has_diffusion: bool, lam_dt: float) -> tuple:
     """The draws (Z, counts, pool, pool_off) of paths b0 .. b0 + B - 1 over
-    n_steps steps: normals Z (B, n_steps, d) when the law diffuses; when
-    lam_dt > 0, candidate jump counts (B, n_steps) of mean lam_dt and two
-    uniforms per candidate in `pool`, path i's from pool_off[i] on.  Absent
-    draws are None; the arrays are read-only.  Block k's paths draw from
-    Philox(key=(seed, k)), each kind from its own sub-stream in one
-    path-major call into the batch's array: a batch that covers rows
-    s .. e - 1 of a block draws the block's first e rows of each kind, the
-    first s into a scratch array."""
+    n_steps steps, b0 a multiple of BLOCK: normals Z (B, n_steps, d) when
+    the law diffuses; when lam_dt > 0, candidate jump counts (B, n_steps)
+    of mean lam_dt and two uniforms per candidate in `pool`, path i's from
+    pool_off[i] on.  Absent draws are None; the arrays are read-only.
+    Block k's paths draw from Philox(key=(seed, k)), each kind from its own
+    sub-stream in one path-major call into the batch's array, from the
+    block's first row on."""
     Z = counts = pool = pool_off = None
     if n_steps and (has_diffusion or lam_dt > 0.0):
+        blocks = []  # (generator, fresh state, batch rows) per block
+        for r0 in range(0, B, BLOCK):
+            key = np.array([seed, (b0 + r0) // BLOCK], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            blocks.append((rng, rng.bit_generator.state, slice(r0, min(r0 + BLOCK, B))))
         if has_diffusion:
             Z = np.empty((B, n_steps, d))
+            for rng, fresh, rows in blocks:
+                _substream(rng, fresh, "normal").standard_normal(out=Z[rows])
         if lam_dt > 0.0:
             counts = np.empty((B, n_steps), dtype=np.int64)
-        blocks = []  # (generator, fresh state, skipped rows, batch rows) per block
-        for k in range(b0 // BLOCK, (b0 + B - 1) // BLOCK + 1):
-            start, stop = max(b0, k * BLOCK), min(b0 + B, (k + 1) * BLOCK)
-            key = np.array([seed, k], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            blocks.append((rng, rng.bit_generator.state, start - k * BLOCK,
-                           slice(start - b0, stop - b0)))
-        if Z is not None:
-            for rng, fresh, skip, rows in blocks:
-                _substream(rng, fresh, "normal").standard_normal((skip, n_steps, d))
-                rng.standard_normal(out=Z[rows])
-        if counts is not None:
-            skipped = []  # candidates of each block's skipped rows
-            for rng, fresh, skip, rows in blocks:
-                skipped.append(int(_substream(rng, fresh, "count").poisson(
-                    lam_dt, (skip, n_steps)).sum()))
-                counts[rows] = rng.poisson(lam_dt, counts[rows].shape)
+            for rng, fresh, rows in blocks:
+                counts[rows] = _substream(rng, fresh, "count").poisson(
+                    lam_dt, (rows.stop - rows.start, n_steps))
             lens = 2 * counts.sum(axis=1)
             ends = np.cumsum(lens)
             pool_off = ends - lens
             pool = np.empty(int(ends[-1]))
-            for (rng, fresh, skip, rows), n_skip in zip(blocks, skipped):
-                _substream(rng, fresh, "uniform").random(2 * n_skip)
-                rng.random(out=pool[pool_off[rows.start]:ends[rows.stop - 1]])
+            for rng, fresh, rows in blocks:
+                _substream(rng, fresh, "uniform").random(
+                    out=pool[pool_off[rows.start]:ends[rows.stop - 1]])
     drawn = (Z, counts, pool, pool_off)
     for a in drawn:
         if a is not None:
@@ -289,7 +281,8 @@ def _across(op, a: np.ndarray) -> np.ndarray:
 def _paths_per_batch(batch_size: int, V: int) -> int:
     """Paths per batch of a V-vertex sweep: the most whole blocks whose
     V-fold rows fit in batch_size, or batch_size // V (at least one) when
-    that is below one block."""
+    that is below one block; such batches step one block's draw set in
+    turn."""
     P = max(batch_size // V, 1)
     return P - P % BLOCK if P >= BLOCK else P
 
@@ -350,15 +343,28 @@ class _Sweep:
             sup_snapshots={j: s.reshape(V * N) for j, s in self.snaps.items()} or None,
         )
 
-    def step_batch(self, p0: int, p1: int) -> None:
-        """Paths p0 .. p1 - 1 of every vertex, on one draw set.  Every row
-        steps and frozen rows keep their state; only live rows are checked
-        for admissible coefficients and thinned."""
+    def step_draw_set(self, d0: int, d1: int, P: int) -> None:
+        """Paths d0 .. d1 - 1, d0 a multiple of BLOCK, on one draw set:
+        drawn once, then stepped P paths at a time."""
+        drawn = _draw_batch(self.cfg.seed, d0, d1 - d0, self.n_steps, self.x0.shape[0],
+                            self.diffuses, self.lam_bar * self.dt)
+        for p0 in range(d0, d1, P):
+            p1 = min(p0 + P, d1)
+            self.step_batch(p0, p1, drawn, slice(p0 - d0, p1 - d0))
+
+    def step_batch(self, p0: int, p1: int, drawn: tuple, rows: slice) -> None:
+        """Paths p0 .. p1 - 1 of every vertex, on rows `rows` of the draw
+        set `drawn`.  Every row steps and frozen rows keep their state;
+        only live rows are checked for admissible coefficients and
+        thinned."""
         mode, x0, lo, hi, dt, lam_bar = (self.mode, self.x0, self.lo, self.hi,
                                          self.dt, self.lam_bar)
         V, B, d = self.terminal.shape[0], p1 - p0, x0.shape[0]
-        Z, counts, pool, pool_off = _draw_batch(
-            self.cfg.seed, p0, B, self.n_steps, d, self.diffuses, lam_bar * dt)
+        Z, counts, pool, pool_off = drawn
+        if Z is not None:
+            Z = Z[rows]
+        if counts is not None:
+            counts, pool_off = counts[rows], pool_off[rows]
         sqdt = math.sqrt(dt) if dt else 0.0
         X = np.tile(x0, (V * B, 1))
         frozen = np.zeros(V * B, dtype=bool)
@@ -456,8 +462,9 @@ def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConf
     thetas = theta.vertices() if isinstance(theta, FiniteParameterSet) else [theta]
     sweep = _Sweep(thetas, x0, cfg, mode, snapshot_steps)
     P = _paths_per_batch(cfg.batch_size, len(thetas))
-    for p0 in range(0, cfg.n_paths, P):
-        sweep.step_batch(p0, min(p0 + P, cfg.n_paths))
+    D = max(P, BLOCK)  # paths per draw set: whole blocks, so no row is drawn twice
+    for d0 in range(0, cfg.n_paths, D):
+        sweep.step_draw_set(d0, min(d0 + D, cfg.n_paths), P)
     bundle = sweep.bundle()
     if cfg.store_paths:
         bundle.verify_frozen_after_exit()

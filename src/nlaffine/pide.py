@@ -252,6 +252,10 @@ class ValueSurface:
             raise ValueError(f"time {t} is not aligned to the surface step {self.dt}")
         return self.values[j]
 
+    def restart_steps(self, split: float) -> int:
+        """Steps of dpp_gap's restart march over [0, split]."""
+        return _n_steps(split, self.problem.scheme, self.stable_dt)[0]
+
     def value_at(self, t: float, x) -> float:
         return float(self.layer(t)[self.grid.node_index(x)])
 
@@ -305,6 +309,8 @@ class _Operator:
     """L_k v(x) = sum_g C[g, k, x] (D_g v)(x) for every vertex k, where each
     stencil D_g v(x) = sum of weight * (v(clip(x + offset)) - v(x)) over its
     (offset, weight) pairs; clipping to the grid is constant extension.
+    The clipped neighbours form one (offsets, n) index table, so apply
+    reads every v(clip(x + offset)) of a step in one gather.
 
     Stencils: one per axis and sign (upwind drift plus the central diffusion
     share), the two diagonal pairs of every cross term, and one multilinear
@@ -373,16 +379,17 @@ class _Operator:
                 self.S[g, column[o]] += w
         idx = np.indices(grid.shape).reshape(d, n)
         top = np.array(grid.shape)[:, None] - 1
+        # (offsets, n) np.intp flat indices, each inside the grid: take's
+        # mode="clip" then moves none, and only spares numpy a bounds buffer
         self.nbr = np.stack([
             np.ravel_multi_index(np.clip(idx + np.array(o)[:, None], 0, top), grid.shape)
             for o in offsets
-        ]).astype(np.int32)
+        ])
         self.diff = np.empty(self.nbr.shape)  # per-step buffer: v(x + offset) - v(x)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(L_k v)(x) + pen for every vertex k and node x, shape (K, n)."""
-        for row, idx in zip(self.diff, self.nbr):
-            np.take(v, idx, out=row)
+        v.take(self.nbr, out=self.diff, mode="clip")
         self.diff -= v
         out = np.einsum("gkn,gn->kn", self.C, self.S @ self.diff)
         out += self.pen
@@ -394,13 +401,16 @@ class _Operator:
         layer v; nodes outside the state space stay frozen.  Writes layer j
         to layers[j] for j >= 1 when given, and returns the last layer and
         the last step's increments (None for no step)."""
-        frozen = ~self.in_s
+        frozen = np.flatnonzero(~self.in_s)
         inc = None
         for step in range(1, n_steps + 1):
             inc = self.apply(v)
-            new = v + dt * np.max(inc, axis=0)
-            new[frozen] = v[frozen]
-            if not np.all(np.isfinite(new)):
+            new = inc.max(axis=0)  # new = v + dt * max_k, bit for bit
+            new *= dt
+            new += v
+            if frozen.size:
+                new[frozen] = v[frozen]
+            if not np.isfinite(new).all():
                 raise NonFiniteError(f"non-finite value produced at step {step}")
             v = new
             if layers is not None:

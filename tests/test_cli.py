@@ -246,6 +246,11 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--dpp-split", "0.25"]) == 0
         dpp = json.loads((out / "dpp.json").read_text())
         assert dpp["gap"] <= 5e-3
+        meta = json.loads((out / "meta.json").read_text())
+        # the restart counts its own steps by solve's rule: at least
+        # min_time_steps, so 128 over [0, 0.25] as over [0, 0.5]
+        assert meta["cfl"]["n_steps"] == 128 and dpp["n_steps"] == 128
+        assert dpp["march_s"] > 0
 
     def test_atoms_chained_across_measures(self, tmp_path):
         # nu_1's atom lies within the merge tolerance of both of nu_0's atoms,

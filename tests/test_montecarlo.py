@@ -191,15 +191,15 @@ class TestBlockKeys:
         monkeypatch.setattr(np.random, "Generator", Recording)
         return made
 
-    def test_a_batch_draws_a_prefix_of_each_block_it_covers(self, monkeypatch):
+    def test_each_block_is_drawn_once(self, monkeypatch):
         made = self.record_generators(monkeypatch)
         jump_diffusion_stream(1000, 2500)
-        # batch [0, 1000) draws block 0's first 1000 rows; [1000, 2000) all
-        # of block 0 and block 1's first 976; [2000, 2500) all of block 1
-        # and block 2's first 452
+        # batches of 1,000 paths step blocks 0 and 1 whole and block 2's
+        # 452 paths, each block drawn once: the batch [1000, 2000) steps on
+        # the draws of blocks 0 and 1, not on a redraw of either
         drawn = [(int(g.bit_generator.state["state"]["key"][1]), g.rows["normal"])
                  for g in made]
-        assert drawn == [(0, 1000), (0, 1024), (1, 976), (1, 1024), (2, 452)]
+        assert drawn == [(0, 1024), (1, 1024), (2, 452)]
         assert all(g.rows["count"] == g.rows["normal"] for g in made)
 
     def test_default_batches_skip_no_rows(self, monkeypatch):
@@ -215,6 +215,18 @@ class TestBlockKeys:
                                  nl.make_payoff("square"), 0.5, cfg, FULL)
         for kind in ("normal", "count"):
             assert sum(g.rows[kind] for g in made) == cfg.n_paths
+
+    def test_sub_block_batches_draw_every_row_once(self, monkeypatch):
+        # 13 vertices at the default batch_size step 945-path batches, which
+        # start mid-block; each block's draw set is drawn once and stepped
+        # in turn, so 4,000 paths draw 4,000 rows of normals
+        cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=4000, seed=3)
+        assert montecarlo._paths_per_batch(cfg.batch_size, 13) == 945
+        thetas = [nl.AffineParameter.scalar(alpha0=0.1 * (k + 1)) for k in range(13)]
+        made = self.record_generators(monkeypatch)
+        nl.simulate_paths(nl.FiniteParameterSet(thetas), [0.0], cfg, FULL)
+        assert sum(g.rows["normal"] for g in made) == cfg.n_paths
+        assert [int(g.bit_generator.state["state"]["key"][1]) for g in made] == [0, 1, 2, 3]
 
 
 class TestExitBehaviour:
@@ -579,12 +591,13 @@ class TestSweep:
         nl.lower_bound_sublinear(ps, x0, nl.make_payoff("square"), 0.5, cfg, mode)
         assert built == [[8, 0]]
 
-    def test_one_generator_per_batch(self, monkeypatch):
+    def test_one_generator_per_block(self, monkeypatch):
         built = self.count_generators(monkeypatch)
         ps = nl.FiniteParameterSet(mixed_bounds().vertices()[:2])
-        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8, batch_size=2 * 128)
+        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=2500, seed=8, batch_size=2 * 128)
         nl.lower_bound_sublinear(ps, [0.2], nl.make_payoff("square"), 0.5, cfg, FULL)
-        assert built == [[8, 0]] * 3  # three batches of block 0, each drawn once
+        # 20 batches of 128 paths, on the draw sets of blocks 0, 1 and 2
+        assert built == [[8, 0], [8, 1], [8, 2]]
 
     def test_one_draw_set_alive(self, monkeypatch):
         alive, refs = [], []
@@ -598,9 +611,10 @@ class TestSweep:
 
         monkeypatch.setattr(montecarlo, "_draw_batch", recording)
         ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
-        nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
-        # one draw per batch of 128 paths, shared by the three vertices; the
-        # last batch's set is gone before the next is drawn
+        nl.lower_bound_sublinear(ps, x0, payoff, t, replace(cfg, n_paths=2500), mode)
+        # one draw per block, shared by the three vertices and stepped in
+        # batches of 128 paths; the last block's set is gone before the
+        # next is drawn
         assert alive == [0] * 3
 
     def test_draw_set_is_read_only(self):

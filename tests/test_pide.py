@@ -114,6 +114,18 @@ class TestSolveBasics:
         with pytest.raises(nl.NonFiniteError):
             nl.solve(ps, grid, bad, 0.1, FULL)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_in_the_march_rejected_with_its_step(self):
+        # a finite payoff whose first step overflows: the march checks every
+        # step and names the one that failed
+        grid = nl.Grid.line(-1.0, 1.0, 41)
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=1.0)])
+        spike = nl.TestFunction("spike", lambda x: 1.7e308 if abs(x[0]) < 1e-9 else -1.7e308,
+                                lambda x: np.zeros_like(x), lambda x: np.zeros((1, 1)))
+        with pytest.raises(nl.NonFiniteError, match=r"^non-finite value produced at step 1$"):
+            nl.solve(ps, grid, spike, 0.1, FULL)
+
     def test_cfl_violation_raises_with_bound(self):
         ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=1.0)])
         grid = nl.Grid.line(-1.0, 1.0, 101)
@@ -351,6 +363,53 @@ class TestTwoDimensions:
         true = X + 2 * Y  # d/dt v = w (f(x+z) - f(x) - grad f . z) = 0
         mask = surf.interior_mask(extra_margin=2.0)
         assert np.max(np.abs(surf.values[-1] - true)[mask]) < 1e-5
+
+
+def half_line_operator():
+    """Two half-line vertices with atoms on both sides of a node (+0.37,
+    -0.23, -0.61 on a 0.1 grid) and state-dependent weights; the ten nodes
+    below 0 are frozen."""
+    E = nl.AtomicLevyMeasure
+    ps = nl.FiniteParameterSet([
+        nl.AffineParameter.scalar(beta0=0.3, beta1=-0.2, alpha1=0.4,
+                                  nu0=E([[0.37], [-0.23]], [0.3, 0.2]),
+                                  nu1=E([[0.37]], [0.1])),
+        nl.AffineParameter.scalar(beta0=-0.1, alpha0=0.2, alpha1=0.1,
+                                  nu0=E([[-0.61]], [0.5])),
+    ])
+    return pide._Operator(ps.vertices(), nl.Grid.line(-1.0, 3.0, 41), HALF)
+
+
+class TestOperator:
+    @staticmethod
+    def reference(op, v):
+        """sum_g C[g] sum_o S[g, o] (v[nbr[o]] - v) + pen, each offset
+        gathered on its own; S @ diff is the operator's own contraction,
+        whose BLAS summation order a Python loop would not reproduce."""
+        diff = np.stack([v[op.nbr[o]] - v for o in range(op.nbr.shape[0])])
+        stencils = op.S @ diff
+        out = np.zeros(op.C.shape[1:])
+        for g in range(op.C.shape[0]):
+            out = out + op.C[g] * stencils[g]
+        return out + op.pen
+
+    @pytest.mark.parametrize("make", [half_line_operator,
+                                      lambda: golden_2d_problem().problem.operator],
+                             ids=["half_line_1d", "half_space_2d"])
+    def test_apply_is_the_stencil_sum(self, make):
+        op = make()
+        n = op.nbr.shape[1]
+        assert op.nbr.dtype == np.intp
+        assert op.nbr.min() >= 0 and op.nbr.max() < n  # take's "clip" moves nothing
+        v = np.random.default_rng(5).standard_normal(n)
+        assert np.array_equal(op.apply(v), self.reference(op, v))
+
+    def test_half_line_operator_has_frozen_nodes_and_two_sided_atoms(self):
+        op = half_line_operator()
+        assert np.count_nonzero(~op.in_s) == 10
+        # node 20's neighbours: the upwind pair and the atoms' corners
+        assert sorted(op.nbr[:, 20] - 20) == [-7, -6, -3, -2, -1, 1, 3, 4]
+        assert op.nbr[:, 0].min() == 0 and op.nbr[:, 40].max() == 40  # clipped ends
 
 
 GOLDEN_SURFACES = [
