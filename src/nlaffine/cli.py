@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
         restarted = time.perf_counter()
         try:
             gap = dpp_gap(surface, split)
-        except ValueError as exc:  # the split is off the time grid
+        except ValueError as exc:  # an off-grid split or an empty interior core
             raise ConfigError(str(exc)) from exc
         _write_json(os.path.join(out, "dpp.json"),
                     {"split": split, "gap": gap, "config_hash": cfg.config_hash(),

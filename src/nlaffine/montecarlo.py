@@ -82,8 +82,9 @@ class SimConfig:
     batch_size: int = 12 * BLOCK
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < 0 or self.n_paths < 1:
-            raise ValueError("need dt > 0, horizon >= 0 and at least one path")
+        if not (0.0 < self.dt < math.inf and 0.0 <= self.horizon < math.inf
+                and self.n_paths >= 1):
+            raise ValueError("need finite dt > 0, finite horizon >= 0 and at least one path")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.batch_size < 1:

@@ -2,8 +2,10 @@
 equation  d/dt v = sup over the parameter set of the affine generator,
 with initial condition v(0, .) = payoff.
 
-Scheme: forward Euler in time, v <- v + dt * max_k L_k v, with one discrete
-generator per vertex written as coefficients times difference stencils,
+Scheme: forward Euler in time, v <- v + dt * max_k L_k v, marched by one
+step iterator, _Operator.steps, which yields each layer as it is made: solve
+stores them all, and dpp_gap keeps only the running one.  One discrete
+generator per vertex is written as coefficients times difference stencils,
 
     L_k v(x) = sum_g C[g, k, x] * sum_{(o, w) in D_g} w * (v(x + o) - v(x)),
 
@@ -215,6 +217,8 @@ class SchemeConfig:
             raise ValueError("cfl safety factor must lie in (0, 1]")
         if not (self.dt is None or self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not (self.r_jump is None or 0.0 <= self.r_jump < math.inf):
+            raise ValueError(f"r_jump must be finite and nonnegative, got {self.r_jump!r}")
 
 
 @dataclass
@@ -260,8 +264,15 @@ class ValueSurface:
         return float(self.layer(t)[self.grid.node_index(x)])
 
     def interior_mask(self, extra_margin: float = 0.0) -> np.ndarray:
-        margin = max(self.r_jump, 10.0 * float(np.max(self.grid.dx)))
-        return self.grid.interior_mask(margin + extra_margin)
+        """The interior core: nodes at least max(r_jump, 10 dx) + extra_margin
+        inside every face of the grid.  Raises ValueError when it is empty."""
+        margin = max(self.r_jump, 10.0 * float(np.max(self.grid.dx))) + extra_margin
+        mask = self.grid.interior_mask(margin)
+        if not mask.any():
+            raise ValueError(
+                f"the interior core margin {margin:g} leaves no node of the grid "
+                f"{self.grid.lower.tolist()} .. {self.grid.upper.tolist()}")
+        return mask
 
     def to_csv(self, path) -> int:
         """Rows t,x1[,x2],v over all space-time nodes, 17 significant digits,
@@ -395,14 +406,11 @@ class _Operator:
         out += self.pen
         return out
 
-    def march(self, v: np.ndarray, n_steps: int, dt: float,
-              layers: np.ndarray | None = None):
+    def steps(self, v: np.ndarray, n_steps: int, dt: float):
         """n_steps explicit steps v <- v + dt * max_k L_k v from the flat
-        layer v; nodes outside the state space stay frozen.  Writes layer j
-        to layers[j] for j >= 1 when given, and returns the last layer and
-        the last step's increments (None for no step)."""
+        layer v; nodes outside the state space stay frozen.  Yields each new
+        layer, a fresh array, with its step's (K, n) increments from apply."""
         frozen = np.flatnonzero(~self.in_s)
-        inc = None
         for step in range(1, n_steps + 1):
             inc = self.apply(v)
             new = inc.max(axis=0)  # new = v + dt * max_k, bit for bit
@@ -413,9 +421,7 @@ class _Operator:
             if not np.isfinite(new).all():
                 raise NonFiniteError(f"non-finite value produced at step {step}")
             v = new
-            if layers is not None:
-                layers[step] = v
-        return v, inc
+            yield v, inc
 
 
 def default_jump_radius(theta_set: FiniteParameterSet) -> float:
@@ -441,8 +447,8 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     pair, where rate = sum_g C_g * mass(D_g) is the total outflow of the
     operator; with C >= 0 this keeps the update monotone.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     scheme = scheme or SchemeConfig()
     if not mode.is_hat and mode.space.dim != grid.dim:
         raise ValueError("state space and grid dimensions differ")
@@ -466,8 +472,10 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     values[0] = payoff.values(grid.points())
     if not np.all(np.isfinite(values[0])):
         raise NonFiniteError("payoff is not finite on the grid")
-    _, inc = op.march(values[0], n_steps, dt, values)
-    argmax = np.zeros(grid.n_nodes, dtype=int) if inc is None else np.argmax(inc, axis=0)
+    inc = np.zeros((1, grid.n_nodes))  # a zero-step horizon reads vertex 0
+    for j, (layer, inc) in enumerate(op.steps(values[0], n_steps, dt), 1):
+        values[j] = layer
+    argmax = np.argmax(inc, axis=0)
 
     r_jump = scheme.r_jump if scheme.r_jump is not None else default_jump_radius(theta_set)
     return ValueSurface(ProblemSpec(theta_set, grid, scheme, op),
@@ -483,18 +491,20 @@ def dpp_gap(surface: ValueSurface, split: float,
     its own step count by the rule `solve` uses, so for 0 < split < horizon
     this is a genuine two-stage versus one-stage check; split = horizon
     reproduces the identical run and split = 0 is empty.  A split that is
-    not a time of the surface's grid on [0, horizon] raises ValueError.
+    not a time of the surface's grid on [0, horizon], or an empty interior
+    core, raises ValueError.
     """
     j = grid_index(split, 0.0, surface.dt, surface.n_steps + 1)
     if j is None:
         raise ValueError(f"split {split} is not aligned to the time grid")
     if j == 0:
         return 0.0
+    mask = surface.interior_mask(extra_margin)
     p = surface.problem
     n_steps, dt = _n_steps(split, p.scheme, surface.stable_dt)
     start = surface.values[surface.n_steps - j].ravel()
-    end, _ = p.operator.march(start, n_steps, dt)
-    mask = surface.interior_mask(extra_margin)
+    for end, _ in p.operator.steps(start, n_steps, dt):
+        pass
     gap = np.abs(end.reshape(surface.grid.shape) - surface.values[-1])
     return float(np.max(gap[mask]))
 

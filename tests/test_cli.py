@@ -394,6 +394,10 @@ def _zero_dt(raw):
     raw["scheme"]["dt"] = 0
 
 
+def _negative_r_jump(raw):
+    raw["scheme"]["r_jump"] = -1
+
+
 def _boolean_payoff_parameter(raw):
     raw["payoff"] = {"name": "min_cap", "c": True}
 
@@ -523,6 +527,7 @@ class TestErrorContract:
         (_boolean_cfl, "bad scheme spec: expected a number, got True"),
         (_negative_dt, "bad scheme spec: dt must be positive, got -0.1"),
         (_zero_dt, "bad scheme spec: dt must be positive, got 0.0"),
+        (_negative_r_jump, "bad scheme spec: r_jump must be finite and nonnegative, got -1.0"),
         (_boolean_payoff_parameter, "payoff 'min_cap' needs a number for 'c', got True"),
         (_boolean_grid_lower, "bad grid spec: expected a number, got True"),
         (_boolean_box_alpha, "expected a number, got True"),
@@ -581,13 +586,17 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert "seed must lie in [0, 2**64)" in err
 
-    @pytest.mark.parametrize("split, message", [
-        ("abc", "argument --dpp-split: invalid float value: 'abc'"),
-        ("5", "--dpp-split must lie in [0, horizon = 0.5], got 5.0"),
-        ("0.3333", "split 0.3333 is not aligned to the time grid"),
-    ])
-    def test_bad_dpp_split_exits_2(self, tmp_path, capsys, split, message):
-        path = write_config(tmp_path, base_config(tmp_path / "out"))
+    @pytest.mark.parametrize("split, scheme, message", [
+        ("abc", {}, "argument --dpp-split: invalid float value: 'abc'"),
+        ("5", {}, "--dpp-split must lie in [0, horizon = 0.5], got 5.0"),
+        ("0.3333", {}, "split 0.3333 is not aligned to the time grid"),
+        ("0.5", {"r_jump": 5}, "the interior core margin 5 leaves no node of the "
+                               "grid [-4.0] .. [4.0]"),
+    ], ids=["text", "past_horizon", "off_grid", "empty_core"])
+    def test_bad_dpp_split_exits_2(self, tmp_path, capsys, split, scheme, message):
+        raw = base_config(tmp_path / "out")
+        raw["scheme"].update(scheme)
+        path = write_config(tmp_path, raw)
         assert main(["solve", "--config", path, "--dpp-split", split]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")

@@ -52,10 +52,14 @@ class TestSimConfig:
         ({"seed": 2**64}, "seed must lie in"),
         ({"batch_size": 0}, "batch_size must be at least 1"),
         ({"batch_size": -3}, "batch_size must be at least 1"),
+        ({"dt": math.nan}, "need finite dt > 0"),
+        ({"dt": math.inf}, "need finite dt > 0"),
+        ({"horizon": math.nan}, "finite horizon >= 0"),
+        ({"horizon": math.inf}, "finite horizon >= 0"),
     ])
     def test_out_of_range_rejected(self, field, message):
         with pytest.raises(ValueError, match=message):
-            nl.SimConfig(dt=0.1, horizon=1.0, n_paths=10, **field)
+            nl.SimConfig(**{"dt": 0.1, "horizon": 1.0, "n_paths": 10, **field})
 
     def test_largest_seed_accepted(self):
         cfg = nl.SimConfig(dt=0.1, horizon=0.2, n_paths=3, seed=2**64 - 1)

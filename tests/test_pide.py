@@ -138,6 +138,17 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="dt must be positive"):
             nl.SchemeConfig(dt=dt)
 
+    @pytest.mark.parametrize("r_jump", [math.nan, math.inf, -0.5])
+    def test_nonfinite_or_negative_r_jump_rejected(self, r_jump):
+        with pytest.raises(ValueError, match="r_jump must be finite and nonnegative"):
+            nl.SchemeConfig(r_jump=r_jump)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -0.1])
+    def test_nonfinite_or_negative_horizon_rejected(self, horizon):
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=1.0)])
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            nl.solve(ps, nl.Grid.line(-1.0, 1.0, 21), nl.make_payoff("cos"), horizon, FULL)
+
 
 class TestOrderingProperties:
     def test_payoff_monotonicity_exact(self):
@@ -216,6 +227,15 @@ class TestRestartConsistency:
                         scheme=nl.SchemeConfig(min_time_steps=64))
         with pytest.raises(ValueError, match="aligned"):
             nl.dpp_gap(surf, split_of(surf))
+
+    def test_empty_interior_core_named(self):
+        # the margin max(r_jump, 10 dx) = 5 covers the whole of [-1, 1]
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=0.5)])
+        surf = nl.solve(ps, nl.Grid.line(-1.0, 1.0, 21), nl.make_payoff("cos"), 0.5, FULL,
+                        scheme=nl.SchemeConfig(r_jump=5.0, min_time_steps=8))
+        with pytest.raises(ValueError, match=r"^the interior core margin 5 leaves no "
+                                             r"node of the grid \[-1.0\] .. \[1.0\]$"):
+            nl.dpp_gap(surf, surf.n_steps // 2 * surf.dt)
 
     def test_half_split_small_gap(self):
         ps = nl.FiniteParameterSet([mixed_theta()])
@@ -365,7 +385,7 @@ class TestTwoDimensions:
         assert np.max(np.abs(surf.values[-1] - true)[mask]) < 1e-5
 
 
-def half_line_operator():
+def half_line_problem():
     """Two half-line vertices with atoms on both sides of a node (+0.37,
     -0.23, -0.61 on a 0.1 grid) and state-dependent weights; the ten nodes
     below 0 are frozen."""
@@ -377,7 +397,18 @@ def half_line_operator():
         nl.AffineParameter.scalar(beta0=-0.1, alpha0=0.2, alpha1=0.1,
                                   nu0=E([[-0.61]], [0.5])),
     ])
-    return pide._Operator(ps.vertices(), nl.Grid.line(-1.0, 3.0, 41), HALF)
+    return ps, nl.Grid.line(-1.0, 3.0, 41)
+
+
+def half_line_operator():
+    ps, grid = half_line_problem()
+    return pide._Operator(ps.vertices(), grid, HALF)
+
+
+def half_line_surface(horizon=0.5):
+    ps, grid = half_line_problem()
+    return nl.solve(ps, grid, nl.make_payoff("min_cap", c=2.0), horizon, HALF,
+                    scheme=nl.SchemeConfig(min_time_steps=32))
 
 
 class TestOperator:
@@ -410,6 +441,31 @@ class TestOperator:
         # node 20's neighbours: the upwind pair and the atoms' corners
         assert sorted(op.nbr[:, 20] - 20) == [-7, -6, -3, -2, -1, 1, 3, 4]
         assert op.nbr[:, 0].min() == 0 and op.nbr[:, 40].max() == 40  # clipped ends
+
+
+class TestSteps:
+    """_Operator.steps, the one time loop: solve stores what it yields."""
+
+    @pytest.mark.parametrize("make", [half_line_surface, lambda: golden_2d_problem()],
+                             ids=["half_line_1d", "half_space_2d"])
+    def test_yields_the_layers_solve_stores(self, make):
+        surf = make()
+        start = surf.values[0].ravel()
+        marched = list(surf.problem.operator.steps(start, surf.n_steps, surf.dt))
+        assert len(marched) == surf.n_steps
+        for (layer, _), stored in zip(marched, surf.values[1:]):
+            assert np.array_equal(layer, stored.ravel())
+        last_inc = marched[-1][1]
+        assert np.array_equal(np.argmax(last_inc, axis=0), surf.argmax_last.ravel())
+
+    def test_zero_steps_yield_nothing(self):
+        op = half_line_operator()
+        assert list(op.steps(np.zeros(op.nbr.shape[1]), 0, 0.1)) == []
+
+    def test_zero_horizon_keeps_one_layer_and_vertex_0(self):
+        surf = half_line_surface(horizon=0.0)
+        assert surf.values.shape == (1, 41)
+        assert surf.argmax_last.shape == (41,) and not surf.argmax_last.any()
 
 
 GOLDEN_SURFACES = [
