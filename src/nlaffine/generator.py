@@ -30,7 +30,8 @@ from .params import (
 class TestFunction:
     """Scalar function with explicit gradient and Hessian callables.  The
     optional `array_value` evaluates every row of an (n, d) array at once and
-    must equal `value` row by row, bit for bit."""
+    must equal `value` row by row, bit for bit: a built-in payoff is written
+    once, as its array form, and its `value` is the one-row case."""
 
     name: str
     value: Callable[[np.ndarray], float]

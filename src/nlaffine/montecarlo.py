@@ -91,10 +91,16 @@ class SimConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
+# PathBundle's fields with one entry per (vertex, path) row
+_PER_ROW = ("terminal", "running_sup", "exit_time", "seeds", "flagged", "skeletons")
+
+
 @dataclass
 class PathBundle:
     """The paths of V constant-vertex laws from one start, vertex-major: rows
-    k N .. (k + 1) N - 1 are vertex k's N paths (V = 1 for one parameter)."""
+    k N .. (k + 1) N - 1 are vertex k's N paths (V = 1 for one parameter).
+    The sweep allocates these (V N)-row arrays up front and writes each
+    batch of paths into them in place."""
 
     x0: np.ndarray
     times: np.ndarray
@@ -135,17 +141,13 @@ class PathBundle:
         """Vertex k's paths as a bundle of their own (copies, so the sweep
         can be released)."""
         n = self.n_paths // self.events.shape[0]
-        rows = slice(k * n, (k + 1) * n)
 
         def cut(a):
-            return None if a is None else a[rows].copy()
+            return None if a is None else a[k * n:(k + 1) * n].copy()
 
-        return PathBundle(
-            x0=self.x0, times=self.times, terminal=cut(self.terminal),
-            running_sup=cut(self.running_sup), exit_time=cut(self.exit_time),
-            seeds=cut(self.seeds), flagged=cut(self.flagged),
-            events=self.events[k:k + 1].copy(), thinning_bound=self.thinning_bound,
-            skeletons=cut(self.skeletons),
+        return replace(
+            self, events=self.events[k:k + 1].copy(),
+            **{f: cut(getattr(self, f)) for f in _PER_ROW},
             sup_snapshots=None if self.sup_snapshots is None else
             {j: cut(s) for j, s in self.sup_snapshots.items()},
         )
@@ -190,12 +192,10 @@ def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
 
 
-def _diffusion_root(A: np.ndarray, xs: np.ndarray, live=None) -> np.ndarray:
+def _diffusion_root(A: np.ndarray, xs: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Closed-form PSD square root of each (1x1 or 2x2) diffusion matrix.  A
-    matrix of a `live` row (by default every row) that is not PSD raises."""
-    mineig = min_eigenvalue(A)
-    if live is not None:
-        mineig = np.where(live, mineig, np.inf)
+    matrix of a `live` row that is not PSD raises."""
+    mineig = np.where(live, min_eigenvalue(A), np.inf)
     if np.any(mineig < -PSD_TOL):
         bad = xs[np.argmin(mineig)]
         raise CoefficientError(f"diffusion matrix not PSD at state {bad}")
@@ -303,9 +303,10 @@ def _runs(forms: list[CoefficientForm], *fields: str) -> list[tuple[int, int, Co
 
 
 class _Sweep:
-    """The V coefficient forms of a sweep, stepped together over (vertex,
-    path) rows, row v B + i for vertex v and the batch's path i, into
-    (V, N)-shaped result arrays."""
+    """The V coefficient forms of a sweep, stepped over (vertex, path) rows,
+    row v B + i for vertex v and the batch's path i, into `bundle`: its
+    final (V N)-row arrays, allocated up front (seeds aside) and written a
+    batch at a time through (V, N) reshape views."""
 
     def __init__(self, thetas, x0, cfg: SimConfig, mode: GeneratorMode,
                  snapshot_steps: tuple[int, ...]):
@@ -319,29 +320,14 @@ class _Sweep:
         self.lam_bar = max(_lam_bar(form, self.lo, self.hi) for form in forms)
         self.diffuses = any(np.any(theta.alpha) for theta in thetas)
         self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
-        self.terminal = np.empty((V, N, d))
-        self.running = np.zeros((V, N))
-        self.exit_time = np.full((V, N), np.nan)
-        self.flagged = np.zeros((V, N), dtype=bool)
-        self.events = np.zeros((V, 3), dtype=np.int64)
-        self.skeletons = np.empty((V, N, self.n_steps + 1, d)) if cfg.store_paths else None
-        self.snaps = {j: np.zeros((V, N)) for j in snapshot_steps}
-
-    def bundle(self) -> PathBundle:
-        V, N, d = self.terminal.shape
-        return PathBundle(
-            x0=self.x0,
-            times=self.dt * np.arange(self.n_steps + 1),
-            terminal=self.terminal.reshape(V * N, d),
-            running_sup=self.running.reshape(V * N),
-            exit_time=self.exit_time.reshape(V * N),
-            seeds=np.tile(_path_seed_labels(self.cfg.seed, N), V),
-            flagged=self.flagged.reshape(V * N),
-            events=self.events,
+        self.bundle = PathBundle(
+            x0=self.x0, times=self.dt * np.arange(self.n_steps + 1),
+            terminal=np.empty((V * N, d)), running_sup=np.zeros(V * N),
+            exit_time=np.full(V * N, np.nan), seeds=None,  # set in simulate_paths
+            flagged=np.zeros(V * N, dtype=bool), events=np.zeros((V, 3), dtype=np.int64),
             thinning_bound=self.lam_bar,
-            skeletons=None if self.skeletons is None else
-            self.skeletons.reshape(V * N, self.n_steps + 1, d),
-            sup_snapshots={j: s.reshape(V * N) for j, s in self.snaps.items()} or None,
+            skeletons=np.empty((V * N, self.n_steps + 1, d)) if cfg.store_paths else None,
+            sup_snapshots={j: np.zeros(V * N) for j in snapshot_steps} or None,
         )
 
     def step_draw_set(self, d0: int, d1: int, P: int) -> None:
@@ -360,7 +346,12 @@ class _Sweep:
         thinned."""
         mode, x0, lo, hi, dt, lam_bar = (self.mode, self.x0, self.lo, self.hi,
                                          self.dt, self.lam_bar)
-        V, B, d = self.terminal.shape[0], p1 - p0, x0.shape[0]
+        bundle, snaps = self.bundle, self.bundle.sup_snapshots or {}
+        V, B, d = bundle.events.shape[0], p1 - p0, x0.shape[0]
+
+        def rows_of(a):  # paths p0 .. p1 - 1 of every vertex, a (V, B, ...) view
+            return a.reshape(V, -1, *a.shape[1:])[:, p0:p1]
+
         Z, counts, pool, pool_off = drawn
         if Z is not None:
             Z = Z[rows]
@@ -375,10 +366,10 @@ class _Sweep:
             exit_time[:] = 0.0
         flagged = np.zeros(V * B, dtype=bool)
         running = np.zeros(V * B)
-        events = np.zeros((3, V * B), dtype=np.int64)  # per row, as in self.events
+        events = np.zeros((3, V * B), dtype=np.int64)  # per row, as in bundle.events
         pos = None if counts is None else pool_off.copy()  # each path's next uniform
-        if self.skeletons is not None:
-            self.skeletons[:, p0:p1, 0] = x0
+        if bundle.skeletons is not None:
+            rows_of(bundle.skeletons)[:, :, 0] = x0
 
         def by_run(runs, coefficient):
             parts = [getattr(form, coefficient)(X[v0 * B:v1 * B]) for v0, v1, form in runs]
@@ -440,15 +431,15 @@ class _Sweep:
                 moved = Xn - x0
                 np.maximum(running, np.sqrt(_across(np.add, moved * moved)), out=running)
                 X = Xn
-            if self.skeletons is not None:
-                self.skeletons[:, p0:p1, j + 1] = X.reshape(V, B, d)
-            if (j + 1) in self.snaps:
-                self.snaps[j + 1][:, p0:p1] = running.reshape(V, B)
-        self.terminal[:, p0:p1] = X.reshape(V, B, d)
-        self.running[:, p0:p1] = running.reshape(V, B)
-        self.exit_time[:, p0:p1] = exit_time.reshape(V, B)
-        self.flagged[:, p0:p1] = flagged.reshape(V, B)
-        self.events += events.reshape(3, V, B).sum(axis=2).T
+            if bundle.skeletons is not None:
+                rows_of(bundle.skeletons)[:, :, j + 1] = X.reshape(V, B, d)
+            if (j + 1) in snaps:
+                rows_of(snaps[j + 1])[:] = running.reshape(V, B)
+        rows_of(bundle.terminal)[:] = X.reshape(V, B, d)
+        rows_of(bundle.running_sup)[:] = running.reshape(V, B)
+        rows_of(bundle.exit_time)[:] = exit_time.reshape(V, B)
+        rows_of(bundle.flagged)[:] = flagged.reshape(V, B)
+        bundle.events += events.reshape(3, V, B).sum(axis=2).T
 
 
 def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConfig,
@@ -466,7 +457,9 @@ def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConf
     D = max(P, BLOCK)  # paths per draw set: whole blocks, so no row is drawn twice
     for d0 in range(0, cfg.n_paths, D):
         sweep.step_draw_set(d0, min(d0 + D, cfg.n_paths), P)
-    bundle = sweep.bundle()
+    bundle = sweep.bundle
+    # labelled after stepping, so the labels never add to a batch's peak memory
+    bundle.seeds = np.tile(_path_seed_labels(cfg.seed, cfg.n_paths), len(thetas))
     if cfg.store_paths:
         bundle.verify_frozen_after_exit()
     return bundle

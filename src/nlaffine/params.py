@@ -22,7 +22,7 @@ import numpy as np
 ATOM_MERGE_TOL = 1e-12
 PSD_TOL = 1e-10
 WEIGHT_TOL = 1e-12
-DEFAULT_VERTEX_CAP = 4096
+VERTEX_CAP = 4096  # most vertices a CoefficientBox enumerates
 
 
 class DimensionError(ValueError):
@@ -245,12 +245,6 @@ class StateSpace:
     def is_full(self) -> bool:
         return self.nonneg_coords == 0
 
-    def contains(self, x) -> bool:
-        if self.is_full:
-            return True
-        x = _as_vector(x, self.dim)
-        return bool(np.all(x[: self.nonneg_coords] >= 0.0))
-
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised membership for an (n, d) array of states."""
         xs = np.asarray(xs, dtype=float)
@@ -404,8 +398,7 @@ class CoefficientBox(FiniteParameterSet):
     fastest.
     """
 
-    def __init__(self, beta_lo, beta_hi, alpha_lo, alpha_hi, nu_tuples=None,
-                 vertex_cap: int = DEFAULT_VERTEX_CAP):
+    def __init__(self, beta_lo, beta_hi, alpha_lo, alpha_hi, nu_tuples=None):
         lo, hi = AffineParameter(beta_lo, alpha_lo), AffineParameter(beta_hi, alpha_hi)
         d = lo.dim
         if hi.dim != d:
@@ -420,9 +413,9 @@ class CoefficientBox(FiniteParameterSet):
         free += [("alpha", c, i, j) for c in range(d + 1) for i in range(d)
                  for j in range(i, d) if lo.alpha[c, i, j] != hi.alpha[c, i, j]]
         count = (1 << len(free)) * len(nu_tuples)
-        if count > vertex_cap:
+        if count > VERTEX_CAP:
             raise ValueError(
-                f"box enumerates {count} vertices, above the cap {vertex_cap}; "
+                f"box enumerates {count} vertices, above the cap {VERTEX_CAP}; "
                 "coarsen the box (fix more intervals) or list parameters explicitly"
             )
         vertices = []

@@ -1,10 +1,11 @@
 """Named payoff library with hand-written derivatives.
 
 Every payoff is total on R^d; at kinks the derivative callables return the
-one-sided/zero convention so generator evaluations stay defined.  Each also
-has an array form over the rows of an (n, d) array that equals its scalar
-value bit for bit: `np.vecdot` sums a row's products the way `x @ x` does,
-where `np.sum(X * X, 1)` can round differently for d = 2.
+one-sided/zero convention so generator evaluations stay defined.  Each is
+written once, as its array form over the rows of an (n, d) array, and its
+scalar value is the one-row case of that form (see _payoff).  `np.vecdot`
+sums a row's products the way `x @ x` does, where `np.sum(X * X, 1)` can
+round differently for d = 2.
 """
 
 from __future__ import annotations
@@ -14,51 +15,45 @@ import numpy as np
 from .generator import TestFunction
 
 
+def _payoff(name: str, values, gradient, hessian) -> TestFunction:
+    """The payoff whose array form is `values`; its scalar value is
+    values(x[None, :])[0], so the two agree bit for bit by construction."""
+    return TestFunction(name, lambda x: float(values(x[None, :])[0]), gradient, hessian, values)
+
+
+def _zero_hessian(x):
+    d = x.shape[0]
+    return np.zeros((d, d))
+
+
 def indicator_ge(c: float) -> TestFunction:
     """1 on {x^1 >= c}, 0 elsewhere; derivatives vanish a.e."""
-
-    def value(x):
-        return 1.0 if x[0] >= c else 0.0
-
-    def gradient(x):
-        return np.zeros_like(x)
-
-    def hessian(x):
-        d = x.shape[0]
-        return np.zeros((d, d))
 
     def values(X):
         return np.where(X[:, 0] >= c, 1.0, 0.0)
 
-    return TestFunction(f"indicator_ge({c!r})", value, gradient, hessian, values)
+    return _payoff(f"indicator_ge({c!r})", values, np.zeros_like, _zero_hessian)
 
 
 def min_cap(c: float) -> TestFunction:
     """min(x^1, c)."""
 
-    def value(x):
-        return min(float(x[0]), c)
+    def values(X):
+        return np.where(c < X[:, 0], c, X[:, 0])  # min's choice, NaN included
 
     def gradient(x):
         g = np.zeros_like(x)
         g[0] = 1.0 if x[0] < c else 0.0
         return g
 
-    def hessian(x):
-        d = x.shape[0]
-        return np.zeros((d, d))
-
-    def values(X):
-        return np.where(c < X[:, 0], c, X[:, 0])  # min's choice, NaN included
-
-    return TestFunction(f"min_cap({c!r})", value, gradient, hessian, values)
+    return _payoff(f"min_cap({c!r})", values, gradient, _zero_hessian)
 
 
 def abs_payoff() -> TestFunction:
     """Euclidean norm of x; gradient/Hessian set to zero at the origin."""
 
-    def value(x):
-        return float(np.linalg.norm(x))
+    def values(X):
+        return np.sqrt(np.vecdot(X, X))
 
     def gradient(x):
         r = np.linalg.norm(x)
@@ -74,17 +69,14 @@ def abs_payoff() -> TestFunction:
         u = x / r
         return (np.eye(d) - np.outer(u, u)) / r
 
-    def values(X):
-        return np.sqrt(np.vecdot(X, X))
-
-    return TestFunction("abs", value, gradient, hessian, values)
+    return _payoff("abs", values, gradient, hessian)
 
 
 def square_payoff() -> TestFunction:
     """Squared Euclidean norm."""
 
-    def value(x):
-        return float(x @ x)
+    def values(X):
+        return np.vecdot(X, X)
 
     def gradient(x):
         return 2.0 * x
@@ -92,17 +84,14 @@ def square_payoff() -> TestFunction:
     def hessian(x):
         return 2.0 * np.eye(x.shape[0])
 
-    def values(X):
-        return np.vecdot(X, X)
-
-    return TestFunction("square", value, gradient, hessian, values)
+    return _payoff("square", values, gradient, hessian)
 
 
 def cos_payoff() -> TestFunction:
     """cos of the coordinate sum."""
 
-    def value(x):
-        return float(np.cos(np.sum(x)))
+    def values(X):
+        return np.cos(np.sum(X, axis=1))
 
     def gradient(x):
         return -np.sin(np.sum(x)) * np.ones_like(x)
@@ -111,10 +100,7 @@ def cos_payoff() -> TestFunction:
         d = x.shape[0]
         return -np.cos(np.sum(x)) * np.ones((d, d))
 
-    def values(X):
-        return np.cos(np.sum(X, axis=1))
-
-    return TestFunction("cos", value, gradient, hessian, values)
+    return _payoff("cos", values, gradient, hessian)
 
 
 # name -> (builder, the parameters it takes, each a number)

@@ -219,6 +219,9 @@ class SchemeConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not (self.r_jump is None or 0.0 <= self.r_jump < math.inf):
             raise ValueError(f"r_jump must be finite and nonnegative, got {self.r_jump!r}")
+        m = self.min_time_steps
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError(f"min_time_steps must be an integer >= 0, got {m!r}")
 
 
 @dataclass

@@ -152,6 +152,26 @@ class TestRegistry:
         ps = ExperimentConfig.from_dict(raw).theta_set()
         assert len(ps.vertices()) == 4
 
+    def test_generalized_compound_poisson_example(self, tmp_path):
+        raw = base_config(tmp_path)
+        raw["state_space"] = {"kind": "half"}
+        raw["truncation_radius"] = 0.55
+        raw["parameter_set"] = {
+            "kind": "example", "name": "generalized_compound_poisson",
+            "lambda0": [0.2, 1.0], "lambda1": [0.0, 0.5], "measures": [[[0.5, 0.6], [1.5, 0.4]]],
+        }
+        cfg = ExperimentConfig.from_dict(raw)
+        m = nl.AtomicLevyMeasure([[0.5], [1.5]], [0.6, 0.4])
+        want = generalized_compound_poisson_set([0.2, 1.0], [0.0, 0.5], [m],
+                                                cfg.truncation()).vertices()
+        got = cfg.theta_set().vertices()
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert np.array_equal(a.beta, b.beta) and np.array_equal(a.alpha, b.alpha)
+            for ma, mb in zip(a.nu, b.nu):
+                assert np.array_equal(ma.atoms, mb.atoms)
+                assert np.array_equal(ma.weights, mb.weights)
+
 
 class TestSolveCommand:
     def test_solve_writes_artifacts(self, tmp_path):
@@ -398,6 +418,20 @@ def _negative_r_jump(raw):
     raw["scheme"]["r_jump"] = -1
 
 
+def _negative_min_time_steps(raw):
+    raw["scheme"]["min_time_steps"] = -3
+
+
+def _lambda_lo_above_hi(raw):
+    raw["parameter_set"] = {"kind": "example", "name": "compound_poisson",
+                            "lambda": [1.0, 0.5], "measures": [[[1.0, 1.0]]]}
+
+
+def _negative_gaussian_box_variance(raw):
+    raw["parameter_set"] = {"kind": "example", "name": "gaussian_box",
+                            "drift": [0.0, 0.0], "variance": [-0.1, 1.0]}
+
+
 def _boolean_payoff_parameter(raw):
     raw["payoff"] = {"name": "min_cap", "c": True}
 
@@ -528,6 +562,10 @@ class TestErrorContract:
         (_negative_dt, "bad scheme spec: dt must be positive, got -0.1"),
         (_zero_dt, "bad scheme spec: dt must be positive, got 0.0"),
         (_negative_r_jump, "bad scheme spec: r_jump must be finite and nonnegative, got -1.0"),
+        (_negative_min_time_steps, "bad scheme spec: min_time_steps must be an integer >= 0, "
+                                   "got -3"),
+        (_lambda_lo_above_hi, "expected an interval [lo, hi], got [1.0, 0.5]"),
+        (_negative_gaussian_box_variance, "variance interval must be nonnegative"),
         (_boolean_payoff_parameter, "payoff 'min_cap' needs a number for 'c', got True"),
         (_boolean_grid_lower, "bad grid spec: expected a number, got True"),
         (_boolean_box_alpha, "expected a number, got True"),

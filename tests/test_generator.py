@@ -471,7 +471,9 @@ class TestSqrtDiffusionLipschitz:
             gap = np.linalg.norm(x - y, axis=1)
             keep = gap >= 1e-4 * np.linalg.norm(width)
             form = hat.coefficients(ps.vertices()[0])
-            diff = _diffusion_root(form.diffusion(x), x) - _diffusion_root(form.diffusion(y), y)
+            live = np.ones(len(x), dtype=bool)
+            diff = (_diffusion_root(form.diffusion(x), x, live)
+                    - _diffusion_root(form.diffusion(y), y, live))
             slope = np.max(np.abs(np.linalg.eigvalsh(diff)), axis=-1)[keep] / gap[keep]
             assert np.isfinite(est.constant)
             assert np.max(slope) <= est.constant * (1.0 + 1e-6)

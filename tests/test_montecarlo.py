@@ -251,7 +251,7 @@ class TestExitBehaviour:
         space = nl.StateSpace.half(1)
         for i in np.nonzero(exited)[0]:
             j = int(round(b.exit_time[i] / 0.05))
-            assert not space.contains(b.skeletons[i, j])
+            assert not space.contains_many(b.skeletons[i, j][None, :])[0]
             # frozen exactly at the first outside state, never back in
             assert np.all(b.skeletons[i, j:] == b.skeletons[i, j])
 

@@ -119,7 +119,7 @@ def reference_coefficients(theta, x, mode):
     the state space in standard mode; alpha on x+ and k = nu_0 in hat mode."""
     d = theta.dim
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not mode.is_hat and not mode.space.contains(x):
+    if not mode.inside(x[None, :])[0]:
         return np.zeros(d), np.zeros((d, d)), nl.AtomicLevyMeasure.empty(d)
     b = theta.beta[0] + theta.beta[1:].T @ x
     xa = np.maximum(x, 0.0) if mode.is_hat else x
@@ -374,6 +374,30 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             nl.check_admissible(nl.AffineParameter.zero(1), nl.GeneratorMode.hat())
 
+    @pytest.mark.parametrize("space, coefficients, violations", [
+        ("half", {"alpha1": -0.1}, ["alpha1 >= 0 violated (alpha1 = -0.1)"]),
+        ("half", {"beta0": 1.0, "nu0": ([[0.5]], [-0.2])},
+         ["nu0 >= 0 violated (min weight -0.2)"]),
+        ("half", {"beta0": 1.0, "nu0": ([[-0.5]], [0.2])},
+         ["nu0 support in the positive half-line violated"]),
+        ("half", {"nu0": ([[0.5], [0.51], [0.52]], [1.7e308] * 3)},
+         ["beta0 - sum nu0 h >= 0 violated (net drift -inf)",
+          "nu0 small-jump first moment not finite"]),
+        ("full", {"alpha0": -0.1}, ["alpha0 >= 0 violated (alpha0 = -0.1)"]),
+        ("full", {"alpha1": 0.1}, ["alpha1 = 0 violated (alpha1 = 0.1)"]),
+        ("full", {"nu1": ([[0.5]], [0.2])}, ["nu1 = 0 violated"]),
+        ("full", {"nu0": ([[0.5]], [-0.2])}, ["nu0 >= 0 violated (min weight -0.2)"]),
+    ], ids=["half_alpha1", "half_negative_nu0", "half_nu0_support", "half_nu0_moment",
+            "full_alpha0", "full_alpha1", "full_nu1", "full_negative_nu0"])
+    def test_each_violation_named(self, space, coefficients, violations):
+        kwargs = {k: nl.AtomicLevyMeasure(*v) if k.startswith("nu") else v
+                  for k, v in coefficients.items()}
+        mode = nl.GeneratorMode.standard(getattr(nl.StateSpace, space)(1))
+        with np.errstate(over="ignore"):  # the 1.7e308 weights' sums overflow
+            res = nl.check_admissible(nl.AffineParameter.scalar(**kwargs), mode)
+        assert not res.admissible
+        assert res.violations == violations
+
 
 class TestTruncation:
     def test_invalid_radius(self):
@@ -421,11 +445,11 @@ class TestVertexEnumeration:
         assert len(ps.vertices()) == 1
 
     def test_vertex_cap(self):
-        lo = np.zeros((2, 1))
-        hi = np.ones((2, 1))
-        with pytest.raises(ValueError, match="coarsen"):
-            nl.CoefficientBox(lo, hi, np.zeros((2, 1, 1)), np.ones((2, 1, 1)),
-                              vertex_cap=2)
+        # d = 2 with all 15 coordinates free: 2**15 vertices, above the cap 4096
+        beta_hi = np.ones((3, 2))
+        alpha_hi = np.tile([[1.0, 0.5], [0.5, 1.0]], (3, 1, 1))
+        with pytest.raises(ValueError, match="32768 vertices, above the cap 4096; coarsen"):
+            nl.CoefficientBox(np.zeros((3, 2)), beta_hi, np.zeros((3, 2, 2)), alpha_hi)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

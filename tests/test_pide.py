@@ -143,6 +143,12 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="r_jump must be finite and nonnegative"):
             nl.SchemeConfig(r_jump=r_jump)
 
+    @pytest.mark.parametrize("steps", [2.5, -3, True])
+    def test_non_integer_or_negative_min_time_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match=f"min_time_steps must be an integer >= 0, "
+                                             f"got {steps!r}$"):
+            nl.SchemeConfig(min_time_steps=steps)
+
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -0.1])
     def test_nonfinite_or_negative_horizon_rejected(self, horizon):
         ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=1.0)])
