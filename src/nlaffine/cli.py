@@ -138,6 +138,7 @@ def cmd_simulate(args) -> int:
         "t": t,
         "x0": x0.tolist(),
         "n_paths": sim.n_paths,
+        "pilot_paths": lb.pilot_paths,
         "seed": sim.seed,
         "flagged_paths": lb.bundle.flagged_count,
         "no_jump_exits": lb.bundle.no_jump_exit_count,

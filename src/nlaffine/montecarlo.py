@@ -40,6 +40,12 @@ Thinning at any bound at or above the intensity is exact in law, and a
 vertex whose own bound is the largest gets the paths of its own
 simulate_paths bit for bit.  Payoffs are scored on the (N, d) terminal
 array at once (TestFunction.values).
+
+lower_bound_sublinear picks its winning vertex on such a sweep of N // 8
+paths per vertex drawn from a pilot stream, keyed (base seed, k | 2**63),
+which no base block of any seed shares; it then runs only the winner, on
+the base stream, so the reported mean is estimated on draws that took no
+part in choosing it.
 """
 
 from __future__ import annotations
@@ -62,10 +68,14 @@ from .params import (
     affine_at,
     min_eigenvalue,
 )
-from .pide import grid_index, step_count, write_chunks
+from .pide import NonFiniteError, grid_index, step_count, write_chunks
 
 
 BLOCK = 1024  # paths per Philox key (seed, block)
+# Set in the block word of every key of the pilot sweep: block indices stay
+# far below it, so no pilot key is the key of any base block of any seed.
+PILOT_STREAM = 1 << 63
+PILOT_SHARE = 8  # the pilot sweep runs max(N // PILOT_SHARE, 1) paths per vertex
 
 
 @dataclass(frozen=True)
@@ -233,20 +243,20 @@ def _start(x0, d: int, cfg: SimConfig,
 
 
 def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
-                has_diffusion: bool, lam_dt: float) -> tuple:
+                has_diffusion: bool, lam_dt: float, stream: int = 0) -> tuple:
     """The draws (Z, counts, pool, pool_off) of paths b0 .. b0 + B - 1 over
     n_steps steps, b0 a multiple of BLOCK: normals Z (B, n_steps, d) when
     the law diffuses; when lam_dt > 0, candidate jump counts (B, n_steps)
     of mean lam_dt and two uniforms per candidate in `pool`, path i's from
     pool_off[i] on.  Absent draws are None; the arrays are read-only.
-    Block k's paths draw from Philox(key=(seed, k)), each kind from its own
-    sub-stream in one path-major call into the batch's array, from the
-    block's first row on."""
+    Block k's paths draw from Philox(key=(seed, k | stream)), each kind
+    from its own sub-stream in one path-major call into the batch's array,
+    from the block's first row on; stream is 0 or PILOT_STREAM."""
     Z = counts = pool = pool_off = None
     if n_steps and (has_diffusion or lam_dt > 0.0):
         blocks = []  # (generator, fresh state, batch rows) per block
         for r0 in range(0, B, BLOCK):
-            key = np.array([seed, (b0 + r0) // BLOCK], dtype=np.uint64)
+            key = np.array([seed, (b0 + r0) // BLOCK | stream], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
             blocks.append((rng, rng.bit_generator.state, slice(r0, min(r0 + BLOCK, B))))
         if has_diffusion:
@@ -309,10 +319,10 @@ class _Sweep:
     batch at a time through (V, N) reshape views."""
 
     def __init__(self, thetas, x0, cfg: SimConfig, mode: GeneratorMode,
-                 snapshot_steps: tuple[int, ...]):
+                 snapshot_steps: tuple[int, ...], stream: int):
         V, d, N = len(thetas), thetas[0].dim, cfg.n_paths
         self.x0, self.lo, self.hi = _start(x0, d, cfg, mode)
-        self.cfg, self.mode = cfg, mode
+        self.cfg, self.mode, self.stream = cfg, mode, stream
         forms = [mode.coefficients(theta) for theta in thetas]
         self.drift_runs = _runs(forms, "net_drift")
         self.diffusion_runs = _runs(forms, "alpha")
@@ -320,6 +330,9 @@ class _Sweep:
         self.lam_bar = max(_lam_bar(form, self.lo, self.hi) for form in forms)
         self.diffuses = any(np.any(theta.alpha) for theta in thetas)
         self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
+        if self.n_steps and not math.isfinite(self.lam_bar * self.dt):
+            raise NonFiniteError(f"jump intensity bound {self.lam_bar:.6g} over the clamp "
+                                 f"box gives no finite candidate rate per step")
         self.bundle = PathBundle(
             x0=self.x0, times=self.dt * np.arange(self.n_steps + 1),
             terminal=np.empty((V * N, d)), running_sup=np.zeros(V * N),
@@ -334,7 +347,7 @@ class _Sweep:
         """Paths d0 .. d1 - 1, d0 a multiple of BLOCK, on one draw set:
         drawn once, then stepped P paths at a time."""
         drawn = _draw_batch(self.cfg.seed, d0, d1 - d0, self.n_steps, self.x0.shape[0],
-                            self.diffuses, self.lam_bar * self.dt)
+                            self.diffuses, self.lam_bar * self.dt, self.stream)
         for p0 in range(d0, d1, P):
             p1 = min(p0 + P, d1)
             self.step_batch(p0, p1, drawn, slice(p0 - d0, p1 - d0))
@@ -443,16 +456,18 @@ class _Sweep:
 
 
 def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConfig,
-                   mode: GeneratorMode,
-                   snapshot_steps: tuple[int, ...] = ()) -> PathBundle:
+                   mode: GeneratorMode, snapshot_steps: tuple[int, ...] = (),
+                   *, _stream: int = 0) -> PathBundle:
     """Paths of the law with theta fixed, from x0; for a parameter set, one
     sweep of its vertices' constant laws, in one bundle of V N rows (see
     PathBundle).  A diffusion that is not PSD or a negative jump weight at
     a state a live path visits raises CoefficientError: a constant-vertex
     law needs admissible coefficients at every such state, and it cannot
-    mask the vertex per node the way the PIDE's sup does."""
+    mask the vertex per node the way the PIDE's sup does.  A jump
+    intensity bound with no finite rate per step raises NonFiniteError.
+    _stream = PILOT_STREAM draws the pilot sweep's stream (see _draw_batch)."""
     thetas = theta.vertices() if isinstance(theta, FiniteParameterSet) else [theta]
-    sweep = _Sweep(thetas, x0, cfg, mode, snapshot_steps)
+    sweep = _Sweep(thetas, x0, cfg, mode, snapshot_steps, _stream)
     P = _paths_per_batch(cfg.batch_size, len(thetas))
     D = max(P, BLOCK)  # paths per draw set: whole blocks, so no row is drawn twice
     for d0 in range(0, cfg.n_paths, D):
@@ -487,34 +502,55 @@ class LowerBoundResult:
     mean: float
     vertex: int
     se: float
-    all_means: list[float]
+    all_means: list[float]   # per vertex, on the pilot sweep when V > 1
     all_ses: list[float]
-    bundle: PathBundle  # the paths simulated under the winning vertex
+    bundle: PathBundle       # the winning vertex's own run of N paths
+    pilot_paths: int         # paths per vertex of the pilot sweep; 0 when V = 1
 
 
 def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunction,
                           t: float, cfg: SimConfig,
                           mode: GeneratorMode) -> LowerBoundResult:
     """Best constant-parameter estimate over the vertex enumeration.  Every
-    fixed-parameter law is feasible for the uncertainty set, so this is a
-    statistical lower bound for the worst-case expectation.  One sweep of
-    simulate_paths steps all vertices on common draws; the largest mean
-    wins, a tie goes to the first vertex, and a NaN mean wins only as
-    vertex 0's, which no later mean displaces.  A vertex whose coefficients
-    are not admissible at a state its paths visit raises CoefficientError
-    (see simulate_paths), even where `solve` masks that vertex per node."""
-    sweep = simulate_paths(theta_set, x0, replace(cfg, horizon=t), mode)
-    N = cfg.n_paths
-    means, ses = [], []
-    for k in range(len(theta_set.vertices())):
-        mean, se = _payoff_moments(payoff, sweep.terminal[k * N:(k + 1) * N])
-        means.append(mean)
-        ses.append(se)
-    best = 0
-    for k, mean in enumerate(means):
-        if mean > means[best]:
-            best = k
-    return LowerBoundResult(means[best], best, ses[best], means, ses, sweep.vertex(best))
+    fixed-parameter law is feasible for the uncertainty set, so the mean of
+    any vertex chosen without looking at the draws that estimate it is a
+    lower bound in expectation for the worst-case expectation.
+
+    With V > 1 vertices a pilot sweep of max(N // PILOT_SHARE, 1) paths
+    per vertex, on the pilot stream (common random numbers across the
+    vertices), picks the winner: the largest pilot mean, a tie to the first
+    vertex, and a NaN mean wins only as vertex 0's, which no later mean
+    displaces.  Then only the winner runs, on the base stream: N paths of
+    its own simulate_paths, thinned at its own bound, give mean, se and
+    bundle, which the pilot never saw, so the bound has no selection bias.
+    all_means and all_ses are the pilot's.  With V = 1 there is no pilot.
+    A vertex whose coefficients are not admissible at a state its paths
+    visit raises CoefficientError (see simulate_paths), even where `solve`
+    masks that vertex per node."""
+    thetas = theta_set.vertices()
+    V, cfg = len(thetas), replace(cfg, horizon=t)
+    best, pilot_paths, means, ses = 0, 0, [], []
+    if V > 1:
+        pilot_paths = max(cfg.n_paths // PILOT_SHARE, 1)
+        pilot = simulate_paths(theta_set, x0, replace(cfg, n_paths=pilot_paths,
+                                                      store_paths=False),
+                               mode, _stream=PILOT_STREAM)
+        for k in range(V):
+            mean, se = _payoff_moments(
+                payoff, pilot.terminal[k * pilot_paths:(k + 1) * pilot_paths])
+            means.append(mean)
+            ses.append(se)
+            if mean > means[best]:
+                best = k
+        del pilot  # released before the winner's run
+    # stepped at the full sweep's paths per batch, which bounds a batch's
+    # memory as the sweep would; the bytes do not depend on the batch size
+    bundle = simulate_paths(thetas[best], x0,
+                            replace(cfg, batch_size=_paths_per_batch(cfg.batch_size, V)),
+                            mode)
+    mean, se = _payoff_moments(payoff, bundle.terminal)
+    return LowerBoundResult(mean, best, se, means or [mean], ses or [se], bundle,
+                            pilot_paths)
 
 
 @dataclass

@@ -463,6 +463,9 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
             f"no admissible vertex at state {grid.points()[uncovered][0]}")
 
     max_rate = op.max_rate
+    if not math.isfinite(max_rate):
+        raise NonFiniteError(f"the operator's total outflow rate is {max_rate}: "
+                             f"the coefficients overflow on the grid")
     stable_dt = scheme.cfl / max_rate if max_rate > 0 else math.inf
     if scheme.dt is not None and scheme.dt > stable_dt * (1 + 1e-12):
         raise CFLError(

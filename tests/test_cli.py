@@ -304,6 +304,14 @@ def _negative_jump_weight(raw):
     raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1.0], [2.0, -0.5]], []]
 
 
+def _overflowing_jump_weights(raw):
+    # each weight is finite, but their sums overflow to inf
+    raw["state_space"] = {"kind": "half"}
+    raw["grid"] = {"lower": [0.0], "upper": [4.0], "nodes": [41]}
+    raw["parameter_set"]["parameter"]["nu"] = [
+        [[0.5, 1.7e308], [0.51, 1.7e308], [0.52, 1.7e308]], []]
+
+
 def _negative_horizon(raw):
     raw["horizon"] = -1.0
 
@@ -616,6 +624,20 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("solve", _overflowing_jump_weights, "the operator's total outflow rate is inf"),
+        ("simulate", _overflowing_jump_weights, "jump intensity bound inf"),
+    ])
+    def test_numerical_abort_exits_3_with_one_line(self, tmp_path, capsys, command,
+                                                   edit, message):
+        raw = base_config(tmp_path / "out")
+        edit(raw)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical abort: ")
+        assert message in err
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -720,6 +742,18 @@ class TestSimulateCommand:
         assert set(est["timings"]) == {"sweep_s", "write_s"}
         assert all(v >= 0.0 for v in est["timings"].values())
         assert est["peak_rss_mb"] > 0.0
+
+    @pytest.mark.parametrize("box, pilot_paths", [(False, 0), (True, 37)])
+    def test_pilot_paths_reported(self, tmp_path, box, pilot_paths):
+        out = tmp_path / "out"
+        raw = base_config(out, paths=300)
+        if box:
+            _box(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", path]) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert est["pilot_paths"] == pilot_paths
+        assert len(est["all_means"]) == (2 if box else 1)
 
 
 class TestCheckCommand:

@@ -215,8 +215,7 @@ class TestBlockKeys:
         thetas = [nl.AffineParameter.scalar(
             alpha0=0.5, nu0=nl.AtomicLevyMeasure([[0.3]], [lam])) for lam in (0.5, 1.0)]
         made = self.record_generators(monkeypatch)
-        nl.lower_bound_sublinear(nl.FiniteParameterSet(thetas), [0.0],
-                                 nl.make_payoff("square"), 0.5, cfg, FULL)
+        nl.simulate_paths(nl.FiniteParameterSet(thetas), [0.0], cfg, FULL)
         for kind in ("normal", "count"):
             assert sum(g.rows[kind] for g in made) == cfg.n_paths
 
@@ -480,8 +479,9 @@ def own_bound(theta, x0, cfg, mode):
 
 
 class TestSweep:
-    """lower_bound_sublinear steps all vertices in one simulate_paths sweep
-    on one draw set per batch, thinned at the largest vertex bound."""
+    """simulate_paths on a parameter set steps all vertices in one sweep on
+    one draw set per batch, thinned at the largest vertex bound;
+    lower_bound_sublinear picks its winner on such a sweep."""
 
     def test_one_vertex_sweep_is_simulate_paths(self):
         # the golden stream of test_stream_golden_digest, through a sweep
@@ -518,7 +518,7 @@ class TestSweep:
     def test_vertices_at_the_sweep_bound_match_their_own_runs(self, case):
         # thinning at a larger bound changes a vertex's draws, not its law;
         # a vertex whose own bound is the sweep's steps exactly as alone
-        ps, x0, t, mode, payoff, cfg = SWEEPS[case]
+        ps, x0, t, mode, _, cfg = SWEEPS[case]
         cfg = replace(cfg, horizon=t)
         sweep = nl.simulate_paths(ps, x0, cfg, mode)
         assert sweep.n_paths == len(ps.vertices()) * cfg.n_paths
@@ -530,9 +530,6 @@ class TestSweep:
                 assert sweep.vertex(k).events.tolist() == own.events.tolist()
                 matched += 1
         assert matched >= 1
-        res = nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
-        assert stream_digest(res.bundle) == stream_digest(sweep.vertex(res.vertex))
-        assert sum(res.all_means[k] > res.mean for k in range(len(res.all_means))) == 0
 
     def test_mixed_bounds_thin_at_the_largest(self):
         ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
@@ -592,14 +589,14 @@ class TestSweep:
     def test_one_generator_for_a_one_batch_sweep(self, monkeypatch, ps, x0, mode):
         built = self.count_generators(monkeypatch)
         cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8)
-        nl.lower_bound_sublinear(ps, x0, nl.make_payoff("square"), 0.5, cfg, mode)
+        nl.simulate_paths(ps, x0, cfg, mode)
         assert built == [[8, 0]]
 
     def test_one_generator_per_block(self, monkeypatch):
         built = self.count_generators(monkeypatch)
         ps = nl.FiniteParameterSet(mixed_bounds().vertices()[:2])
         cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=2500, seed=8, batch_size=2 * 128)
-        nl.lower_bound_sublinear(ps, [0.2], nl.make_payoff("square"), 0.5, cfg, FULL)
+        nl.simulate_paths(ps, [0.2], cfg, FULL)
         # 20 batches of 128 paths, on the draw sets of blocks 0, 1 and 2
         assert built == [[8, 0], [8, 1], [8, 2]]
 
@@ -614,8 +611,8 @@ class TestSweep:
             return drawn
 
         monkeypatch.setattr(montecarlo, "_draw_batch", recording)
-        ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
-        nl.lower_bound_sublinear(ps, x0, payoff, t, replace(cfg, n_paths=2500), mode)
+        ps, x0, t, mode, _, cfg = SWEEPS["mixed bounds, several batches"]
+        nl.simulate_paths(ps, x0, replace(cfg, horizon=t, n_paths=2500), mode)
         # one draw per block, shared by the three vertices and stepped in
         # batches of 128 paths; the last block's set is gone before the
         # next is drawn
@@ -632,6 +629,55 @@ class TestSweep:
     ])
     def test_paths_per_batch(self, batch_size, V, paths):
         assert montecarlo._paths_per_batch(batch_size, V) == paths
+
+
+class TestPilot:
+    """With V > 1 vertices, lower_bound_sublinear picks its winner on a pilot
+    sweep of max(N // 8, 1) paths per vertex, on a stream of its own, then
+    reports the winner's own run of N paths on the base stream."""
+
+    def test_no_selection_bias(self):
+        # two drifts of one law's square: E X_1^2 = 0.5^2 + 1 under either,
+        # so any winner picked without looking at its own draws is unbiased;
+        # the largest mean over the draws that pick it sits about 7 se high
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(beta0=b, alpha0=1.0)
+                                    for b in (0.5, -0.5)])
+        square = nl.make_payoff("square")
+        means = [nl.lower_bound_sublinear(
+            ps, [0.0], square, 1.0,
+            nl.SimConfig(dt=0.01, horizon=1.0, n_paths=2000, seed=seed), FULL).mean
+            for seed in range(10000, 10200)]
+        se = np.std(means, ddof=1) / math.sqrt(len(means))
+        assert abs(np.mean(means) - 1.25) < 3 * se
+
+    def test_winner_is_its_own_run(self):
+        ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
+        cfg = replace(cfg, horizon=t)
+        lb = nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
+        theta = ps.vertices()[lb.vertex]
+        own = nl.simulate_paths(theta, x0, cfg, mode)
+        for field in montecarlo._PER_ROW:
+            np.testing.assert_array_equal(getattr(lb.bundle, field), getattr(own, field))
+        assert lb.bundle.events.tolist() == own.events.tolist()
+        assert lb.bundle.thinning_bound == own.thinning_bound
+        assert (lb.mean, lb.se) == nl.estimate_expectation(theta, x0, payoff, t, cfg, mode)
+
+    def test_pilot_keys_are_marked(self, monkeypatch):
+        # the pilot's 1,125 paths per vertex draw blocks 0 and 1 with the top
+        # bit of the block word set, the winner's 9,000 paths blocks 0 .. 8
+        # without it: no pilot draw is a base draw
+        cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=9000, seed=3)
+        thetas = [nl.AffineParameter.scalar(
+            alpha0=0.5, nu0=nl.AtomicLevyMeasure([[0.3]], [lam])) for lam in (0.5, 1.0)]
+        made = TestBlockKeys.record_generators(monkeypatch)
+        lb = nl.lower_bound_sublinear(nl.FiniteParameterSet(thetas), [0.0],
+                                      nl.make_payoff("square"), 0.5, cfg, FULL)
+        keys = [g.bit_generator.state["state"]["key"].tolist() for g in made]
+        assert keys == [[3, k | 2**63] for k in range(2)] + [[3, k] for k in range(9)]
+        assert lb.pilot_paths == 1125
+        for kind in ("normal", "count"):
+            assert sum(g.rows[kind] for g in made[:2]) == lb.pilot_paths
+            assert sum(g.rows[kind] for g in made[2:]) == cfg.n_paths
 
 
 class TestThinningCounts:
