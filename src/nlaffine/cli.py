@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig
 from .generator import NoAdmissibleVertexError
 from .montecarlo import bundle_to_csv, lower_bound_sublinear
 from .params import CoefficientError, check_coefficient_bounds
-from .pide import CFLError, NonFiniteError, dpp_gap, grid_tol, solve
+from .pide import CFLError, NonFiniteError, _prepare, grid_tol
 from . import __version__
 
 # states the uniqueness gate samples, in `solve`'s certificate and in `check`'s report
@@ -62,9 +62,35 @@ def cmd_solve(args) -> int:
             print("warning: uniqueness gate failed; solution is not "
                   "certified unique", file=sys.stderr)
     gated = time.perf_counter()
-    surface = solve(theta_set, grid, cfg.payoff(), cfg.horizon, mode, scheme=cfg.scheme())
-    marched = time.perf_counter()
-    writers = surface.to_csv(os.path.join(out, "surface.csv"))
+    march, start = _prepare(theta_set, grid, cfg.payoff(), cfg.horizon, mode, cfg.scheme())
+    n = march.n_steps
+    kept = {}  # the layers dpp.json needs: n - j and n
+    if split is not None:
+        try:
+            j, mask = march.restart(split)
+        except ValueError as exc:  # an off-grid split or an empty interior core
+            raise ConfigError(str(exc)) from exc
+        kept = dict.fromkeys((n - j, n)) if j else {}
+    march_s = time.perf_counter() - gated
+
+    def layers():
+        """The march's layers as the surface writer asks for them."""
+        nonlocal march_s
+        steps = march.steps(start)
+        for k in range(n + 1):
+            stepped = time.perf_counter()
+            layer = next(steps)[0] if k else start
+            march_s += time.perf_counter() - stepped
+            if k in kept:
+                kept[k] = layer
+            yield layer
+
+    path = os.path.join(out, "surface.csv")
+    try:
+        writers = march.write_csv(path, layers())
+    except NonFiniteError:
+        os.remove(path)  # it holds only the layers before the failing step
+        raise
     written = time.perf_counter()
     meta = {
         "version": __version__,
@@ -72,16 +98,16 @@ def cmd_solve(args) -> int:
         "growth_bound": bounds.growth,
         "small_jump_table": {repr(k): v for k, v in bounds.small_jump_table.items()},
         "cfl": {
-            "safety": surface.problem.scheme.cfl,
-            "dt": surface.dt,
-            "stable_dt": surface.stable_dt,
-            "max_rate": surface.problem.operator.max_rate,
-            "n_steps": surface.n_steps,
+            "safety": march.problem.scheme.cfl,
+            "dt": march.dt,
+            "stable_dt": march.stable_dt,
+            "max_rate": march.problem.operator.max_rate,
+            "n_steps": n,
         },
-        "r_jump": surface.r_jump,
+        "r_jump": march.r_jump,
         "mode": mode.kind,
-        "payoff": surface.payoff_name,
-        "horizon": surface.horizon,
+        "payoff": march.payoff_name,
+        "horizon": march.horizon,
         "grid": {
             "lower": grid.lower.tolist(),
             "upper": grid.upper.tolist(),
@@ -92,8 +118,8 @@ def cmd_solve(args) -> int:
         "wall_time_s": time.perf_counter() - started,
         "timings": {
             "gate_s": gated - started,
-            "march_s": marched - gated,
-            "write_s": written - marched,
+            "march_s": march_s,
+            "write_s": written - gated - march_s,
         },
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -102,13 +128,10 @@ def cmd_solve(args) -> int:
     _write_json(os.path.join(out, "meta.json"), meta)
     if split is not None:
         restarted = time.perf_counter()
-        try:
-            gap = dpp_gap(surface, split)
-        except ValueError as exc:  # an off-grid split or an empty interior core
-            raise ConfigError(str(exc)) from exc
+        gap = march.restart_gap(split, kept[n - j], kept[n], mask) if j else 0.0
         _write_json(os.path.join(out, "dpp.json"),
                     {"split": split, "gap": gap, "config_hash": cfg.config_hash(),
-                     "n_steps": surface.restart_steps(split),
+                     "n_steps": march.restart_steps(split),
                      "march_s": time.perf_counter() - restarted})
     return 0
 

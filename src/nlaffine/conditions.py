@@ -187,24 +187,28 @@ def uniqueness_gate(theta_set: FiniteParameterSet, sample_box,
                     n_samples: int = 200,
                     bounds: CoefficientBoundReport | None = None) -> ConditionReport:
     """Run every hat-mode prerequisite: coefficient bounds, the linear-part
-    bound and the comparison clauses.  The status is pass or fail; a hat-mode
-    solve is labelled as the certified-unique solution only when it passes,
-    and still runs (with a warning) when it fails.  `bounds`, when given, is
+    bound and the comparison clauses; a clause whose growth or bound is not
+    finite fails.  The status is pass or fail; a hat-mode solve is labelled
+    as the certified-unique solution only when it passes, and still runs
+    (with a warning) when it fails.  `bounds`, when given, is
     check_coefficient_bounds(theta_set) already at hand."""
     if bounds is None:
         bounds = check_coefficient_bounds(theta_set)
     linear = check_linear_bound(theta_set)
     comparison = check_comparison_conditions(theta_set, sample_box, n_samples)
-    failed = (not bounds.passed) or (not linear.passed) or comparison.status == "fail"
+    # an overflowing growth or bound compares as passed, but certifies nothing
+    bounds_ok = bounds.passed and np.isfinite(bounds.growth)
+    linear_ok = linear.passed and np.isfinite(linear.bound)
+    failed = not (bounds_ok and linear_ok) or comparison.status == "fail"
     status = "fail" if failed else "pass"
     clauses = {
         "coefficient_bounds": {
-            "status": "pass" if bounds.passed else "fail",
+            "status": "pass" if bounds_ok else "fail",
             "growth": bounds.growth,
             "min_atom_norm": bounds.min_atom_norm,
         },
         "linear_part_bound": {
-            "status": "pass" if linear.passed else "fail",
+            "status": "pass" if linear_ok else "fail",
             "bound": linear.bound,
         },
         "comparison": comparison.clauses,

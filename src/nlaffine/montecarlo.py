@@ -76,6 +76,8 @@ BLOCK = 1024  # paths per Philox key (seed, block)
 # far below it, so no pilot key is the key of any base block of any seed.
 PILOT_STREAM = 1 << 63
 PILOT_SHARE = 8  # the pilot sweep runs max(N // PILOT_SHARE, 1) paths per vertex
+# numpy's Generator.poisson raises "lam value too large" above this mean
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,8 @@ def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
         return 0.0
     corners = np.array(list(itertools.product(*zip(lo, hi))))
     vals = affine_at(form.W.T, corners)  # (2^d, m)
-    return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
+    with np.errstate(over="ignore"):  # an inf bound is refused by _Sweep
+        return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
 
 
 def _diffusion_root(A: np.ndarray, xs: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -330,9 +333,11 @@ class _Sweep:
         self.lam_bar = max(_lam_bar(form, self.lo, self.hi) for form in forms)
         self.diffuses = any(np.any(theta.alpha) for theta in thetas)
         self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
-        if self.n_steps and not math.isfinite(self.lam_bar * self.dt):
+        if self.n_steps and not self.lam_bar * self.dt < POISSON_LAM_MAX:
             raise NonFiniteError(f"jump intensity bound {self.lam_bar:.6g} over the clamp "
-                                 f"box gives no finite candidate rate per step")
+                                 f"box gives a candidate mean of {self.lam_bar * self.dt:.6g} "
+                                 f"per step, not below the Poisson sampler's limit "
+                                 f"{POISSON_LAM_MAX:.6g}")
         self.bundle = PathBundle(
             x0=self.x0, times=self.dt * np.arange(self.n_steps + 1),
             terminal=np.empty((V * N, d)), running_sup=np.zeros(V * N),
@@ -609,22 +614,21 @@ _CSV_BLOCK = 4096  # rows per chunk of write_chunks; bounds the writer's memory
 def bundle_to_csv(bundle: PathBundle, path) -> None:
     """Rows path_index,seed,terminal,running_sup,exit_time (terminal columns
     expand per coordinate for d = 2); LF endings, 17 significant digits, an
-    empty exit_time for a path that never left.  Columns are formatted a
-    block of rows at a time, one chunk of write_chunks per block."""
+    empty exit_time for a path that never left.  Each block of rows is one
+    item and one chunk of write_chunks: its columns, formatted together."""
     d = bundle.terminal.shape[1]
     term_cols = ["terminal"] if d == 1 else [f"terminal{i+1}" for i in range(d)]
     header = ["path_index", "seed"] + term_cols + ["running_sup", "exit_time"]
     row = "%d,%d," + "%.17g," * (d + 1) + "%s\n"
+    starts = range(0, bundle.n_paths, _CSV_BLOCK)
 
-    def block(k: int) -> bytes:
-        b0 = k * _CSV_BLOCK
-        rows = slice(b0, b0 + _CSV_BLOCK)
-        exits = ["" if math.isnan(e) else "%.17g" % e
-                 for e in bundle.exit_time[rows].tolist()]
-        cols = zip(range(b0, b0 + len(exits)), bundle.seeds[rows].tolist(),
-                   *bundle.terminal[rows].T.tolist(),
-                   bundle.running_sup[rows].tolist(), exits)
-        return "".join(map(row.__mod__, cols)).encode()
+    def block(k: int, cols) -> bytes:
+        seeds, terminal, running_sup, exit_time = cols
+        exits = ["" if math.isnan(e) else "%.17g" % e for e in exit_time.tolist()]
+        rows = zip(range(starts[k], starts[k] + len(exits)), seeds.tolist(),
+                   *terminal.T.tolist(), running_sup.tolist(), exits)
+        return "".join(map(row.__mod__, rows)).encode()
 
-    write_chunks(path, (",".join(header) + "\n").encode(), block,
-                 -(-bundle.n_paths // _CSV_BLOCK))
+    cols = (bundle.seeds, bundle.terminal, bundle.running_sup, bundle.exit_time)
+    blocks = (tuple(c[b0:b0 + _CSV_BLOCK] for c in cols) for b0 in starts)
+    write_chunks(path, (",".join(header) + "\n").encode(), block, blocks, len(starts))

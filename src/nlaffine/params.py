@@ -213,8 +213,9 @@ def jump_tails(k: AtomicLevyMeasure, r: float) -> tuple[float, float]:
     if k.is_empty():
         return 0.0, 0.0
     n = np.linalg.norm(k.atoms, axis=1)
-    return (float(np.sum(k.weights * (n * n) * (n <= r))),
-            float(np.sum(k.weights * (n > r))))
+    with np.errstate(over="ignore"):  # an overflow to inf is caught downstream
+        return (float(np.sum(k.weights * (n * n) * (n <= r))),
+                float(np.sum(k.weights * (n > r))))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,8 @@ def truncation_moment(atoms: np.ndarray, weights: np.ndarray,
     order.  Authoring a drift and compensating one both go through here, so
     a tuple authored with h has a compensated drift of exactly zero."""
     hz = np.array([h(z) for z in atoms]).reshape(-1, atoms.shape[1])
-    return np.sum(weights[:, None] * hz, axis=0)
+    with np.errstate(over="ignore"):  # an overflow to inf is caught downstream
+        return np.sum(weights[:, None] * hz, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,13 @@ equation  d/dt v = sup over the parameter set of the affine generator,
 with initial condition v(0, .) = payoff.
 
 Scheme: forward Euler in time, v <- v + dt * max_k L_k v, marched by one
-step iterator, _Operator.steps, which yields each layer as it is made: solve
-stores them all, and dpp_gap keeps only the running one.  One discrete
-generator per vertex is written as coefficients times difference stencils,
+step iterator, _Operator.steps, which yields each layer as it is made.  Its
+consumers keep what they read: solve stores every layer in a ValueSurface;
+dpp_gap's restart keeps only its running layer; `nlaffine solve` hands each
+layer to the surface.csv writers as it comes (March.write_csv) and keeps
+only the two its restart check reads, at horizon - split and at the
+horizon.  One discrete generator per vertex is written as coefficients
+times difference stencils,
 
     L_k v(x) = sum_g C[g, k, x] * sum_{(o, w) in D_g} w * (v(x + o) - v(x)),
 
@@ -31,9 +35,11 @@ from the boundary.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -79,66 +85,93 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def write_chunks(path, header: bytes, chunk, n: int) -> int:
-    """Write header, chunk(0), ..., chunk(n - 1) to path and return W, the
-    number of processes that formatted the chunks: min(usable_cpus(), n),
-    or 1 where os.fork is missing.
+def write_chunks(path, header: bytes, chunk, items, n: int) -> int:
+    """Write header, then chunk(j, item) for the first n items of the
+    iterable `items`, to path and return W, the number of processes that
+    formatted the chunks: min(usable_cpus(), n), or 1 where os.fork is
+    missing.
 
-    This process formats the chunks j = 0 mod W.  Forked writer c formats
-    the chunks j = c mod W and sends each, after its 8-byte length, down its
-    own pipe.  The file is written in chunk order, so its bytes do not
-    depend on W, and this process holds at most one chunk at a time.  The
-    path is opened before any fork.  Every writer is reaped before this
-    returns or raises; one that fails or sends short raises OSError."""
+    The W - 1 writers are forked before the first item is taken, so the
+    items may be made while the file is written, as a march makes its
+    layers.  This process formats the chunks j = 0 mod W; every other item
+    goes, pickled and length-prefixed, down the pipe of writer j mod W,
+    which sends chunk(j, item) back the same way.  Each writer has at most
+    one item in flight: this process receives and writes the chunks it is
+    owed before it writes its own, so it has received a writer's chunk
+    j - W before it sends that writer item j, and neither side waits on the
+    other.  The file is written in chunk order, so its bytes do not depend
+    on W.  The path is opened before any fork.  Every writer is reaped
+    before this returns or raises; one that fails or sends short raises
+    OSError."""
     with open(path, "wb") as fh:
         fh.write(header)
         w = max(1, min(usable_cpus(), n)) if hasattr(os, "fork") else 1
-        readers, pids = [], []
+        ends, pids = [], []  # per writer: this process's (send, receive) pipe ends
         try:
             for c in range(1, w):
-                r, wr = os.pipe()
-                readers.append(open(r, "rb"))
-                with open(wr, "wb") as out:  # this process's copy closes once forked
+                down, up = os.pipe(), os.pipe()
+                ends.append((open(down[1], "wb"), open(up[0], "rb")))
+                # this process's copies of the writer's ends close once forked
+                with open(down[0], "rb") as inp, open(up[1], "wb") as out:
                     pid = os.fork()
                     if pid == 0:
-                        _writer(out, readers, chunk, range(c, n, w))
+                        _writer(inp, out, ends, chunk, range(c, n, w))
                 pids.append(pid)
-            for j in range(n):
-                fh.write(_receive(readers[j % w - 1]) if j % w else chunk(j))
+            sent = []  # writers owing a chunk, in chunk order
+            for j, item in zip(range(n), items):
+                if j % w:
+                    _send(ends[j % w - 1][0], pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                    sent.append(j % w)
+                    continue
+                data = chunk(j, item)
+                for c in sent:
+                    fh.write(_receive(ends[c - 1][1]))
+                sent.clear()
+                fh.write(data)
+            for c in sent:
+                fh.write(_receive(ends[c - 1][1]))
         finally:
-            for reader in readers:
-                reader.close()  # a writer still sending gets EPIPE and exits
+            for pair in ends:
+                for end in pair:  # a writer still reading or sending sees the pipe end
+                    with contextlib.suppress(BrokenPipeError):  # unsent bytes of a dead writer
+                        end.close()
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         if any(codes):
             raise OSError(f"writer processes of {path} exited with status {codes}")
     return w
 
 
-def _writer(out, readers, chunk, js) -> None:
-    """A forked writer's whole life: send chunk(j) for j in js down `out`,
-    and leave by os._exit, 1 on any exception, so that no atexit handler
-    runs and no inherited buffer is flushed."""
+def _writer(inp, out, ends, chunk, js) -> None:
+    """A forked writer's whole life: for j in js, receive item j from `inp`
+    and send chunk(j, item) down `out`; leave by os._exit, 1 on any
+    exception, so that no atexit handler runs and no inherited buffer is
+    flushed."""
     code = 1
     try:
-        for reader in readers:  # its own read end and those of earlier writers
-            reader.close()
+        for pair in ends:  # this process's ends of its own pipes and earlier writers'
+            for end in pair:
+                end.close()
         for j in js:
-            data = chunk(j)
-            out.write(len(data).to_bytes(8, "little"))
-            out.write(data)
-        out.flush()
+            _send(out, chunk(j, pickle.loads(_receive(inp))))
         code = 0
     finally:
         os._exit(code)
 
 
+def _send(fh, data: bytes) -> None:
+    """data, after its 8-byte length, down a pipe."""
+    fh.write(len(data).to_bytes(8, "little"))
+    fh.write(data)
+    fh.flush()
+
+
 def _receive(reader) -> bytes:
-    """The next length-prefixed chunk from a writer's pipe."""
+    """The next length-prefixed message from a pipe."""
     head = reader.read(8)
     size = int.from_bytes(head, "little")
     data = reader.read(size)
     if len(head) < 8 or len(data) < size:
-        raise OSError("a writer process ended before sending its chunk")
+        raise OSError("a process at the other end of a writer pipe ended early")
     return data
 
 
@@ -233,15 +266,15 @@ class ProblemSpec:
 
 
 @dataclass(eq=False)
-class ValueSurface:
-    """v(t_j, x_i) on the grid, time-major: layer j is time j * dt."""
+class March:
+    """A march set up over [0, horizon]: its problem, its n_steps steps of
+    dt, and the set-up a surface records.  Layer j is time j * dt."""
 
     problem: ProblemSpec
-    values: np.ndarray
     dt: float
+    n_steps: int
     horizon: float
     payoff_name: str
-    argmax_last: np.ndarray
     stable_dt: float
     r_jump: float
 
@@ -249,22 +282,33 @@ class ValueSurface:
     def grid(self) -> Grid:
         return self.problem.grid
 
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    def layer(self, t: float) -> np.ndarray:
-        j = grid_index(t, 0.0, self.dt, self.n_steps + 1)
-        if j is None:
-            raise ValueError(f"time {t} is not aligned to the surface step {self.dt}")
-        return self.values[j]
+    def steps(self, start: np.ndarray):
+        """The n_steps steps from the flat layer `start`: _Operator.steps."""
+        return self.problem.operator.steps(start, self.n_steps, self.dt)
 
     def restart_steps(self, split: float) -> int:
         """Steps of dpp_gap's restart march over [0, split]."""
         return _n_steps(split, self.problem.scheme, self.stable_dt)[0]
 
-    def value_at(self, t: float, x) -> float:
-        return float(self.layer(t)[self.grid.node_index(x)])
+    def restart(self, split: float, extra_margin: float = 0.0):
+        """(j, mask): dpp_gap restarts from layer n_steps - j, at time
+        horizon - split, and compares on the interior core `mask` (None for
+        split 0, an empty check).  A split off the time grid or an empty core
+        raises ValueError; neither needs a layer."""
+        j = grid_index(split, 0.0, self.dt, self.n_steps + 1)
+        if j is None:
+            raise ValueError(f"split {split} is not aligned to the time grid")
+        return j, (self.interior_mask(extra_margin) if j else None)
+
+    def restart_gap(self, split: float, start: np.ndarray, end: np.ndarray,
+                    mask: np.ndarray) -> float:
+        """March the operator again over [0, split] from the layer `start`
+        at time horizon - split, by its own step count, and return the
+        largest distance to the horizon layer `end` on `mask`."""
+        n_steps, dt = _n_steps(split, self.problem.scheme, self.stable_dt)
+        for restarted, _ in self.problem.operator.steps(start.ravel(), n_steps, dt):
+            pass
+        return float(np.max(np.abs(restarted - end.ravel())[mask.ravel()]))
 
     def interior_mask(self, extra_margin: float = 0.0) -> np.ndarray:
         """The interior core: nodes at least max(r_jump, 10 dx) + extra_margin
@@ -277,27 +321,51 @@ class ValueSurface:
                 f"{self.grid.lower.tolist()} .. {self.grid.upper.tolist()}")
         return mask
 
-    def to_csv(self, path) -> int:
-        """Rows t,x1[,x2],v over all space-time nodes, 17 significant digits,
-        LF line endings.  The rows are time-major: one block of grid-node
-        rows per layer, in stable node order (x1 outer, x2 inner), with the
-        layer time j * dt nondecreasing down the file; `nlaffine compare`
-        bisects the file on that order to read one layer.  The node
-        coordinates are formatted once, into a template with a time and a
-        value slot per node; each layer is one formatting pass, and
-        write_chunks spreads the layers over processes.  Returns their
-        number; the bytes do not depend on it."""
+    def write_csv(self, path, layers) -> int:
+        """Write the n_steps + 1 flat layers taken from `layers` in time
+        order as rows t,x1[,x2],v, 17 significant digits, LF line endings.
+        The rows are time-major: one block of grid-node rows per layer, in
+        stable node order (x1 outer, x2 inner), with the layer time j * dt
+        nondecreasing down the file; `nlaffine compare` bisects the file on
+        that order to read one layer.  The node coordinates are formatted
+        once, into a template with a time and a value slot per node; each
+        layer is one formatting pass, and write_chunks spreads the layers
+        over processes as they come.  Returns their number; the bytes do not
+        depend on it."""
         fmt = b"%%s" + b"%.17g," * self.grid.dim + b"%%.17g\n"
         template = b"".join(fmt % tuple(p) for p in self.grid.points().tolist())
         cols = ["t", "x1", "v"] if self.grid.dim == 1 else ["t", "x1", "x2", "v"]
-        values = self.values.reshape(self.values.shape[0], -1)
 
-        def layer(j: int) -> bytes:
-            slots = [b"%.17g," % (j * self.dt)] * (2 * values.shape[1])
-            slots[1::2] = values[j].tolist()
+        def layer(j: int, v: np.ndarray) -> bytes:
+            slots = [b"%.17g," % (j * self.dt)] * (2 * v.shape[0])
+            slots[1::2] = v.tolist()
             return template % tuple(slots)
 
-        return write_chunks(path, ",".join(cols).encode() + b"\n", layer, values.shape[0])
+        return write_chunks(path, ",".join(cols).encode() + b"\n", layer, layers,
+                            self.n_steps + 1)
+
+
+@dataclass(eq=False)
+class ValueSurface(March):
+    """A march run with every layer stored: v(t_j, x_i) on the grid,
+    time-major, and the vertex attaining the max at each node in the last
+    step."""
+
+    values: np.ndarray
+    argmax_last: np.ndarray
+
+    def layer(self, t: float) -> np.ndarray:
+        j = grid_index(t, 0.0, self.dt, self.n_steps + 1)
+        if j is None:
+            raise ValueError(f"time {t} is not aligned to the surface step {self.dt}")
+        return self.values[j]
+
+    def value_at(self, t: float, x) -> float:
+        return float(self.layer(t)[self.grid.node_index(x)])
+
+    def to_csv(self, path) -> int:
+        """write_csv of the stored layers."""
+        return self.write_csv(path, self.values.reshape(self.n_steps + 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +467,27 @@ class _Operator:
             np.ravel_multi_index(np.clip(idx + np.array(o)[:, None], 0, top), grid.shape)
             for o in offsets
         ])
-        self.diff = np.empty(self.nbr.shape)  # per-step buffer: v(x + offset) - v(x)
+        # per-step buffers, reused so that a march allocates only its layers:
+        # v(x + offset) - v(x), each stencil's sum of those, and apply's result
+        self.diff = np.empty(self.nbr.shape)
+        self.stencil_sums = np.empty((len(stencils), n))
+        self.inc = np.empty(self.pen.shape)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """(L_k v)(x) + pen for every vertex k and node x, shape (K, n)."""
+        """(L_k v)(x) + pen for every vertex k and node x, shape (K, n), in
+        a buffer that the next call overwrites."""
         v.take(self.nbr, out=self.diff, mode="clip")
         self.diff -= v
-        out = np.einsum("gkn,gn->kn", self.C, self.S @ self.diff)
-        out += self.pen
-        return out
+        np.matmul(self.S, self.diff, out=self.stencil_sums)
+        np.einsum("gkn,gn->kn", self.C, self.stencil_sums, out=self.inc)
+        self.inc += self.pen
+        return self.inc
 
     def steps(self, v: np.ndarray, n_steps: int, dt: float):
         """n_steps explicit steps v <- v + dt * max_k L_k v from the flat
         layer v; nodes outside the state space stay frozen.  Yields each new
-        layer, a fresh array, with its step's (K, n) increments from apply."""
+        layer, a fresh array, with its step's (K, n) increments from apply,
+        which the next step overwrites."""
         frozen = np.flatnonzero(~self.in_s)
         for step in range(1, n_steps + 1):
             inc = self.apply(v)
@@ -441,15 +516,12 @@ def _n_steps(horizon: float, scheme: SchemeConfig,
     return step_count(horizon, stable_dt, scheme.min_time_steps)
 
 
-def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
-          horizon: float, mode: GeneratorMode,
-          scheme: SchemeConfig | None = None) -> ValueSurface:
-    """March the explicit scheme from the payoff to the horizon.
-
-    The step satisfies  dt * rate <= cfl  at every admissible node/vertex
-    pair, where rate = sum_g C_g * mass(D_g) is the total outflow of the
-    operator; with C >= 0 this keeps the update monotone.
-    """
+def _prepare(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
+             horizon: float, mode: GeneratorMode,
+             scheme: SchemeConfig | None) -> tuple[March, np.ndarray]:
+    """Everything `solve` does before its first step: the operator, the
+    admissibility cover, the rate and CFL checks and the step count, as a
+    March, with the flat payoff layer to march from."""
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     scheme = scheme or SchemeConfig()
@@ -473,20 +545,34 @@ def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
             f"{stable_dt:.6g} (cfl {scheme.cfl}, max rate {max_rate:.6g})"
         )
     n_steps, dt = _n_steps(horizon, scheme, stable_dt)
-
-    values = np.empty((n_steps + 1, grid.n_nodes))
-    values[0] = payoff.values(grid.points())
-    if not np.all(np.isfinite(values[0])):
+    start = np.empty(grid.n_nodes)
+    start[:] = payoff.values(grid.points())
+    if not np.all(np.isfinite(start)):
         raise NonFiniteError("payoff is not finite on the grid")
-    inc = np.zeros((1, grid.n_nodes))  # a zero-step horizon reads vertex 0
-    for j, (layer, inc) in enumerate(op.steps(values[0], n_steps, dt), 1):
-        values[j] = layer
-    argmax = np.argmax(inc, axis=0)
-
     r_jump = scheme.r_jump if scheme.r_jump is not None else default_jump_radius(theta_set)
-    return ValueSurface(ProblemSpec(theta_set, grid, scheme, op),
-                        values.reshape((n_steps + 1,) + grid.shape), dt, horizon,
-                        payoff.name, argmax.reshape(grid.shape), stable_dt, r_jump)
+    return March(ProblemSpec(theta_set, grid, scheme, op), dt, n_steps, horizon,
+                 payoff.name, stable_dt, r_jump), start
+
+
+def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
+          horizon: float, mode: GeneratorMode,
+          scheme: SchemeConfig | None = None) -> ValueSurface:
+    """March the explicit scheme from the payoff to the horizon and store
+    every layer.
+
+    The step satisfies  dt * rate <= cfl  at every admissible node/vertex
+    pair, where rate = sum_g C_g * mass(D_g) is the total outflow of the
+    operator; with C >= 0 this keeps the update monotone.
+    """
+    march, start = _prepare(theta_set, grid, payoff, horizon, mode, scheme)
+    values = np.empty((march.n_steps + 1, grid.n_nodes))
+    values[0] = start
+    inc = np.zeros((1, grid.n_nodes))  # a zero-step horizon reads vertex 0
+    for j, (layer, inc) in enumerate(march.steps(start), 1):
+        values[j] = layer
+    return ValueSurface(**vars(march),
+                        values=values.reshape((march.n_steps + 1,) + grid.shape),
+                        argmax_last=np.argmax(inc, axis=0).reshape(grid.shape))
 
 
 def dpp_gap(surface: ValueSurface, split: float,
@@ -500,19 +586,11 @@ def dpp_gap(surface: ValueSurface, split: float,
     not a time of the surface's grid on [0, horizon], or an empty interior
     core, raises ValueError.
     """
-    j = grid_index(split, 0.0, surface.dt, surface.n_steps + 1)
-    if j is None:
-        raise ValueError(f"split {split} is not aligned to the time grid")
-    if j == 0:
+    j, mask = surface.restart(split, extra_margin)
+    if not j:
         return 0.0
-    mask = surface.interior_mask(extra_margin)
-    p = surface.problem
-    n_steps, dt = _n_steps(split, p.scheme, surface.stable_dt)
-    start = surface.values[surface.n_steps - j].ravel()
-    for end, _ in p.operator.steps(start, n_steps, dt):
-        pass
-    gap = np.abs(end.reshape(surface.grid.shape) - surface.values[-1])
-    return float(np.max(gap[mask]))
+    return surface.restart_gap(split, surface.values[surface.n_steps - j],
+                               surface.values[-1], mask)
 
 
 @dataclass

@@ -1,9 +1,12 @@
 import ast
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from nlaffine.config import (
     measure_from_json,
     theta_from_json,
 )
+from test_pide import no_child_left
 
 
 def base_config(out_dir, paths=500):
@@ -292,6 +296,108 @@ class TestSolveCommand:
         assert meta["small_jump_table"][repr(1.0 + 1.5e-12)] == pytest.approx(0.5)
 
 
+def hat_box_config(out_dir):
+    """A 2-D hat-mode coefficient box: 8 vertices, two off-grid atoms."""
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    atom = [0.37, -0.61]
+    return {
+        "dimension": 2,
+        "parameter_set": {
+            "kind": "box",
+            "beta_lo": [[0.0, 0.0]] * 3,
+            "beta_hi": [[0.0, 0.0]] * 3,
+            "alpha_lo": [[[0.25, -0.1], [-0.1, 0.25]], zero, zero],
+            "alpha_hi": [[[1.0, 0.1], [0.1, 1.0]], zero, zero],
+            "nu_tuples": [[[[atom, 0.25], [[-z for z in atom], 0.25]], [], []]],
+        },
+        "mode": "hat",
+        "payoff": {"name": "square"},
+        "grid": {"lower": [-6.0, -6.0], "upper": [6.0, 6.0], "nodes": [31, 31]},
+        "horizon": 0.5,
+        "scheme": {"cfl": 0.4, "min_time_steps": 32},
+        "output_dir": str(out_dir),
+    }
+
+
+README_CONFIG = {
+    "dimension": 1,
+    "parameter_set": {"kind": "example", "name": "compound_poisson",
+                      "lambda": [0.5, 1.0], "measures": [[[1.0, 1.0]]]},
+    "state_space": {"kind": "full"},
+    "mode": "standard",
+    "payoff": {"name": "min_cap", "c": 2.0},
+    "grid": {"lower": [-5.0], "upper": [10.0], "nodes": [601]},
+    "horizon": 1.0,
+    "scheme": {"cfl": 0.4, "min_time_steps": 512},
+}
+
+
+class TestStreamedSolve:
+    """solve hands each layer to the surface writers as the march makes it
+    and keeps only the layers dpp.json needs."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("problem, split", [("readme", 0.5), ("hat_box", 0.25)])
+    def test_bytes_and_gap_are_the_library_surface(self, tmp_path, monkeypatch, problem,
+                                                   split, workers):
+        out = tmp_path / "out"
+        raw = (dict(README_CONFIG, output_dir=str(out)) if problem == "readme"
+               else hat_box_config(out))
+        path = write_config(tmp_path, raw)
+        cfg = ExperimentConfig.from_file(path)
+        surf = nl.solve(cfg.theta_set(), cfg.grid(), cfg.payoff(), cfg.horizon, cfg.mode(),
+                        scheme=cfg.scheme())
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 1)
+        surf.to_csv(tmp_path / "library.csv")
+        monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
+        assert main(["solve", "--config", path, "--dpp-split", str(split)]) == 0
+        assert no_child_left()
+        written = (out / "surface.csv").read_bytes()
+        assert written == (tmp_path / "library.csv").read_bytes()
+        if problem == "readme":  # the criterion-1 golden surface of test_pide
+            assert hashlib.sha256(written).hexdigest().startswith("7b0dbe2eea5c50dd")
+        assert json.loads((out / "dpp.json").read_text())["gap"] == nl.dpp_gap(surf, split)
+        assert json.loads((out / "meta.json").read_text())["surface_writers"] == workers
+
+    def test_overflow_mid_stream_exits_3(self, tmp_path, monkeypatch, capsys):
+        apply = pide._Operator.apply
+        calls = []
+
+        def overflowing(self, v):
+            calls.append(None)
+            inc = apply(self, v)
+            return np.full_like(inc, np.inf) if len(calls) == 5 else inc
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        monkeypatch.setattr(pide._Operator, "apply", overflowing)
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 3)
+        assert main(["solve", "--config", path]) == 3
+        assert capsys.readouterr().err == (
+            "numerical abort: non-finite value produced at step 5\n")
+        assert no_child_left()
+        assert not (out / "surface.csv").exists()
+
+    def test_memory_flat_in_the_step_count(self, tmp_path, monkeypatch):
+        """Four times the steps add no stored layer: the traced peak grows by
+        less than a quarter of the extra layers' bytes."""
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
+        peaks = []
+        for steps in (400, 1600):
+            out = tmp_path / f"out{steps}"
+            raw = base_config(out)
+            raw["scheme"]["min_time_steps"] = steps
+            path = write_config(tmp_path, raw, f"config{steps}.json")
+            tracemalloc.start()
+            try:
+                assert main(["solve", "--config", path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert json.loads((out / "meta.json").read_text())["cfl"]["n_steps"] == steps
+        assert peaks[1] - peaks[0] < (1600 - 400) * 161 * 8 / 4
+
+
 def _atom_at_origin(raw):
     raw["parameter_set"]["parameter"]["nu"] = [[[0.0, 1.0]], []]
 
@@ -310,6 +416,12 @@ def _overflowing_jump_weights(raw):
     raw["grid"] = {"lower": [0.0], "upper": [4.0], "nodes": [41]}
     raw["parameter_set"]["parameter"]["nu"] = [
         [[0.5, 1.7e308], [0.51, 1.7e308], [0.52, 1.7e308]], []]
+
+
+def _huge_jump_weight(raw):
+    # a finite intensity whose candidate mean lam_bar * dt = 1e19 per step
+    # lies above what numpy's Poisson sampler takes
+    raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1e21]], []]
 
 
 def _negative_horizon(raw):
@@ -627,6 +739,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("command, edit, message", [
         ("solve", _overflowing_jump_weights, "the operator's total outflow rate is inf"),
         ("simulate", _overflowing_jump_weights, "jump intensity bound inf"),
+        ("simulate", _huge_jump_weight, "candidate mean of 1e+19 per step, not below "
+                                        "the Poisson sampler's limit 9.22337e+18"),
     ])
     def test_numerical_abort_exits_3_with_one_line(self, tmp_path, capsys, command,
                                                    edit, message):
@@ -637,6 +751,17 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical abort: ")
         assert message in err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_overflow_warns_nothing_before_the_one_line(self, tmp_path, capsys, command):
+        raw = base_config(tmp_path / "out")
+        _overflowing_jump_weights(raw)
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical abort: ")
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
@@ -661,6 +786,7 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
+        assert not (tmp_path / "out" / "surface.csv").exists()  # refused before the march
 
 
 def test_library_has_no_assert_statements():
@@ -782,6 +908,18 @@ class TestCheckCommand:
         assert json.loads((out / "report.json").read_text())["mode"] == "standard"
         assert main(["solve", "--config", path]) == 2
         assert main(["simulate", "--config", path]) == 2
+
+    def test_overflowing_weights_not_certified(self, tmp_path, capsys):
+        # 3 K overflows to inf, so every linear-part margin is inf
+        out = tmp_path / "out"
+        raw = base_config(out)
+        _overflowing_jump_weights(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["check", "--config", path]) == 0
+        assert capsys.readouterr().out == "uniqueness gate: fail\n"
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["status"] == "fail"
+        assert rep["clauses"]["linear_part_bound"] == {"status": "fail", "bound": "inf"}
 
     def test_hat_mode_check_has_no_warning(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -550,14 +550,18 @@ class TestWriterProcesses:
         assert (tmp_path / "four.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_failing_writer_raises_and_is_reaped(self, tmp_path, monkeypatch):
-        class Poisoned(np.ndarray):
-            def __getitem__(self, j):
-                if isinstance(j, int) and j == 1:  # formatted by writer 1 of 2
+        write_chunks = pide.write_chunks
+
+        def poisoned(path, header, chunk, items, n):
+            def layer(j, v):
+                if j == 1:  # formatted by writer 1 of 2
                     raise RuntimeError("layer 1 does not format")
-                return super().__getitem__(j)
+                return chunk(j, v)
+
+            return write_chunks(path, header, layer, items, n)
 
         surf = criterion1_surface()
-        surf.values = surf.values.view(Poisoned)
+        monkeypatch.setattr(pide, "write_chunks", poisoned)
         monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
         with pytest.raises(OSError):
             surf.to_csv(tmp_path / "surface.csv")
@@ -568,15 +572,51 @@ class TestWriterProcesses:
         # 512 KB chunks fill the pipes, so writers are still sending when
         # this process stops reading; chunk j = 0 mod workers fails here,
         # any other in a writer
-        def chunk(j):
+        def chunk(j, _):
             if j == failing:
                 raise ValueError(f"chunk {j}")
             return b"%d\n" % j * (1 << 18)
 
         monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
         with pytest.raises(OSError if failing % workers else ValueError):
-            pide.write_chunks(tmp_path / "out", b"", chunk, 8)
+            pide.write_chunks(tmp_path / "out", b"", chunk, range(8), 8)
         assert no_child_left()
+
+    @pytest.mark.parametrize("workers, failing", [(1, 3), (2, 0), (3, 4), (3, 7)])
+    def test_failing_items_raise_and_reap(self, tmp_path, monkeypatch, workers, failing):
+        """An item that cannot be made, as a march step that overflows,
+        raises its own error in this process while the writers are busy."""
+        def items():
+            for j in range(8):
+                if j == failing:
+                    raise ZeroDivisionError(f"item {j}")
+                yield j
+
+        monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
+        with pytest.raises(ZeroDivisionError, match=f"item {failing}"):
+            pide.write_chunks(tmp_path / "out", b"", lambda j, i: b"%d\n" % i * (1 << 18),
+                              items(), 8)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_items_made_after_the_fork_reach_the_writers(self, tmp_path, monkeypatch,
+                                                         workers):
+        """Each item travels down a pipe: a writer formats what this process
+        made after forking it, not what it inherited."""
+        made = []
+
+        def items():
+            for j in range(7):
+                made.append(j)
+                yield np.full(3, float(j * j))
+
+        monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
+        path = tmp_path / "out"
+        assert pide.write_chunks(path, b"h\n", lambda j, v: b"%d:%r\n" % (j, v.tolist()),
+                                 items(), 7) == workers
+        assert path.read_bytes() == b"h\n" + b"".join(
+            b"%d:%r\n" % (j, [float(j * j)] * 3) for j in range(7))
+        assert made == list(range(7)) and no_child_left()
 
     def test_directory_fails_before_any_fork(self, tmp_path, monkeypatch):
         surf = criterion1_surface()
