@@ -1,8 +1,9 @@
 """Config-driven command line: solve | simulate | check | compare.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort.  Every JSON
-artifact embeds the config hash; surface.csv and bundle.csv carry their hash
-in the sibling meta.json / estimate.json (the CSV headers are pinned).
+Exit codes: 0 success, 2 configuration error, 3 numerical abort, an array
+that cannot be allocated included.  Every JSON artifact embeds the config
+hash; surface.csv and bundle.csv carry their hash in the sibling meta.json /
+estimate.json (the CSV headers are pinned).
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .montecarlo import bundle_to_csv, lower_bound_sublinear
 from .params import CoefficientError, check_coefficient_bounds
 from .pide import CFLError, NonFiniteError, _prepare, grid_tol
 from . import __version__
-
-# states the uniqueness gate samples, in `solve`'s certificate and in `check`'s report
-GATE_SAMPLES = 128
 
 
 def _write_json(path, payload: dict) -> None:
@@ -57,7 +55,7 @@ def cmd_solve(args) -> int:
     gate = None
     if mode.is_hat:
         gate = uniqueness_gate(theta_set, (grid.lower.tolist(), grid.upper.tolist()),
-                               n_samples=GATE_SAMPLES, bounds=bounds)
+                               bounds=bounds)
         if gate.status == "fail":
             print("warning: uniqueness gate failed; solution is not "
                   "certified unique", file=sys.stderr)
@@ -88,7 +86,7 @@ def cmd_solve(args) -> int:
     path = os.path.join(out, "surface.csv")
     try:
         writers = march.write_csv(path, layers())
-    except NonFiniteError:
+    except (NonFiniteError, MemoryError):
         os.remove(path)  # it holds only the layers before the failing step
         raise
     written = time.perf_counter()
@@ -128,10 +126,10 @@ def cmd_solve(args) -> int:
     _write_json(os.path.join(out, "meta.json"), meta)
     if split is not None:
         restarted = time.perf_counter()
-        gap = march.restart_gap(split, kept[n - j], kept[n], mask) if j else 0.0
+        gap, steps = march.restart_gap(split, kept[n - j], kept[n], mask) if j else (0.0, 0)
         _write_json(os.path.join(out, "dpp.json"),
                     {"split": split, "gap": gap, "config_hash": cfg.config_hash(),
-                     "n_steps": march.restart_steps(split),
+                     "n_steps": steps,
                      "march_s": time.perf_counter() - restarted})
     return 0
 
@@ -184,8 +182,7 @@ def cmd_check(args) -> int:
     theta_set = cfg.theta_set()
     grid = cfg.grid()
     mode = cfg.mode()
-    report = uniqueness_gate(theta_set, (grid.lower.tolist(), grid.upper.tolist()),
-                             n_samples=GATE_SAMPLES)
+    report = uniqueness_gate(theta_set, (grid.lower.tolist(), grid.upper.tolist()))
     report.config_hash = cfg.config_hash()
     _write_json(os.path.join(out, "report.json"), dict(asdict(report), mode=mode.kind))
     if not mode.is_hat:
@@ -209,7 +206,7 @@ def _read_layer(path, t_target: float):
     grid_tol(t_target) of t_target, as an (n, d + 2) array; n is 0 if
     there is no such layer.
 
-    The rows are time-major with nondecreasing t (see `ValueSurface.to_csv`),
+    The rows are time-major with nondecreasing t (see `March.write_csv`),
     so the layer's first row is found by bisection on byte offsets and only
     the layer's own rows are parsed."""
     tol = grid_tol(t_target)
@@ -380,6 +377,9 @@ def main(argv=None) -> int:
         return 2
     except (CFLError, NonFiniteError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an array the config asks for does not fit
+        print(f"numerical abort: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

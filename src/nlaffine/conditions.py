@@ -105,7 +105,7 @@ class ConditionReport:
 
 
 def check_comparison_conditions(theta_set: FiniteParameterSet, sample_box,
-                                n_samples: int = 200) -> ConditionReport:
+                                n_samples: int = 128) -> ConditionReport:
     """Boundedness, tightness and continuity of the hat-mode coefficient
     family, which together back the comparison/uniqueness argument.
 
@@ -184,7 +184,7 @@ def check_comparison_conditions(theta_set: FiniteParameterSet, sample_box,
 
 
 def uniqueness_gate(theta_set: FiniteParameterSet, sample_box,
-                    n_samples: int = 200,
+                    n_samples: int = 128,
                     bounds: CoefficientBoundReport | None = None) -> ConditionReport:
     """Run every hat-mode prerequisite: coefficient bounds, the linear-part
     bound and the comparison clauses; a clause whose growth or bound is not

@@ -75,6 +75,15 @@ def _coefficients(v, shape: tuple) -> np.ndarray:
     return a.reshape(shape)
 
 
+def _known(spec: dict, block: str, fields) -> None:
+    """Refuse a field of the object `spec` that is not in `fields`: a
+    misspelled field would otherwise be ignored and its default used."""
+    for name in spec:
+        if name not in fields:
+            raise ConfigError(f"unknown field {name!r} in {block}; "
+                              f"known: {', '.join(fields)}")
+
+
 def _interval(v) -> list[float]:
     pair = _num_list(v)
     if len(pair) != 2 or pair[0] > pair[1]:
@@ -102,7 +111,10 @@ def measure_from_json(mj, dim: int) -> AtomicLevyMeasure:
     return AtomicLevyMeasure(atoms, weights, dim=dim)
 
 
-def theta_from_json(tj: dict, dim: int) -> AffineParameter:
+def theta_from_json(tj: dict, dim: int, block: str = "parameter") -> AffineParameter:
+    if not isinstance(tj, dict):
+        raise ConfigError(f"{block} must be an object, got {tj!r}")
+    _known(tj, block, ("beta", "alpha", "nu"))
     beta = _coefficients(tj["beta"], (dim + 1, dim))
     alpha = _coefficients(tj["alpha"], (dim + 1, dim, dim))
     nu = [measure_from_json(mj, dim) for mj in tj["nu"]] if "nu" in tj else None
@@ -158,22 +170,28 @@ def gaussian_box_set(drift_interval, variance_interval) -> CoefficientBox:
     )
 
 
-EXAMPLE_NAMES = (
-    "compound_poisson",
-    "generalized_compound_poisson",
-    "gaussian_box",
-    "singleton",
-)
+# each named example and the fields it reads besides kind and name
+EXAMPLE_FIELDS = {
+    "compound_poisson": ("lambda", "measures"),
+    "generalized_compound_poisson": ("lambda0", "lambda1", "measures"),
+    "gaussian_box": ("drift", "variance"),
+    "singleton": ("parameter",),
+}
+EXAMPLE_NAMES = tuple(EXAMPLE_FIELDS)
 
 
 def parameter_set_from_json(spec: dict, dim: int,
                             h: TruncationFunction) -> FiniteParameterSet:
     kind = spec.get("kind", "example" if "name" in spec else None)
     if kind == "finite":
+        _known(spec, "parameter_set", ("kind", "parameters"))
         return FiniteParameterSet(
-            [theta_from_json(tj, dim) for tj in spec["parameters"]]
+            [theta_from_json(tj, dim, f"parameter_set.parameters[{i}]")
+             for i, tj in enumerate(spec["parameters"])]
         )
     if kind == "box":
+        _known(spec, "parameter_set", ("kind", "beta_lo", "beta_hi", "alpha_lo",
+                                       "alpha_hi", "nu_tuples"))
         nu_tuples = None
         if spec.get("nu_tuples"):
             nu_tuples = [
@@ -193,8 +211,11 @@ def parameter_set_from_json(spec: dict, dim: int,
             raise ConfigError(
                 f"unknown example {name!r}; registered: {EXAMPLE_NAMES}"
             )
+        _known(spec, f"parameter_set (example {name})",
+               ("kind", "name") + EXAMPLE_FIELDS[name])
         if name == "singleton":
-            return FiniteParameterSet([theta_from_json(spec["parameter"], dim)])
+            return FiniteParameterSet([theta_from_json(spec["parameter"], dim,
+                                                       "parameter_set.parameter")])
         if name == "gaussian_box":
             return gaussian_box_set(_interval(spec["drift"]), _interval(spec["variance"]))
         measures = [measure_from_json(mj, dim) for mj in spec["measures"]]
@@ -241,6 +262,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         # building every object surfaces field errors early
+        _known(self.data, "the config", (
+            "dimension", "horizon", "output_dir", "truncation_radius", "state_space",
+            "mode", "payoff", "grid", "parameter_set", "scheme", "sim"))
         if "horizon" in self.data:
             self.horizon
         self.grid()
@@ -301,6 +325,7 @@ class ExperimentConfig:
             return StateSpace.full(self.dimension)
         if not isinstance(spec, dict):
             raise ConfigError(f"state_space must be an object, got {spec!r}")
+        _known(spec, "state_space", ("kind", "nonneg_coords"))
         kind = spec.get("kind", "full")
         if kind == "full":
             return StateSpace.full(self.dimension)
@@ -342,6 +367,7 @@ class ExperimentConfig:
         spec = self.data.get("grid")
         if not isinstance(spec, dict):
             raise ConfigError("missing field: grid")
+        _known(spec, "grid", ("lower", "upper", "nodes"))
         try:
             nodes = [_int(n, "grid.nodes") for n in spec["nodes"]]
             return Grid(_nums(spec["lower"]), _nums(spec["upper"]), nodes)
@@ -376,6 +402,7 @@ class ExperimentConfig:
 
         read = {"cfl": _num, "dt": optional, "r_jump": optional,
                 "min_time_steps": lambda v: _int(v, "scheme.min_time_steps")}
+        _known(spec, "scheme", read)
         try:
             return SchemeConfig(**{k: f(spec[k]) for k, f in read.items() if k in spec})
         except ValueError as exc:
@@ -385,6 +412,7 @@ class ExperimentConfig:
         spec = self.data.get("sim")
         if not isinstance(spec, dict):
             raise ConfigError("missing field: sim")
+        _known(spec, "sim", ("t", "dt", "paths", "seed", "x0", "clamp_box"))
         horizon = _num(spec.get("t", self.horizon))
         clamp = spec.get("clamp_box")
         if clamp is not None:

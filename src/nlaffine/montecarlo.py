@@ -65,7 +65,6 @@ from .params import (
     AffineParameter,
     CoefficientError,
     FiniteParameterSet,
-    affine_at,
     min_eigenvalue,
 )
 from .pide import NonFiniteError, grid_index, step_count, write_chunks
@@ -200,7 +199,7 @@ def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
     if not form.atoms.shape[0]:
         return 0.0
     corners = np.array(list(itertools.product(*zip(lo, hi))))
-    vals = affine_at(form.W.T, corners)  # (2^d, m)
+    vals = form.jump_weights(corners)  # (2^d, m)
     with np.errstate(over="ignore"):  # an inf bound is refused by _Sweep
         return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
 

@@ -20,7 +20,8 @@ and the (bi)linear interpolation corners of each atom, weighted by the atom's
 intensity.  The coefficients come from GeneratorMode.coefficients, the one
 array coefficient form that the Monte Carlo stepper and the hypothesis gate
 read as well; its drift already carries the compensator -sum_j w_j h(z_j),
-so every jump weight stays nonnegative.
+so every jump weight stays nonnegative.  Outside the state space the form
+vanishes, so the same update keeps those nodes' values: no separate freeze.
 
 Monotonicity is checked on the assembled operator: C >= 0 on admissible
 nodes (only a cross term stronger than the diagonal terms can break it), and
@@ -286,10 +287,6 @@ class March:
         """The n_steps steps from the flat layer `start`: _Operator.steps."""
         return self.problem.operator.steps(start, self.n_steps, self.dt)
 
-    def restart_steps(self, split: float) -> int:
-        """Steps of dpp_gap's restart march over [0, split]."""
-        return _n_steps(split, self.problem.scheme, self.stable_dt)[0]
-
     def restart(self, split: float, extra_margin: float = 0.0):
         """(j, mask): dpp_gap restarts from layer n_steps - j, at time
         horizon - split, and compares on the interior core `mask` (None for
@@ -301,14 +298,15 @@ class March:
         return j, (self.interior_mask(extra_margin) if j else None)
 
     def restart_gap(self, split: float, start: np.ndarray, end: np.ndarray,
-                    mask: np.ndarray) -> float:
+                    mask: np.ndarray) -> tuple[float, int]:
         """March the operator again over [0, split] from the layer `start`
         at time horizon - split, by its own step count, and return the
-        largest distance to the horizon layer `end` on `mask`."""
+        largest distance to the horizon layer `end` on `mask`, with that
+        step count."""
         n_steps, dt = _n_steps(split, self.problem.scheme, self.stable_dt)
         for restarted, _ in self.problem.operator.steps(start.ravel(), n_steps, dt):
             pass
-        return float(np.max(np.abs(restarted - end.ravel())[mask.ravel()]))
+        return float(np.max(np.abs(restarted - end.ravel())[mask.ravel()])), n_steps
 
     def interior_mask(self, extra_margin: float = 0.0) -> np.ndarray:
         """The interior core: nodes at least max(r_jump, 10 dx) + extra_margin
@@ -423,7 +421,6 @@ class _Operator:
                      for f in forms]
 
         pts = grid.points()
-        self.in_s = mode.inside(pts)
         self.C = np.zeros((len(stencils), len(vertices), n))
         adm = np.empty((len(vertices), n), dtype=bool)
         for k, (form, rows) in enumerate(zip(forms, atom_rows)):
@@ -485,17 +482,15 @@ class _Operator:
 
     def steps(self, v: np.ndarray, n_steps: int, dt: float):
         """n_steps explicit steps v <- v + dt * max_k L_k v from the flat
-        layer v; nodes outside the state space stay frozen.  Yields each new
-        layer, a fresh array, with its step's (K, n) increments from apply,
-        which the next step overwrites."""
-        frozen = np.flatnonzero(~self.in_s)
+        layer v, one update at every node (outside the state space every
+        coefficient is 0, so a node keeps its value).  Yields each new layer,
+        a fresh array, with its step's (K, n) increments from apply, which
+        the next step overwrites."""
         for step in range(1, n_steps + 1):
             inc = self.apply(v)
             new = inc.max(axis=0)  # new = v + dt * max_k, bit for bit
             new *= dt
             new += v
-            if frozen.size:
-                new[frozen] = v[frozen]
             if not np.isfinite(new).all():
                 raise NonFiniteError(f"non-finite value produced at step {step}")
             v = new
@@ -529,7 +524,7 @@ def _prepare(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
         raise ValueError("state space and grid dimensions differ")
 
     op = _Operator(theta_set.vertices(), grid, mode)
-    uncovered = op.in_s & ~np.any(op.adm, axis=0)
+    uncovered = ~np.any(op.adm, axis=0)
     if np.any(uncovered):
         raise NoAdmissibleVertexError(
             f"no admissible vertex at state {grid.points()[uncovered][0]}")
@@ -590,7 +585,7 @@ def dpp_gap(surface: ValueSurface, split: float,
     if not j:
         return 0.0
     return surface.restart_gap(split, surface.values[surface.n_steps - j],
-                               surface.values[-1], mask)
+                               surface.values[-1], mask)[0]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -359,24 +360,40 @@ class TestStreamedSolve:
         assert json.loads((out / "dpp.json").read_text())["gap"] == nl.dpp_gap(surf, split)
         assert json.loads((out / "meta.json").read_text())["surface_writers"] == workers
 
-    def test_overflow_mid_stream_exits_3(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def solve_with_fault_at_step_5(tmp_path, monkeypatch, fault) -> int:
+        """`nlaffine solve` with three writers, apply's fifth result passed
+        through fault; checks that no writer and no surface.csv is left."""
         apply = pide._Operator.apply
         calls = []
 
-        def overflowing(self, v):
+        def faulty(self, v):
             calls.append(None)
             inc = apply(self, v)
-            return np.full_like(inc, np.inf) if len(calls) == 5 else inc
+            return fault(inc) if len(calls) == 5 else inc
 
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
-        monkeypatch.setattr(pide._Operator, "apply", overflowing)
+        monkeypatch.setattr(pide._Operator, "apply", faulty)
         monkeypatch.setattr(pide, "usable_cpus", lambda: 3)
-        assert main(["solve", "--config", path]) == 3
-        assert capsys.readouterr().err == (
-            "numerical abort: non-finite value produced at step 5\n")
+        code = main(["solve", "--config", path])
         assert no_child_left()
         assert not (out / "surface.csv").exists()
+        return code
+
+    def test_overflow_mid_stream_exits_3(self, tmp_path, monkeypatch, capsys):
+        assert self.solve_with_fault_at_step_5(
+            tmp_path, monkeypatch, lambda inc: np.full_like(inc, np.inf)) == 3
+        assert capsys.readouterr().err == (
+            "numerical abort: non-finite value produced at step 5\n")
+
+    def test_allocation_failure_mid_stream_exits_3(self, tmp_path, monkeypatch, capsys):
+        def failing(inc):
+            raise MemoryError("Unable to allocate the step's increments")
+
+        assert self.solve_with_fault_at_step_5(tmp_path, monkeypatch, failing) == 3
+        assert capsys.readouterr().err == (
+            "numerical abort: Unable to allocate the step's increments\n")
 
     def test_memory_flat_in_the_step_count(self, tmp_path, monkeypatch):
         """Four times the steps add no stored layer: the traced peak grows by
@@ -422,6 +439,23 @@ def _huge_jump_weight(raw):
     # a finite intensity whose candidate mean lam_bar * dt = 1e19 per step
     # lies above what numpy's Poisson sampler takes
     raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1e21]], []]
+
+
+def _billion_jump_weight(raw):
+    raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1e9]], []]
+    raw["horizon"] = 1.0
+    raw["sim"].update(dt=0.01, paths=2048)
+
+
+def _huge_hat_grid(raw):
+    # 200,001^2 nodes: the grid's point table alone needs 298 GiB
+    raw["dimension"] = 2
+    raw["mode"] = "hat"
+    raw["parameter_set"]["parameter"] = {
+        "beta": [[0.0, 0.0]] * 3,
+        "alpha": [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2]}
+    raw["grid"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "nodes": [200001, 200001]}
+    raw["sim"]["x0"] = [0.0, 0.0]
 
 
 def _negative_horizon(raw):
@@ -508,6 +542,60 @@ def _box_without_beta_lo(raw):
     raw["parameter_set"] = {"kind": "box", "beta_hi": [[0.0], [0.0]],
                             "alpha_lo": [[[0.1]], [[0.0]]],
                             "alpha_hi": [[[0.2]], [[0.0]]]}
+
+
+def _box_with_nu_tuple(raw):
+    # read as nu_tuples, this box would jump; ignored, it would not
+    raw["parameter_set"] = {"kind": "box", "beta_lo": [[0.0], [0.0]],
+                            "beta_hi": [[0.0], [0.0]],
+                            "alpha_lo": [[[0.1]], [[0.0]]],
+                            "alpha_hi": [[[0.2]], [[0.0]]],
+                            "nu_tuple": [[[[0.5, 0.1]], []]]}
+
+
+def _misspelled_min_time_steps(raw):
+    raw["scheme"]["min_time_stpes"] = 16
+
+
+def _misspelled_paths(raw):
+    raw["sim"]["pths"] = 10
+
+
+def _misspelled_horizon(raw):
+    raw["horizn"] = raw.pop("horizon")
+
+
+def _misspelled_grid_nodes(raw):
+    raw["grid"]["node"] = raw["grid"].pop("nodes")
+
+
+def _misspelled_nonneg_coords(raw):
+    raw["state_space"] = {"kind": "half", "nonneg_coord": 1}
+
+
+def _misspelled_lambda(raw):
+    raw["parameter_set"] = {"kind": "example", "name": "compound_poisson",
+                            "lamda": [0.5, 1.0], "lambda": [0.5, 1.0],
+                            "measures": [[[1.0, 1.0]]]}
+
+
+def _misspelled_parameter_alpha(raw):
+    raw["parameter_set"]["parameter"]["alhpa"] = [[[0.5]], [[0.0]]]
+
+
+def _misspelled_finite_parameter_nu(raw):
+    theta = raw["parameter_set"]["parameter"]
+    misspelled = {"beta": theta["beta"], "alpha": theta["alpha"], "mu": theta["nu"]}
+    raw["parameter_set"] = {"kind": "finite", "parameters": [theta, misspelled]}
+
+
+def _misspelled_finite_parameters(raw):
+    theta = raw["parameter_set"]["parameter"]
+    raw["parameter_set"] = {"kind": "finite", "parameter": theta, "parameters": [theta]}
+
+
+def _text_parameter(raw):
+    raw["parameter_set"]["parameter"] = "beta"
 
 
 def _unused_payoff_parameter(raw):
@@ -676,6 +764,24 @@ class TestErrorContract:
         (_parameter_without_beta, "parameter_set lacks the field 'beta'"),
         (_box_without_beta_lo, "parameter_set lacks the field 'beta_lo'"),
         (_unused_payoff_parameter, "payoff 'abs' takes no parameter 'c'"),
+        (_box_with_nu_tuple, "unknown field 'nu_tuple' in parameter_set; known: kind, "
+                             "beta_lo, beta_hi, alpha_lo, alpha_hi, nu_tuples"),
+        (_misspelled_min_time_steps, "unknown field 'min_time_stpes' in scheme; known: "
+                                     "cfl, dt, r_jump, min_time_steps"),
+        (_misspelled_paths, "unknown field 'pths' in sim; known: "),
+        (_misspelled_horizon, "unknown field 'horizn' in the config; known: "),
+        (_misspelled_grid_nodes, "unknown field 'node' in grid; known: lower, upper, "
+                                 "nodes"),
+        (_misspelled_nonneg_coords, "unknown field 'nonneg_coord' in state_space"),
+        (_misspelled_lambda, "unknown field 'lamda' in parameter_set (example "
+                             "compound_poisson); known: kind, name, lambda, measures"),
+        (_misspelled_parameter_alpha, "unknown field 'alhpa' in parameter_set.parameter; "
+                                      "known: beta, alpha, nu"),
+        (_misspelled_finite_parameter_nu, "unknown field 'mu' in "
+                                          "parameter_set.parameters[1]"),
+        (_misspelled_finite_parameters, "unknown field 'parameter' in parameter_set; "
+                                        "known: kind, parameters"),
+        (_text_parameter, "parameter_set.parameter must be an object, got 'beta'"),
         (_fractional_grid_nodes, "grid.nodes must be an integer, got 160.5"),
         (_fractional_paths, "sim.paths must be an integer, got 10.5"),
         (_boolean_cfl, "bad scheme spec: expected a number, got True"),
@@ -751,6 +857,33 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("numerical abort: ")
         assert message in err
+
+    @pytest.mark.parametrize("command, edit, message", [
+        # 2 * 2048 paths * 100 steps * 1e7 candidates: a 29.8 TiB uniform pool
+        ("simulate", _billion_jump_weight, "Unable to allocate 29.8 TiB"),
+        ("solve", _huge_hat_grid, "Unable to allocate 298. GiB"),
+    ])
+    def test_allocation_failure_exits_3_with_one_line(self, tmp_path, command, edit,
+                                                      message):
+        """Run in a child process whose address space is capped at 3 GB, so
+        the allocation fails at once on any overcommit setting."""
+        out = tmp_path / "out"
+        raw = base_config(out)
+        edit(raw)
+        path = write_config(tmp_path, raw)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                "from nlaffine.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", code, command, "--config", path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("numerical abort: ")
+        assert message in done.stderr
+        assert not (out / "surface.csv").exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate"])
     def test_overflow_warns_nothing_before_the_one_line(self, tmp_path, capsys, command):
@@ -966,12 +1099,17 @@ class TestBuildOnce:
 
 
     def test_solve_and_check_run_one_gate(self, tmp_path, monkeypatch):
+        """solve's certificate and check's report sample the same states:
+        both leave n_samples at the gate's default."""
         samples = []
         gate = cli.uniqueness_gate
+        signature = inspect.signature(gate)
 
-        def recording(*args, n_samples, **kwargs):
-            samples.append(n_samples)
-            return gate(*args, n_samples=n_samples, **kwargs)
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            samples.append(bound.arguments["n_samples"])
+            return gate(*args, **kwargs)
 
         monkeypatch.setattr(cli, "uniqueness_gate", recording)
         raw = base_config(tmp_path / "out")
@@ -979,7 +1117,8 @@ class TestBuildOnce:
         path = write_config(tmp_path, raw)
         assert main(["solve", "--config", path]) == 0
         assert main(["check", "--config", path]) == 0
-        assert samples == [cli.GATE_SAMPLES, cli.GATE_SAMPLES]
+        default = signature.parameters["n_samples"].default
+        assert samples == [default, default] == [128, 128]
 
 
 class TestTruncationRadius:

@@ -394,7 +394,7 @@ class TestTwoDimensions:
 def half_line_problem():
     """Two half-line vertices with atoms on both sides of a node (+0.37,
     -0.23, -0.61 on a 0.1 grid) and state-dependent weights; the ten nodes
-    below 0 are frozen."""
+    below 0 lie outside the state space."""
     E = nl.AtomicLevyMeasure
     ps = nl.FiniteParameterSet([
         nl.AffineParameter.scalar(beta0=0.3, beta1=-0.2, alpha1=0.4,
@@ -441,12 +441,25 @@ class TestOperator:
         v = np.random.default_rng(5).standard_normal(n)
         assert np.array_equal(op.apply(v), self.reference(op, v))
 
-    def test_half_line_operator_has_frozen_nodes_and_two_sided_atoms(self):
+    def test_half_line_operator_has_zero_rows_and_two_sided_atoms(self):
         op = half_line_operator()
-        assert np.count_nonzero(~op.in_s) == 10
+        # the ten nodes with x < 0 have no nonzero coefficient; all others do
+        assert np.array_equal(np.flatnonzero(~op.C.any(axis=(0, 1))), np.arange(10))
         # node 20's neighbours: the upwind pair and the atoms' corners
         assert sorted(op.nbr[:, 20] - 20) == [-7, -6, -3, -2, -1, 1, 3, 4]
         assert op.nbr[:, 0].min() == 0 and op.nbr[:, 40].max() == 40  # clipped ends
+
+    def test_nodes_outside_the_state_space_get_a_zero_increment(self):
+        """Outside S every coefficient and every penalty is 0, so the one
+        update leaves those nodes as they are: no node is frozen by hand."""
+        op = half_line_operator()
+        outside = np.arange(10)  # x < 0
+        assert not op.C[:, :, outside].any() and not op.pen[:, outside].any()
+        v = np.random.default_rng(7).standard_normal(op.nbr.shape[1])
+        inc = op.apply(v)
+        assert np.array_equal(inc[:, outside], np.zeros((inc.shape[0], 10)))
+        layer, _ = next(op.steps(v, 1, 0.01))
+        assert np.array_equal(layer[outside], v[outside])
 
 
 class TestSteps:
