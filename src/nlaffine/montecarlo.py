@@ -5,7 +5,11 @@ Stepping is Euler for the continuous part plus exact atomic jump sampling by
 thinning: candidate events arrive at the constant rate lam_bar (an upper
 bound for the state-dependent intensity over the clamp box) and are accepted
 with probability intensity(state)/lam_bar; accepted events draw the jump
-size from the normalised atom weights at the current state.
+size from the normalised atom weights at the current state.  A batch finds
+its candidate cells, the (path, step) pairs with candidates, once, so a step
+touches only its own.  Vertices whose jump weights do not depend on the
+state have all of a step's candidates decided at once; the others are
+thinned rank by rank.
 
 Drift convention: the drift coefficient b is the rate of the finite-variation
 part relative to the mode's truncation function h, so the simulated
@@ -93,6 +97,10 @@ class SimConfig:
     batch_size: int = 12 * BLOCK
 
     def __post_init__(self):
+        for name in ("n_paths", "seed", "batch_size"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not (0.0 < self.dt < math.inf and 0.0 <= self.horizon < math.inf
                 and self.n_paths >= 1):
             raise ValueError("need finite dt > 0, finite horizon >= 0 and at least one path")
@@ -328,7 +336,9 @@ class _Sweep:
         forms = [mode.coefficients(theta) for theta in thetas]
         self.drift_runs = _runs(forms, "net_drift")
         self.diffusion_runs = _runs(forms, "alpha")
-        self.jump_runs = _runs(forms, "W", "atoms")
+        # (first vertex, end vertex, form, weights free of the state); no atoms, no jumps
+        self.jump_runs = [(*run, not np.any(run[2].W[:, 1:]))
+                          for run in _runs(forms, "W", "atoms") if run[2].atoms.size]
         self.lam_bar = max(_lam_bar(form, self.lo, self.hi) for form in forms)
         self.diffuses = any(np.any(theta.alpha) for theta in thetas)
         self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
@@ -373,7 +383,15 @@ class _Sweep:
         if Z is not None:
             Z = Z[rows]
         if counts is not None:
-            counts, pool_off = counts[rows], pool_off[rows]
+            # the batch's cells (path, step) by step; the pool runs as counts.ravel()
+            counts = counts[rows]
+            cells = np.flatnonzero(counts)
+            n_cand = counts.ravel()[cells]
+            first = pool_off[rows.start] + 2 * (np.cumsum(n_cand) - n_cand)
+            path, step = np.divmod(cells, self.n_steps)
+            order = np.argsort(step, kind="stable")
+            path, n_cand, first = path[order], n_cand[order], first[order]
+            cut = np.searchsorted(step[order], np.arange(self.n_steps + 1))
         sqdt = math.sqrt(dt) if dt else 0.0
         X = np.tile(x0, (V * B, 1))
         frozen = np.zeros(V * B, dtype=bool)
@@ -384,13 +402,33 @@ class _Sweep:
         flagged = np.zeros(V * B, dtype=bool)
         running = np.zeros(V * B)
         events = np.zeros((3, V * B), dtype=np.int64)  # per row, as in bundle.events
-        pos = None if counts is None else pool_off.copy()  # each path's next uniform
         if bundle.skeletons is not None:
             rows_of(bundle.skeletons)[:, :, 0] = x0
 
         def by_run(runs, coefficient):
             parts = [getattr(form, coefficient)(X[v0 * B:v1 * B]) for v0, v1, form in runs]
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        def thin(form, rows, first, n):
+            """Thin the n[i] candidates of row rows[i] of Xn, uniform pairs
+            from pool[first[i]] on, at weights read once per row (a negative
+            one raises); add the accepted atoms in (row, rank) order."""
+            xm = Xn[rows]
+            w = form.jump_weights(xm)
+            if np.min(w) < -WEIGHT_TOL:
+                bad = xm[np.argmin(np.min(w, axis=1))]
+                raise CoefficientError(f"negative jump weight at state {bad}")
+            wpos = np.clip(w, 0.0, None)
+            idx = np.repeat(np.arange(rows.size), n)  # each candidate's row
+            u = np.repeat(first - 2 * (np.cumsum(n) - n), n) + 2 * np.arange(idx.size)
+            lam = wpos.sum(axis=1)[idx]
+            acc = pool[u] * lam_bar < lam
+            hit = rows[idx[acc]]
+            cw = np.cumsum(wpos[idx[acc]], axis=1)
+            choice = np.argmax(cw > (pool[u[acc] + 1] * lam[acc])[:, None], axis=1)
+            np.add.at(Xn, hit, form.atoms[choice])
+            jumped[hit] = True
+            np.add.at(events[2], hit, 1)
 
         for j in range(self.n_steps):
             alive = ~frozen
@@ -404,34 +442,24 @@ class _Sweep:
                 if any_frozen:
                     Xn = np.where(alive[:, None], Xn, X)
                 jumped = np.zeros(V * B, dtype=bool)
-                if counts is not None:
-                    cand = np.tile(counts[:, j], V)  # candidates of live rows
-                    if any_frozen:
-                        cand[frozen] = 0
-                    events[1] += cand
-                    for r in range(int(cand.max())):
-                        for v0, v1, form in self.jump_runs:
-                            rows = v0 * B + np.nonzero(cand[v0 * B:v1 * B] > r)[0]
-                            if not rows.size:
+                if counts is not None and cut[j] < cut[j + 1]:
+                    # step j's cells on each vertex's live copy, in row order
+                    s = slice(cut[j], cut[j + 1])
+                    crow = (np.arange(V)[:, None] * B + path[s]).ravel()
+                    live = alive[crow]
+                    crow, cn = crow[live], np.tile(n_cand[s], V)[live]
+                    cf = np.tile(first[s], V)[live]
+                    events[1, crow] += cn
+                    for r in range(int(cn.max(initial=0))):
+                        for v0, v1, form, free in self.jump_runs:
+                            if free and r:  # thinned at every rank on pass 0
                                 continue
-                            xm = Xn[rows]
-                            w = form.jump_weights(xm)
-                            if w.size and np.min(w) < -WEIGHT_TOL:
-                                bad = xm[np.argmin(np.min(w, axis=1))]
-                                raise CoefficientError(f"negative jump weight at state {bad}")
-                            wpos = np.clip(w, 0.0, None)
-                            lam = wpos.sum(axis=1)
-                            u = pos[rows % B] + 2 * r
-                            u1, u2 = pool[u], pool[u + 1]
-                            acc = u1 * lam_bar < lam
-                            hit = rows[acc]
-                            if hit.size:
-                                cw = np.cumsum(wpos[acc], axis=1)
-                                choice = np.argmax(cw > (u2[acc] * lam[acc])[:, None], axis=1)
-                                Xn[hit] += form.atoms[choice]
-                                jumped[hit] = True
-                                events[2, hit] += 1
-                    pos += 2 * counts[:, j]
+                            a, b = np.searchsorted(crow, (v0 * B, v1 * B))
+                            # a state-free run's every rank, or rank r after r - 1
+                            sel = np.arange(a, b) if free else a + np.flatnonzero(cn[a:b] > r)
+                            if sel.size:
+                                thin(form, crow[sel], cf[sel] + 2 * r,
+                                     cn[sel] if free else np.ones_like(sel))
                 # exits (standard mode): post-step membership; never re-enter
                 newly = alive & ~mode.inside(Xn)
                 if np.any(newly):

@@ -357,6 +357,8 @@ class AffineParameter:
 def affine_at(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """c_0 + sum_i x^i c_i for every row x of an (n, d) state array, where c
     stacks the d+1 coefficients (vectors, matrices or weight rows)."""
+    if c.shape[0] == 2:  # d = 1 written out: tensordot's bits at less call cost
+        return c[0] + xs.reshape(-1, *(1,) * (c.ndim - 1)) * c[1]
     return c[0] + np.tensordot(xs, c[1:], axes=(1, 0))
 
 

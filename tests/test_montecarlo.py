@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import time
 import weakref
 from dataclasses import replace
 
@@ -10,8 +11,9 @@ import pytest
 import nlaffine as nl
 from nlaffine import montecarlo, pide
 from nlaffine.config import generalized_compound_poisson_set
+from nlaffine.generator import CoefficientForm
 from nlaffine.montecarlo import _draw_batch, _payoff_moments, bundle_to_csv
-from nlaffine.params import CoefficientError
+from nlaffine.params import WEIGHT_TOL, CoefficientError
 
 
 FULL = nl.GeneratorMode.standard(nl.StateSpace.full(1))
@@ -60,6 +62,21 @@ class TestSimConfig:
     def test_out_of_range_rejected(self, field, message):
         with pytest.raises(ValueError, match=message):
             nl.SimConfig(**{"dt": 0.1, "horizon": 1.0, "n_paths": 10, **field})
+
+    @pytest.mark.parametrize("field", [
+        {"seed": 1.5}, {"seed": True}, {"n_paths": 2.5}, {"n_paths": True},
+        {"n_paths": 10.0}, {"batch_size": 2.5}, {"batch_size": False},
+    ])
+    def test_integer_fields_must_be_integers(self, field):
+        name, value = next(iter(field.items()))
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            nl.SimConfig(**{"dt": 0.1, "horizon": 1.0, "n_paths": 10, **field})
+
+    def test_numpy_integers_accepted(self):
+        cfg = nl.SimConfig(dt=0.1, horizon=0.2, n_paths=np.int64(3), seed=np.uint64(5),
+                           batch_size=np.int32(2))
+        assert nl.simulate_paths(nl.AffineParameter.scalar(alpha0=1.0), [0.0], cfg,
+                                 FULL).n_paths == 3
 
     def test_largest_seed_accepted(self):
         cfg = nl.SimConfig(dt=0.1, horizon=0.2, n_paths=3, seed=2**64 - 1)
@@ -699,6 +716,191 @@ class TestThinningCounts:
         cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=50, seed=2)
         b = nl.simulate_paths(nl.AffineParameter.scalar(alpha0=1.0), [0.0], cfg, FULL)
         assert b.thinning_proposed == b.thinning_accepted == 0
+
+
+def reference_thinning(theta, x0, cfg, mode):
+    """A plain reference for the stepper: all V N rows in one batch, each
+    step thinned rank by rank over the live rows with a candidate left, one
+    vertex at a time, candidate by candidate, each path's next uniform kept
+    in pos.  Returns (terminal, exit_time, flagged, events)."""
+    thetas = theta.vertices() if isinstance(theta, nl.FiniteParameterSet) else [theta]
+    forms = [mode.coefficients(t) for t in thetas]
+    V, N, d = len(forms), cfg.n_paths, thetas[0].dim
+    x0 = np.asarray(x0, dtype=float)
+    lo, hi = cfg.clamp_box or montecarlo.default_clamp_box(x0)
+    n_steps, dt = pide.step_count(cfg.horizon, cfg.dt)
+    lam_bar = max(montecarlo._lam_bar(f, lo, hi) for f in forms)
+    Z, counts, pool, pool_off = _draw_batch(cfg.seed, 0, N, n_steps, d,
+                                            any(np.any(t.alpha) for t in thetas),
+                                            lam_bar * dt)
+    X = np.tile(x0, (V * N, 1))
+    frozen = np.zeros(V * N, dtype=bool)
+    exit_time = np.full(V * N, np.nan)
+    flagged = np.zeros(V * N, dtype=bool)
+    events = np.zeros((V, 3), dtype=np.int64)
+    pos = pool_off.copy()
+    for j in range(n_steps):
+        alive = ~frozen
+        Xn = X.copy()
+        for v, form in enumerate(forms):
+            rows = slice(v * N, (v + 1) * N)
+            Xn[rows] = X[rows] + dt * form.drift(X[rows])
+            if Z is not None:
+                root = montecarlo._diffusion_root(form.diffusion(X[rows]), X[rows],
+                                                  alive[rows])
+                Xn[rows] = Xn[rows] + math.sqrt(dt) * np.einsum("nij,nj->ni", root, Z[:, j])
+        Xn = np.where(alive[:, None], Xn, X)
+        jumped = np.zeros(V * N, dtype=bool)
+        if counts is not None:
+            cand = np.where(alive, np.tile(counts[:, j], V), 0)
+            events[:, 1] += cand.reshape(V, N).sum(axis=1)
+            for r in range(cand.max()):
+                for v, form in enumerate(forms):
+                    rows = v * N + np.flatnonzero(cand[v * N:(v + 1) * N] > r)
+                    if not rows.size:
+                        continue
+                    w = form.jump_weights(Xn[rows])
+                    if w.size and np.min(w) < -WEIGHT_TOL:
+                        bad = Xn[rows][np.argmin(np.min(w, axis=1))]
+                        raise CoefficientError(f"negative jump weight at state {bad}")
+                    wpos = np.clip(w, 0.0, None)
+                    lam = wpos.sum(axis=1)
+                    for i, row in enumerate(rows):
+                        u = pos[row % N] + 2 * r
+                        if pool[u] * lam_bar < lam[i]:
+                            atom = np.argmax(np.cumsum(wpos[i]) > pool[u + 1] * lam[i])
+                            Xn[row] += form.atoms[atom]
+                            jumped[row] = True
+                            events[v, 2] += 1
+            pos += 2 * counts[:, j]
+        newly = alive & ~mode.inside(Xn)
+        exit_time[newly] = (j + 1) * dt
+        frozen |= newly
+        events[:, 0] += (newly & ~jumped).reshape(V, N).sum(axis=1)
+        out = alive & ~frozen & ~np.all((Xn >= lo) & (Xn <= hi), axis=1)
+        flagged |= out
+        frozen |= out
+        X = Xn
+    return X, exit_time, flagged, events
+
+
+def _hat_1d():
+    def theta(beta0, weights):
+        return nl.AffineParameter.scalar(
+            beta0=beta0, alpha0=0.3, alpha1=0.2,
+            nu0=nl.AtomicLevyMeasure([[0.4], [-0.7]], weights))
+
+    return nl.FiniteParameterSet([theta(0.1, [1.5, 0.8]), theta(-0.1, [0.5, 0.8])])
+
+
+def _constant_weights():
+    """Three vertices, the first two one run of equal weights: about three
+    candidates per path and step, all accepted on the first two."""
+    def theta(beta0, weights):
+        return nl.AffineParameter.scalar(
+            beta0=beta0, alpha0=0.2, nu0=nl.AtomicLevyMeasure([[0.3], [-0.2]], weights))
+
+    return nl.FiniteParameterSet([theta(0.0, [20.0, 10.0]), theta(0.5, [20.0, 10.0]),
+                                  theta(0.0, [5.0, 5.0])])
+
+
+def _half_line_exits():
+    """Two state-dependent vertices and a state-free one on the half-line:
+    down jumps exit, up drift and jumps leave the clamp box."""
+    def theta(w1):
+        nu0 = nl.AtomicLevyMeasure([[0.5], [-0.8]], [1.0, 0.6])
+        nu1 = nl.AtomicLevyMeasure([[0.5]], [w1]) if w1 else None
+        return nl.AffineParameter.scalar(beta0=1.0, nu0=nu0, nu1=nu1)
+
+    return nl.FiniteParameterSet([theta(0.3), theta(0.2), theta(0.0)])
+
+
+THINNING_CASES = {
+    # name: (parameter set, x0, mode, SimConfig)
+    "hat, d = 1": (_hat_1d(), [0.2], nl.GeneratorMode.hat(),
+                   nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=8)),
+    "hat, d = 2": (hat_box_2d(), [0.0, 0.0], nl.GeneratorMode.hat(),
+                   nl.SimConfig(dt=0.05, horizon=0.5, n_paths=200, seed=4)),
+    "constant weights": (_constant_weights(), [0.0], FULL,
+                         nl.SimConfig(dt=0.1, horizon=0.5, n_paths=200, seed=12)),
+    "half-line exits": (_half_line_exits(), [0.3], HALF,
+                        nl.SimConfig(dt=0.05, horizon=1.0, n_paths=300, seed=13,
+                                     clamp_box=((-1.0,), (2.5,)))),
+}
+
+
+class TestThinningReference:
+    """The stepper thins each step's candidate cells, a state-free run all
+    at once; it matches the plain rank-by-rank reference bit for bit."""
+
+    @pytest.mark.parametrize("batch_size", [7, 12 * montecarlo.BLOCK])
+    @pytest.mark.parametrize("case", list(THINNING_CASES))
+    def test_matches_reference(self, case, batch_size):
+        ps, x0, mode, cfg = THINNING_CASES[case]
+        b = nl.simulate_paths(ps, x0, replace(cfg, batch_size=batch_size), mode)
+        terminal, exit_time, flagged, events = reference_thinning(ps, x0, cfg, mode)
+        assert b.terminal.tobytes() == terminal.tobytes()
+        assert b.exit_time.tobytes() == exit_time.tobytes()
+        assert np.array_equal(b.flagged, flagged)
+        assert b.events.tolist() == events.tolist()
+        assert b.thinning_accepted > 0
+
+    def test_cases_reach_what_they_name(self):
+        ps, x0, mode, cfg = THINNING_CASES["half-line exits"]
+        b = nl.simulate_paths(ps, x0, cfg, mode)
+        assert b.no_jump_exit_count < np.sum(~np.isnan(b.exit_time))  # exits by jumps
+        assert b.flagged_count > 0
+        assert b.thinning_accepted < b.thinning_proposed
+        ps, x0, mode, cfg = THINNING_CASES["constant weights"]
+        b = nl.simulate_paths(ps, x0, cfg, mode)
+        n_steps = pide.step_count(cfg.horizon, cfg.dt)[0]
+        # more than two jumps per path and step on each of the first two vertices
+        assert b.events[:2, 2].sum() > 2 * 2 * cfg.n_paths * n_steps
+        assert (b.events[:2, 1] == b.events[:2, 2]).all()
+
+    def test_negative_weight_names_the_reference_state(self):
+        theta = nl.AffineParameter.scalar(
+            beta0=0.1, alpha0=0.4, nu0=nl.AtomicLevyMeasure([[-0.3]], [0.6]),
+            nu1=nl.AtomicLevyMeasure([[0.5]], [0.3]))
+        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=200, seed=3)
+        with pytest.raises(CoefficientError) as ours:
+            nl.simulate_paths(theta, [0.05], cfg, HALF)
+        with pytest.raises(CoefficientError) as reference:
+            reference_thinning(theta, [0.05], cfg, HALF)
+        assert str(ours.value) == str(reference.value)
+
+
+class TestStateFreeThinning:
+    """A run whose jump weights do not depend on the state is weighed once
+    per step that has candidates, however many candidates it has."""
+
+    @staticmethod
+    def count_weight_calls(monkeypatch):
+        calls = []
+        weights = CoefficientForm.jump_weights
+        monkeypatch.setattr(CoefficientForm, "jump_weights",
+                            lambda form, xs: calls.append(len(xs)) or weights(form, xs))
+        return calls
+
+    def test_one_weighing_per_step(self, monkeypatch):
+        calls = self.count_weight_calls(monkeypatch)
+        theta = nl.AffineParameter.scalar(
+            alpha0=0.3, nu0=nl.AtomicLevyMeasure([[0.4], [-0.7]], [20.0, 20.0]))
+        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=500, seed=6)
+        b = nl.simulate_paths(theta, [0.0], cfg, nl.GeneratorMode.hat())
+        assert b.thinning_proposed > 10 * cfg.n_paths
+        assert len(calls) <= 1 + 10  # the bound's corners, then one per step
+
+    @pytest.mark.parametrize("lam, candidates", [(1e6, 40_026), (1e8, 4_000_265)])
+    def test_large_constant_intensity(self, monkeypatch, lam, candidates):
+        calls = self.count_weight_calls(monkeypatch)
+        cfg = nl.SimConfig(dt=0.01, horizon=0.01, n_paths=4, seed=3)
+        start = time.perf_counter()
+        b = nl.simulate_paths(unit_jump_theta(lam=lam), [0.0], cfg, FULL)
+        assert time.perf_counter() - start < 10.0
+        assert b.thinning_proposed == b.thinning_accepted == candidates
+        assert b.terminal.sum() == candidates  # unit jumps, zero net drift
+        assert len(calls) == 2
 
 
 class TestMomentBound:

@@ -4,6 +4,7 @@ import pytest
 import nlaffine as nl
 from nlaffine.params import (
     DimensionError,
+    affine_at,
     combined_atom_table,
     linear_part_norm,
     parameter_growth,
@@ -191,6 +192,26 @@ class TestAffineEvaluation:
         # jump component frozen at nu0 exactly
         assert np.array_equal(form.atoms, theta.nu[0].atoms)
         assert np.array_equal(w[0], theta.nu[0].weights)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 1, 1), (2, 4)],
+                             ids=["vector", "matrix", "weight rows"])
+    def test_closed_form_at_d1_is_tensordot(self, shape):
+        # bit for bit, signed zeros included.  The constant part is never
+        # -0.0: where x c_1 is -0.0, tensordot's own sign of that zero
+        # depends on the size of its output, and c_0 = -0.0 would show it
+        rng = np.random.default_rng(7)
+        special = np.array([0.0, -0.0, -1.5, 2.0, -1e-300, 1e300])
+        for n in (1, 2, 37):
+            for _ in range(40):
+                c = rng.normal(size=shape)
+                c[0].flat[rng.random(c[0].size) < 0.3] = 0.0
+                c[1].flat[rng.random(c[1].size) < 0.3] = rng.choice([0.0, -0.0])
+                xs = np.where(rng.random((n, 1)) < 0.5, rng.choice(special, (n, 1)),
+                              rng.normal(size=(n, 1)))
+                ours = affine_at(c, xs)
+                ref = c[0] + np.tensordot(xs, c[1:], axes=(1, 0))
+                assert ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes()
 
 
 def theta_2d(alpha1, alpha2, nu1=(), nu2=()):
