@@ -1,9 +1,9 @@
 """Config-driven command line: solve | simulate | check | compare.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort, an array
-that cannot be allocated included.  Every JSON artifact embeds the config
-hash; surface.csv and bundle.csv carry their hash in the sibling meta.json /
-estimate.json (the CSV headers are pinned).
+Exit codes: 0 success, 2 configuration error or unusable path, 3 numerical
+abort, an array that cannot be allocated included.  Every JSON artifact
+embeds the config hash; surface.csv and bundle.csv carry their hash in the
+sibling meta.json / estimate.json (the CSV headers are pinned).
 """
 
 from __future__ import annotations
@@ -372,7 +372,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, ConfigError, NoAdmissibleVertexError,
-            CoefficientError, FileNotFoundError) as exc:
+            CoefficientError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CFLError, NonFiniteError) as exc:

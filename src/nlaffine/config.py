@@ -370,9 +370,12 @@ class ExperimentConfig:
         _known(spec, "grid", ("lower", "upper", "nodes"))
         try:
             nodes = [_int(n, "grid.nodes") for n in spec["nodes"]]
-            return Grid(_nums(spec["lower"]), _nums(spec["upper"]), nodes)
+            grid = Grid(_nums(spec["lower"]), _nums(spec["upper"]), nodes)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid spec: {exc}") from exc
+        if grid.dim != self.dimension:
+            raise ConfigError(f"grid of dimension {grid.dim} for dimension {self.dimension}")
+        return grid
 
     def theta_set(self) -> FiniteParameterSet:
         """The parameter set, built once: `validate` and the command share it."""
@@ -396,11 +399,7 @@ class ExperimentConfig:
         spec = self.data.get("scheme", {})
         if not isinstance(spec, dict):
             raise ConfigError(f"scheme must be an object, got {spec!r}")
-
-        def optional(v):
-            return None if v is None else _num(v)
-
-        read = {"cfl": _num, "dt": optional, "r_jump": optional,
+        read = {"cfl": _num, "dt": lambda v: None if v is None else _num(v),
                 "min_time_steps": lambda v: _int(v, "scheme.min_time_steps")}
         _known(spec, "scheme", read)
         try:

@@ -90,7 +90,6 @@ class SimConfig:
     n_paths: int
     seed: int = 0
     clamp_box: tuple | None = None  # (lower, upper); default x0 +- 10 (1 + |x0|)
-    store_paths: bool = False
     # (vertex, path) rows per batch: a V-vertex sweep steps the most whole
     # blocks of paths whose V copies fit, or batch_size // V paths of one
     # block's draw set at a time below one block (see _paths_per_batch)
@@ -111,7 +110,7 @@ class SimConfig:
 
 
 # PathBundle's fields with one entry per (vertex, path) row
-_PER_ROW = ("terminal", "running_sup", "exit_time", "seeds", "flagged", "skeletons")
+_PER_ROW = ("terminal", "running_sup", "exit_time", "seeds", "flagged")
 
 
 @dataclass
@@ -130,7 +129,6 @@ class PathBundle:
     flagged: np.ndarray           # (V N,) left the clamp box; frozen and counted
     events: np.ndarray            # (V, 3) per vertex: no-jump exits, candidates, accepted
     thinning_bound: float         # lam_bar, the candidates' rate
-    skeletons: np.ndarray | None  # (V N, steps+1, d) when store_paths
     sup_snapshots: dict | None    # step index -> (V N,) running sup at that step
 
     @property
@@ -162,7 +160,7 @@ class PathBundle:
         n = self.n_paths // self.events.shape[0]
 
         def cut(a):
-            return None if a is None else a[k * n:(k + 1) * n].copy()
+            return a[k * n:(k + 1) * n].copy()
 
         return replace(
             self, events=self.events[k:k + 1].copy(),
@@ -170,18 +168,6 @@ class PathBundle:
             sup_snapshots=None if self.sup_snapshots is None else
             {j: cut(s) for j, s in self.sup_snapshots.items()},
         )
-
-    def verify_frozen_after_exit(self) -> None:
-        """Stored skeletons must be exactly constant from the exit step on."""
-        if self.skeletons is None:
-            raise ValueError("paths were not stored")
-        for i in range(self.n_paths):
-            if np.isnan(self.exit_time[i]):
-                continue
-            j = int(np.searchsorted(self.times, self.exit_time[i]))
-            tail = self.skeletons[i, j:]
-            if not np.all(tail == tail[0]):
-                raise AssertionError(f"path {i} moved after its exit")
 
 
 def _path_seed_labels(seed: int, count: int) -> np.ndarray:
@@ -353,7 +339,6 @@ class _Sweep:
             exit_time=np.full(V * N, np.nan), seeds=None,  # set in simulate_paths
             flagged=np.zeros(V * N, dtype=bool), events=np.zeros((V, 3), dtype=np.int64),
             thinning_bound=self.lam_bar,
-            skeletons=np.empty((V * N, self.n_steps + 1, d)) if cfg.store_paths else None,
             sup_snapshots={j: np.zeros(V * N) for j in snapshot_steps} or None,
         )
 
@@ -402,8 +387,6 @@ class _Sweep:
         flagged = np.zeros(V * B, dtype=bool)
         running = np.zeros(V * B)
         events = np.zeros((3, V * B), dtype=np.int64)  # per row, as in bundle.events
-        if bundle.skeletons is not None:
-            rows_of(bundle.skeletons)[:, :, 0] = x0
 
         def by_run(runs, coefficient):
             parts = [getattr(form, coefficient)(X[v0 * B:v1 * B]) for v0, v1, form in runs]
@@ -476,8 +459,6 @@ class _Sweep:
                 moved = Xn - x0
                 np.maximum(running, np.sqrt(_across(np.add, moved * moved)), out=running)
                 X = Xn
-            if bundle.skeletons is not None:
-                rows_of(bundle.skeletons)[:, :, j + 1] = X.reshape(V, B, d)
             if (j + 1) in snaps:
                 rows_of(snaps[j + 1])[:] = running.reshape(V, B)
         rows_of(bundle.terminal)[:] = X.reshape(V, B, d)
@@ -507,8 +488,6 @@ def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConf
     bundle = sweep.bundle
     # labelled after stepping, so the labels never add to a batch's peak memory
     bundle.seeds = np.tile(_path_seed_labels(cfg.seed, cfg.n_paths), len(thetas))
-    if cfg.store_paths:
-        bundle.verify_frozen_after_exit()
     return bundle
 
 
@@ -564,9 +543,8 @@ def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunctio
     best, pilot_paths, means, ses = 0, 0, [], []
     if V > 1:
         pilot_paths = max(cfg.n_paths // PILOT_SHARE, 1)
-        pilot = simulate_paths(theta_set, x0, replace(cfg, n_paths=pilot_paths,
-                                                      store_paths=False),
-                               mode, _stream=PILOT_STREAM)
+        pilot = simulate_paths(theta_set, x0, replace(cfg, n_paths=pilot_paths), mode,
+                               _stream=PILOT_STREAM)
         for k in range(V):
             mean, se = _payoff_moments(
                 payoff, pilot.terminal[k * pilot_paths:(k + 1) * pilot_paths])
@@ -604,6 +582,8 @@ def moment_bound_report(theta: AffineParameter, x0, p: float, t_grid,
     if not 1.0 <= p <= 2.0:
         raise ValueError("p must lie in [1, 2]")
     t_grid = sorted(float(t) for t in t_grid)
+    if not t_grid:
+        raise ValueError("t_grid holds no time")
     if t_grid[-1] > 0.1 + 1e-12:
         raise ValueError("moment fit is a small-time check; keep max(t) <= 0.1")
     cfg = replace(cfg, dt=min(cfg.dt, t_grid[0] / 4.0), horizon=t_grid[-1])

@@ -30,8 +30,8 @@ every weight of the update nonnegative, so payoff and set ordering and
 sublinearity hold exactly.
 
 Boundary policy is constant extension (offsets are clipped to the grid);
-accuracy statements are made on an interior core a configurable margin away
-from the boundary.
+accuracy statements are made on an interior core, whose margin from the
+boundary is the largest atom norm or 10 grid steps, whichever is more.
 """
 
 from __future__ import annotations
@@ -183,11 +183,17 @@ class Grid:
                  nodes: Sequence[int]):
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-        if not (lower.shape == upper.shape == nodes.shape):
+        counts = np.atleast_1d(np.asarray(nodes, dtype=float))
+        if not (lower.shape == upper.shape == counts.shape):
             raise ValueError("grid specs disagree on dimension")
         if lower.shape[0] not in (1, 2):
             raise ValueError("grids are supported in one and two dimensions")
+        if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+            raise ValueError(f"grid bounds must be finite, got {lower.tolist()} .. "
+                             f"{upper.tolist()}")
+        if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+            raise ValueError(f"node counts must be integers, got {counts.tolist()}")
+        nodes = counts.astype(int)
         if np.any(nodes < 10):
             raise ValueError("need at least 8 interior nodes per axis")
         if np.any(upper <= lower):
@@ -244,15 +250,12 @@ class SchemeConfig:
     cfl: float = 0.4                    # safety factor in (0, 1]
     dt: float | None = None             # explicit step; must satisfy the bound
     min_time_steps: int = 256           # accuracy floor for forward Euler
-    r_jump: float | None = None         # interior-core margin; default: max atom size
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl safety factor must lie in (0, 1]")
         if not (self.dt is None or self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (self.r_jump is None or 0.0 <= self.r_jump < math.inf):
-            raise ValueError(f"r_jump must be finite and nonnegative, got {self.r_jump!r}")
         m = self.min_time_steps
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
             raise ValueError(f"min_time_steps must be an integer >= 0, got {m!r}")
@@ -277,7 +280,7 @@ class March:
     horizon: float
     payoff_name: str
     stable_dt: float
-    r_jump: float
+    r_jump: float  # the largest atom norm: the interior core's margin
 
     @property
     def grid(self) -> Grid:
@@ -520,6 +523,9 @@ def _prepare(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     scheme = scheme or SchemeConfig()
+    if theta_set.dim != grid.dim:
+        raise ValueError(f"a grid of dimension {grid.dim} for parameters of "
+                         f"dimension {theta_set.dim}")
     if not mode.is_hat and mode.space.dim != grid.dim:
         raise ValueError("state space and grid dimensions differ")
 
@@ -544,9 +550,8 @@ def _prepare(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,
     start[:] = payoff.values(grid.points())
     if not np.all(np.isfinite(start)):
         raise NonFiniteError("payoff is not finite on the grid")
-    r_jump = scheme.r_jump if scheme.r_jump is not None else default_jump_radius(theta_set)
     return March(ProblemSpec(theta_set, grid, scheme, op), dt, n_steps, horizon,
-                 payoff.name, stable_dt, r_jump), start
+                 payoff.name, stable_dt, default_jump_radius(theta_set)), start
 
 
 def solve(theta_set: FiniteParameterSet, grid: Grid, payoff: TestFunction,

@@ -130,8 +130,7 @@ class TestCriterion4:
             np.array_equal(surf.values[j][neg], want[neg])
             for j in range(surf.values.shape[0])
         )
-        cfg = nl.SimConfig(dt=0.01, horizon=0.6, n_paths=2000, seed=9,
-                           store_paths=True)
+        cfg = nl.SimConfig(dt=0.01, horizon=0.6, n_paths=2000, seed=9)
         b = nl.simulate_paths(theta, [-1.0], cfg, HALF)
         paths_ok = bool(
             np.all(b.terminal == -1.0)

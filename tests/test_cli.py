@@ -622,8 +622,8 @@ def _zero_dt(raw):
     raw["scheme"]["dt"] = 0
 
 
-def _negative_r_jump(raw):
-    raw["scheme"]["r_jump"] = -1
+def _scheme_r_jump(raw):
+    raw["scheme"]["r_jump"] = 1.0
 
 
 def _negative_min_time_steps(raw):
@@ -767,7 +767,7 @@ class TestErrorContract:
         (_box_with_nu_tuple, "unknown field 'nu_tuple' in parameter_set; known: kind, "
                              "beta_lo, beta_hi, alpha_lo, alpha_hi, nu_tuples"),
         (_misspelled_min_time_steps, "unknown field 'min_time_stpes' in scheme; known: "
-                                     "cfl, dt, r_jump, min_time_steps"),
+                                     "cfl, dt, min_time_steps"),
         (_misspelled_paths, "unknown field 'pths' in sim; known: "),
         (_misspelled_horizon, "unknown field 'horizn' in the config; known: "),
         (_misspelled_grid_nodes, "unknown field 'node' in grid; known: lower, upper, "
@@ -787,7 +787,8 @@ class TestErrorContract:
         (_boolean_cfl, "bad scheme spec: expected a number, got True"),
         (_negative_dt, "bad scheme spec: dt must be positive, got -0.1"),
         (_zero_dt, "bad scheme spec: dt must be positive, got 0.0"),
-        (_negative_r_jump, "bad scheme spec: r_jump must be finite and nonnegative, got -1.0"),
+        (_scheme_r_jump, "unknown field 'r_jump' in scheme; known: cfl, dt, "
+                         "min_time_steps"),
         (_negative_min_time_steps, "bad scheme spec: min_time_steps must be an integer >= 0, "
                                    "got -3"),
         (_lambda_lo_above_hi, "expected an interval [lo, hi], got [1.0, 0.5]"),
@@ -904,22 +905,55 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert "seed must lie in [0, 2**64)" in err
 
-    @pytest.mark.parametrize("split, scheme, message", [
-        ("abc", {}, "argument --dpp-split: invalid float value: 'abc'"),
-        ("5", {}, "--dpp-split must lie in [0, horizon = 0.5], got 5.0"),
-        ("0.3333", {}, "split 0.3333 is not aligned to the time grid"),
-        ("0.5", {"r_jump": 5}, "the interior core margin 5 leaves no node of the "
-                               "grid [-4.0] .. [4.0]"),
+    @pytest.mark.parametrize("split, nu0, message", [
+        ("abc", [], "argument --dpp-split: invalid float value: 'abc'"),
+        ("5", [], "--dpp-split must lie in [0, horizon = 0.5], got 5.0"),
+        ("0.3333", [], "split 0.3333 is not aligned to the time grid"),
+        # an atom of norm 5 makes the interior core's margin 5
+        ("0.5", [[5.0, 0.1]], "the interior core margin 5 leaves no node of the "
+                              "grid [-4.0] .. [4.0]"),
     ], ids=["text", "past_horizon", "off_grid", "empty_core"])
-    def test_bad_dpp_split_exits_2(self, tmp_path, capsys, split, scheme, message):
+    def test_bad_dpp_split_exits_2(self, tmp_path, capsys, split, nu0, message):
         raw = base_config(tmp_path / "out")
-        raw["scheme"].update(scheme)
+        raw["parameter_set"]["parameter"]["nu"][0] = nu0
         path = write_config(tmp_path, raw)
         assert main(["solve", "--config", path, "--dpp-split", split]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
         assert not (tmp_path / "out" / "surface.csv").exists()  # refused before the march
+
+    @pytest.mark.parametrize("command, mode", [
+        ("solve", "standard"), ("solve", "hat"), ("check", "standard"),
+    ])
+    def test_grid_of_another_dimension_exits_2(self, tmp_path, capsys, command, mode):
+        raw = base_config(tmp_path / "out")
+        raw["mode"] = mode
+        raw["grid"] = {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "nodes": [11, 11]}
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: grid of dimension 2 for dimension 1\n"
+
+    @pytest.mark.parametrize("command, blocked, message", [
+        ("solve", None, "File exists"),
+        ("simulate", None, "File exists"),
+        ("check", None, "File exists"),
+        ("solve", "surface.csv", "Is a directory"),
+        ("simulate", "bundle.csv", "Is a directory"),
+    ], ids=["solve_out_is_a_file", "simulate_out_is_a_file", "check_out_is_a_file",
+            "surface_csv_is_a_directory", "bundle_csv_is_a_directory"])
+    def test_unusable_output_path_exits_2(self, tmp_path, capsys, command, blocked,
+                                          message):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        if blocked is None:
+            out.write_text("")
+        else:
+            (out / blocked).mkdir(parents=True)
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
 
 
 def test_library_has_no_assert_statements():
@@ -1313,6 +1347,18 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
+
+    @pytest.mark.parametrize("directory", ["estimate", "surface"])
+    def test_directory_for_an_input_exits_2_with_one_line(self, tmp_path, capsys,
+                                                          directory):
+        out = self.run_pair(tmp_path, paths=300)
+        files = {"surface": str(out / "surface.csv"), "estimate": str(out / "estimate.json")}
+        files[directory] = str(tmp_path)
+        capsys.readouterr()
+        assert main(["compare", "--surface", files["surface"],
+                     "--estimate", files["estimate"], "--force"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_interpolation_on_2d_surface_exits_2_with_one_line(self, tmp_path, capsys):
         surface = small_surface(2)

@@ -302,6 +302,14 @@ class TestModeTruncation:
         with pytest.raises(ValueError):
             nl.GeneratorMode("hat", **kwargs)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("jump", "mode kind must be 'standard' or 'hat'"),
+        ("standard", "a standard mode needs a state space; a hat mode has none"),
+    ])
+    def test_bad_kind_or_space_named(self, kind, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nl.GeneratorMode(kind)
+
 
 class TestCoefficientForm:
     """The array form read by the solver, the simulator and the gate agrees

@@ -86,14 +86,14 @@ class TestSimConfig:
 
 class TestDegenerateDynamics:
     def test_zero_parameter_constant_paths(self):
-        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=200, seed=3, store_paths=True)
+        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=200, seed=3)
         b = nl.simulate_paths(nl.AffineParameter.zero(1), [0.7], cfg, FULL)
         assert np.all(b.terminal == 0.7)
         assert np.all(b.running_sup == 0.0)
         assert np.all(np.isnan(b.exit_time))
 
     def test_start_outside_half_line(self):
-        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=100, seed=3, store_paths=True)
+        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=100, seed=3)
         theta = unit_jump_theta()
         b = nl.simulate_paths(theta, [-1.0], cfg, HALF)
         assert np.all(b.terminal == -1.0)
@@ -258,18 +258,17 @@ class TestExitBehaviour:
         theta = nl.AffineParameter.scalar(
             beta0=0.05, alpha1=1.0,
         )
-        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=2000, seed=21,
-                           store_paths=True)
+        cfg = nl.SimConfig(dt=0.05, horizon=1.0, n_paths=2000, seed=21)
         b = nl.simulate_paths(theta, [0.05], cfg, HALF)
         exited = ~np.isnan(b.exit_time)
         assert np.any(exited)  # Feller index below one: exits happen
-        b.verify_frozen_after_exit()
-        space = nl.StateSpace.half(1)
-        for i in np.nonzero(exited)[0]:
-            j = int(round(b.exit_time[i] / 0.05))
-            assert not space.contains_many(b.skeletons[i, j][None, :])[0]
-            # frozen exactly at the first outside state, never back in
-            assert np.all(b.skeletons[i, j:] == b.skeletons[i, j])
+        # the reference keeps a row's state from its exit step on, so a
+        # bit-for-bit match pins the frozen state and the exit step
+        terminal, exit_time, _, _ = reference_thinning(theta, [0.05], cfg, HALF)
+        assert b.terminal.tobytes() == terminal.tobytes()
+        assert b.exit_time.tobytes() == exit_time.tobytes()
+        # frozen at the first outside state, never back in
+        assert not np.any(nl.StateSpace.half(1).contains_many(b.terminal[exited]))
 
     def test_exit_fraction_shrinks_with_dt(self):
         theta = self.exit_theta()
@@ -738,7 +737,7 @@ def reference_thinning(theta, x0, cfg, mode):
     exit_time = np.full(V * N, np.nan)
     flagged = np.zeros(V * N, dtype=bool)
     events = np.zeros((V, 3), dtype=np.int64)
-    pos = pool_off.copy()
+    pos = None if pool_off is None else pool_off.copy()  # None: no jumps
     for j in range(n_steps):
         alive = ~frozen
         Xn = X.copy()
@@ -918,6 +917,19 @@ class TestMomentBound:
         rep = nl.moment_bound_report(theta, [0.0], 1.0, tg, cfg, FULL)
         assert 0.4 <= rep.slope <= 0.6
         assert rep.ratio_spread <= 5.0
+
+    @pytest.mark.parametrize("x0, p, t_grid, message", [
+        ([0.0, 0.0], 1.0, [0.01], "initial state dimension mismatch"),
+        ([0.0], 0.5, [0.01], "p must lie in [1, 2]"),
+        ([0.0], 2.5, [0.01], "p must lie in [1, 2]"),
+        ([0.0], 1.0, [], "t_grid holds no time"),
+    ], ids=["x0_of_two_coordinates", "p_below_1", "p_above_2", "empty_t_grid"])
+    def test_refusal_named(self, x0, p, t_grid, message):
+        cfg = nl.SimConfig(dt=0.001, horizon=0.1, n_paths=10, seed=1)
+        with pytest.raises(ValueError) as info:
+            nl.moment_bound_report(nl.AffineParameter.scalar(alpha0=1.0), x0, p,
+                                   t_grid, cfg, FULL)
+        assert str(info.value) == message
 
     def test_large_time_rejected(self):
         cfg = nl.SimConfig(dt=0.001, horizon=0.5, n_paths=100, seed=1)

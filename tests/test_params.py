@@ -576,6 +576,14 @@ class TestOneValidator:
          "beta and alpha must be finite"),
         (lambda: nl.AffineParameter.scalar(alpha1=np.nan), ValueError,
          "beta and alpha must be finite"),
+        # the parts of a set, a state space and a measure must agree in dimension
+        (lambda: nl.FiniteParameterSet([nl.AffineParameter.zero(1),
+                                        nl.AffineParameter.zero(2)]),
+         DimensionError, "mixed dimensions in parameter set"),
+        (lambda: nl.StateSpace(1, 2), DimensionError, "nonneg_coords must lie in [0, dim]"),
+        (lambda: nl.StateSpace(2, -1), DimensionError, "nonneg_coords must lie in [0, dim]"),
+        (lambda: nl.AtomicLevyMeasure([[1.0], [2.0]], [0.5]), DimensionError,
+         "atom array and weights are inconsistent"),
     ])
     def test_malformed_input_raises(self, build, error, message):
         with pytest.raises(error) as info:

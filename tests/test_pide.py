@@ -58,6 +58,17 @@ class TestGrid:
         with pytest.raises(ValueError, match=f"{grid.dim}-D grid"):
             grid.node_index(x)
 
+    @pytest.mark.parametrize("lower, upper, nodes, message", [
+        ([math.nan], [1.0], [10], "grid bounds must be finite, got [nan] .. [1.0]"),
+        ([0.0, -math.inf], [1.0, 1.0], [10, 10],
+         "grid bounds must be finite, got [0.0, -inf] .. [1.0, 1.0]"),
+        ([0.0], [1.0], [10.7], "node counts must be integers, got [10.7]"),
+    ], ids=["nan_bound", "infinite_bound", "fractional_nodes"])
+    def test_bad_bounds_or_node_counts_refused(self, lower, upper, nodes, message):
+        with pytest.raises(ValueError) as info:
+            nl.Grid(lower, upper, nodes)
+        assert str(info.value) == message
+
     def test_interior_mask(self):
         g = nl.Grid.line(0.0, 10.0, 101)
         m = g.interior_mask(2.0)
@@ -133,15 +144,26 @@ class TestSolveBasics:
             nl.solve(ps, grid, nl.make_payoff("square"), 1.0, FULL,
                      scheme=nl.SchemeConfig(dt=0.1))
 
+    @pytest.mark.parametrize("cfl", [0.0, -0.4, 1.5, math.nan])
+    def test_cfl_outside_unit_interval_rejected(self, cfl):
+        with pytest.raises(ValueError, match=r"^cfl safety factor must lie in \(0, 1\]$"):
+            nl.SchemeConfig(cfl=cfl)
+
+    @pytest.mark.parametrize("mode, space_dim", [("standard", 1), ("standard", 2),
+                                                 ("hat", None)])
+    def test_grid_of_another_dimension_named(self, mode, space_dim):
+        mode = nl.GeneratorMode.hat() if mode == "hat" else nl.GeneratorMode.standard(
+            nl.StateSpace.full(space_dim))
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=0.5)])
+        grid = nl.Grid([-1.0, -1.0], [1.0, 1.0], [11, 11])
+        with pytest.raises(ValueError, match=r"^a grid of dimension 2 for parameters of "
+                                             r"dimension 1$"):
+            nl.solve(ps, grid, nl.make_payoff("square"), 0.5, mode)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             nl.SchemeConfig(dt=dt)
-
-    @pytest.mark.parametrize("r_jump", [math.nan, math.inf, -0.5])
-    def test_nonfinite_or_negative_r_jump_rejected(self, r_jump):
-        with pytest.raises(ValueError, match="r_jump must be finite and nonnegative"):
-            nl.SchemeConfig(r_jump=r_jump)
 
     @pytest.mark.parametrize("steps", [2.5, -3, True])
     def test_non_integer_or_negative_min_time_steps_rejected(self, steps):
@@ -235,10 +257,12 @@ class TestRestartConsistency:
             nl.dpp_gap(surf, split_of(surf))
 
     def test_empty_interior_core_named(self):
-        # the margin max(r_jump, 10 dx) = 5 covers the whole of [-1, 1]
-        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(alpha0=0.5)])
+        # an atom of norm 5 makes the margin max(r_jump, 10 dx) = 5, which
+        # covers the whole of [-1, 1]
+        ps = nl.FiniteParameterSet([nl.AffineParameter.scalar(
+            alpha0=0.5, nu0=nl.AtomicLevyMeasure([[5.0]], [0.1]))])
         surf = nl.solve(ps, nl.Grid.line(-1.0, 1.0, 21), nl.make_payoff("cos"), 0.5, FULL,
-                        scheme=nl.SchemeConfig(r_jump=5.0, min_time_steps=8))
+                        scheme=nl.SchemeConfig(min_time_steps=8))
         with pytest.raises(ValueError, match=r"^the interior core margin 5 leaves no "
                                              r"node of the grid \[-1.0\] .. \[1.0\]$"):
             nl.dpp_gap(surf, surf.n_steps // 2 * surf.dt)
