@@ -7,9 +7,19 @@ bound for the state-dependent intensity over the clamp box) and are accepted
 with probability intensity(state)/lam_bar; accepted events draw the jump
 size from the normalised atom weights at the current state.  A batch finds
 its candidate cells, the (path, step) pairs with candidates, once, so a step
-touches only its own.  Vertices whose jump weights do not depend on the
-state have all of a step's candidates decided at once; the others are
-thinned rank by rank.
+touches only its own.
+
+A coefficient with no linear part does not depend on where a path is (a
+Levy law; hat mode's jump weights always).  For a run of such vertices the
+sweep works out dt b, the diffusion root and its PSD check once, and each
+batch decides every candidate's acceptance and atom before the steps that
+use them, in windows of at most WINDOW candidates (a step with more is
+split); a step then adds the fixed drift, multiplies the fixed root by its
+normals and adds its live rows' accepted atoms.  Only the other vertices
+have their coefficients evaluated at each step and their candidates
+thinned rank by rank, as do a constant diffusion that is not PSD and a
+constant negative weight, so CoefficientError names the state a path
+meets it at.
 
 Drift convention: the drift coefficient b is the rate of the finite-variation
 part relative to the mode's truncation function h, so the simulated
@@ -81,6 +91,9 @@ PILOT_STREAM = 1 << 63
 PILOT_SHARE = 8  # the pilot sweep runs max(N // PILOT_SHARE, 1) paths per vertex
 # numpy's Generator.poisson raises "lam value too large" above this mean
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+# candidates of the state-free jump runs decided at once; bounds the
+# decisions' working set at a few MB whatever the intensity
+WINDOW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -233,6 +246,9 @@ def _start(x0, d: int, cfg: SimConfig,
     lo, hi = cfg.clamp_box if cfg.clamp_box is not None else default_clamp_box(x0)
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != (d,) or hi.shape != (d,) or np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError(f"clamp_box must be (lower, upper), each {d} numbers and no NaN, "
+                         f"got {lo.tolist()}, {hi.tolist()}")
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("clamp box must contain the initial point")
     return x0, lo, hi
@@ -308,26 +324,66 @@ def _runs(forms: list[CoefficientForm], *fields: str) -> list[tuple[int, int, Co
     return [tuple(run) for run in runs]
 
 
+def _split(runs, fixed) -> tuple[list, list]:
+    """The runs whose fixed(form) is None, and (first vertex, end vertex,
+    fixed(form)) of the others."""
+    varying, constant = [], []
+    for v0, v1, form in runs:
+        c = fixed(form)
+        (varying if c is None else constant).append((v0, v1, form if c is None else c))
+    return varying, constant
+
+
+def _row_index(runs, B: int):
+    """The rows v B .. (v + 1) B - 1 of the runs' vertices v: a slice when
+    the runs are consecutive."""
+    if all(a[1] == b[0] for a, b in zip(runs, runs[1:])):
+        return slice(runs[0][0] * B, runs[-1][1] * B)
+    return np.concatenate([np.arange(v0 * B, v1 * B) for v0, v1, _ in runs])
+
+
 class _Sweep:
     """The V coefficient forms of a sweep, stepped over (vertex, path) rows,
     row v B + i for vertex v and the batch's path i, into `bundle`: its
     final (V N)-row arrays, allocated up front (seeds aside) and written a
-    batch at a time through (V, N) reshape views."""
+    batch at a time through (V, N) reshape views.
+
+    Each coefficient is split by runs of equal vertices (_runs) into the
+    runs evaluated at each step (drift_runs, diffusion_runs, jump_runs) and
+    the state-free ones worked out here: fixed_drift holds dt b,
+    fixed_root the PSD root, and fixed_jumps the atoms, the intensity and
+    the cumulated weights (see the module docstring)."""
 
     def __init__(self, thetas, x0, cfg: SimConfig, mode: GeneratorMode,
                  snapshot_steps: tuple[int, ...], stream: int):
         V, d, N = len(thetas), thetas[0].dim, cfg.n_paths
         self.x0, self.lo, self.hi = _start(x0, d, cfg, mode)
         self.cfg, self.mode, self.stream = cfg, mode, stream
+        self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
         forms = [mode.coefficients(theta) for theta in thetas]
-        self.drift_runs = _runs(forms, "net_drift")
-        self.diffusion_runs = _runs(forms, "alpha")
-        # (first vertex, end vertex, form, weights free of the state); no atoms, no jumps
-        self.jump_runs = [(*run, not np.any(run[2].W[:, 1:]))
-                          for run in _runs(forms, "W", "atoms") if run[2].atoms.size]
+
+        def fixed_drift(form):
+            return None if np.any(form.net_drift[1:]) else self.dt * form.net_drift[0]
+
+        def fixed_root(form):  # one that is not PSD raises at the state a path meets it
+            if np.any(form.alpha[1:]) or min_eigenvalue(form.alpha[0]) < -PSD_TOL:
+                return None
+            return _diffusion_root(form.alpha[:1], self.x0[None], True)[0]
+
+        def fixed_thinning(form):  # and so does a negative weight
+            if np.any(form.W[:, 1:]) or np.min(form.W[:, 0]) < -WEIGHT_TOL:
+                return None
+            wpos = np.clip(form.W[None, :, 0], 0.0, None)  # one row, as thin clips it
+            with np.errstate(over="ignore"):  # an inf intensity is refused below
+                return form.atoms, wpos.sum(axis=1)[0], np.cumsum(wpos, axis=1)[0]
+
+        self.drift_runs, self.fixed_drift = _split(_runs(forms, "net_drift"), fixed_drift)
+        self.diffusion_runs, self.fixed_root = _split(_runs(forms, "alpha"), fixed_root)
+        # no atoms, no jumps
+        self.jump_runs, self.fixed_jumps = _split(
+            [run for run in _runs(forms, "W", "atoms") if run[2].atoms.size], fixed_thinning)
         self.lam_bar = max(_lam_bar(form, self.lo, self.hi) for form in forms)
         self.diffuses = any(np.any(theta.alpha) for theta in thetas)
-        self.n_steps, self.dt = step_count(cfg.horizon, cfg.dt)
         if self.n_steps and not self.lam_bar * self.dt < POISSON_LAM_MAX:
             raise NonFiniteError(f"jump intensity bound {self.lam_bar:.6g} over the clamp "
                                  f"box gives a candidate mean of {self.lam_bar * self.dt:.6g} "
@@ -367,6 +423,14 @@ class _Sweep:
         Z, counts, pool, pool_off = drawn
         if Z is not None:
             Z = Z[rows]
+            root = np.empty((V * B, d, d))
+            for v0, v1, c in self.fixed_root:
+                root[v0 * B:v1 * B] = c
+            if self.diffusion_runs:
+                varying = _row_index(self.diffusion_runs, B)
+        drift = np.empty((V * B, d))  # dt b
+        for v0, v1, c in self.fixed_drift:
+            drift[v0 * B:v1 * B] = c
         if counts is not None:
             # the batch's cells (path, step) by step; the pool runs as counts.ravel()
             counts = counts[rows]
@@ -377,6 +441,13 @@ class _Sweep:
             order = np.argsort(step, kind="stable")
             path, n_cand, first = path[order], n_cand[order], first[order]
             cut = np.searchsorted(step[order], np.arange(self.n_steps + 1))
+            # candidates counted by cell, then rank: cell c's are K[c] ..
+            # K[c + 1] - 1, step j's S[j] .. S[j + 1] - 1
+            K = np.concatenate(([0], np.cumsum(n_cand)))
+            S = K[cut]
+            # the vertices of the varying and of the state-free jump runs
+            jv, fv = (np.array([v for v0, v1, _ in runs for v in range(v0, v1)], dtype=np.intp)
+                      for runs in (self.jump_runs, self.fixed_jumps))
         sqdt = math.sqrt(dt) if dt else 0.0
         X = np.tile(x0, (V * B, 1))
         frozen = np.zeros(V * B, dtype=bool)
@@ -387,73 +458,124 @@ class _Sweep:
         flagged = np.zeros(V * B, dtype=bool)
         running = np.zeros(V * B)
         events = np.zeros((3, V * B), dtype=np.int64)  # per row, as in bundle.events
+        seen = np.zeros(B, dtype=np.int64)  # each path's candidates up to this step
+
+        def freeze(now):
+            """Freeze the rows of mask `now`, counting the candidates they saw."""
+            frozen[now] = True
+            events[1, now] = seen[np.flatnonzero(now) % B]
 
         def by_run(runs, coefficient):
             parts = [getattr(form, coefficient)(X[v0 * B:v1 * B]) for v0, v1, form in runs]
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        def thin(form, rows, first, n):
-            """Thin the n[i] candidates of row rows[i] of Xn, uniform pairs
-            from pool[first[i]] on, at weights read once per row (a negative
-            one raises); add the accepted atoms in (row, rank) order."""
+        def jump(hit, z):
+            """Add z[i] to row hit[i] of Xn, in order."""
+            np.add.at(Xn, hit, z)
+            jumped[hit] = True
+            np.add.at(events[2], hit, 1)
+
+        def thin(form, rows, u):
+            """Thin one candidate of each row rows[i] of Xn, its uniform pair
+            from pool[u[i]] on, at weights read once per row (a negative one
+            raises)."""
             xm = Xn[rows]
             w = form.jump_weights(xm)
             if np.min(w) < -WEIGHT_TOL:
                 bad = xm[np.argmin(np.min(w, axis=1))]
                 raise CoefficientError(f"negative jump weight at state {bad}")
             wpos = np.clip(w, 0.0, None)
-            idx = np.repeat(np.arange(rows.size), n)  # each candidate's row
-            u = np.repeat(first - 2 * (np.cumsum(n) - n), n) + 2 * np.arange(idx.size)
-            lam = wpos.sum(axis=1)[idx]
+            lam = wpos.sum(axis=1)
             acc = pool[u] * lam_bar < lam
-            hit = rows[idx[acc]]
-            cw = np.cumsum(wpos[idx[acc]], axis=1)
+            cw = np.cumsum(wpos[acc], axis=1)
             choice = np.argmax(cw > (pool[u[acc] + 1] * lam[acc])[:, None], axis=1)
-            np.add.at(Xn, hit, form.atoms[choice])
-            jumped[hit] = True
-            np.add.at(events[2], hit, 1)
+            jump(rows[acc], form.atoms[choice])
 
+        def decide(w0, live):
+            """The state-free runs' decisions on candidates w0 .. w1 - 1 of
+            the `live` paths: the whole steps that fit in WINDOW candidates,
+            else WINDOW candidates of one step.  Returns w1 and, per run,
+            each accepted candidate's cell and atom, in candidate order."""
+            w1 = S[np.searchsorted(S, w0 + WINDOW, "right") - 1]
+            if w1 <= w0:
+                w1 = w0 + WINDOW
+            c0, c1 = np.searchsorted(K, w0, "right") - 1, np.searchsorted(K, w1)
+            start = np.maximum(K[c0:c1], w0)
+            n = (np.minimum(K[c0 + 1:c1 + 1], w1) - start) * live[path[c0:c1]]
+            # each candidate's uniform pair: its cell's first in the window, two per rank
+            u = np.repeat(first[c0:c1] + 2 * (start - K[c0:c1]) - 2 * (np.cumsum(n) - n), n)
+            u += 2 * np.arange(u.size)
+            cell = np.repeat(np.arange(c0, c1), n)
+            u_lam_bar = pool[u] * lam_bar
+            decided = []
+            for _, _, (_, lam, cw) in self.fixed_jumps:
+                acc = np.flatnonzero(u_lam_bar < lam)
+                # argmax(cw > t): the first cumulated weight above t, 0 when none is
+                choice = np.searchsorted(cw, pool[u[acc] + 1] * lam, "right")
+                choice[choice == cw.size] = 0
+                decided.append((cell[acc], choice))
+            return w1, decided
+
+        w1 = 0  # the end of the decided window
         for j in range(self.n_steps):
             alive = ~frozen
             any_frozen = np.any(frozen)
             if not np.all(frozen):
-                Xn = X + dt * by_run(self.drift_runs, "drift")
+                if counts is not None:
+                    seen += counts[:, j]
+                for v0, v1, form in self.drift_runs:
+                    drift[v0 * B:v1 * B] = dt * form.drift(X[v0 * B:v1 * B])
+                Xn = X + drift
                 if Z is not None:
-                    root = _diffusion_root(by_run(self.diffusion_runs, "diffusion"), X, alive)
+                    if self.diffusion_runs:
+                        root[varying] = _diffusion_root(by_run(self.diffusion_runs, "diffusion"),
+                                                        X[varying], alive[varying])
                     z = np.broadcast_to(Z[:, j], (V, B, d)).reshape(V * B, d)
                     Xn = Xn + sqdt * np.einsum("nij,nj->ni", root, z)
                 if any_frozen:
                     Xn = np.where(alive[:, None], Xn, X)
                 jumped = np.zeros(V * B, dtype=bool)
-                if counts is not None and cut[j] < cut[j + 1]:
-                    # step j's cells on each vertex's live copy, in row order
+                if counts is not None and self.fixed_jumps:
+                    k, stop = S[j], S[j + 1]
+                    while k < stop:  # more than once only in a step split by windows
+                        if k == w1:
+                            w1, decided = decide(k, ~frozen.reshape(V, B)[fv].all(axis=0))
+                        for (v0, v1, (atoms, _, _)), (cell, choice) in zip(
+                                self.fixed_jumps, decided):
+                            a, b = np.searchsorted(cell, cut[j:j + 2])
+                            # (row, rank) order: each vertex's rows in turn
+                            hit = (np.arange(v0, v1)[:, None] * B + path[cell[a:b]]).ravel()
+                            z = np.tile(atoms[choice[a:b]], (v1 - v0, 1))
+                            if any_frozen:
+                                keep = alive[hit]
+                                hit, z = hit[keep], z[keep]
+                            jump(hit, z)
+                        k = min(stop, w1)
+                if counts is not None and jv.size and cut[j] < cut[j + 1]:
+                    # step j's cells on each varying vertex's live copy, in
+                    # row order, rank r after rank r - 1
                     s = slice(cut[j], cut[j + 1])
-                    crow = (np.arange(V)[:, None] * B + path[s]).ravel()
+                    crow = (jv[:, None] * B + path[s]).ravel()
                     live = alive[crow]
-                    crow, cn = crow[live], np.tile(n_cand[s], V)[live]
-                    cf = np.tile(first[s], V)[live]
-                    events[1, crow] += cn
+                    crow, cn = crow[live], np.tile(n_cand[s], jv.size)[live]
+                    cf = np.tile(first[s], jv.size)[live]
                     for r in range(int(cn.max(initial=0))):
-                        for v0, v1, form, free in self.jump_runs:
-                            if free and r:  # thinned at every rank on pass 0
-                                continue
+                        for v0, v1, form in self.jump_runs:
                             a, b = np.searchsorted(crow, (v0 * B, v1 * B))
-                            # a state-free run's every rank, or rank r after r - 1
-                            sel = np.arange(a, b) if free else a + np.flatnonzero(cn[a:b] > r)
+                            sel = a + np.flatnonzero(cn[a:b] > r)
                             if sel.size:
-                                thin(form, crow[sel], cf[sel] + 2 * r,
-                                     cn[sel] if free else np.ones_like(sel))
+                                thin(form, crow[sel], cf[sel] + 2 * r)
                 # exits (standard mode): post-step membership; never re-enter
                 newly = alive & ~mode.inside(Xn)
                 if np.any(newly):
                     exit_time[newly] = (j + 1) * dt
-                    frozen |= newly
+                    freeze(newly)
                     events[0] += newly & ~jumped
                 # clamp box
                 out = alive & ~frozen & ~_across(np.logical_and, (Xn >= lo) & (Xn <= hi))
                 if np.any(out):
                     flagged[out] = True
-                    frozen |= out
+                    freeze(out)
                 # |Xn - x0| as np.linalg.norm computes it; a frozen row's
                 # distance is the one it had when it froze
                 moved = Xn - x0
@@ -461,6 +583,7 @@ class _Sweep:
                 X = Xn
             if (j + 1) in snaps:
                 rows_of(snaps[j + 1])[:] = running.reshape(V, B)
+        freeze(~frozen)  # the rows live at the horizon
         rows_of(bundle.terminal)[:] = X.reshape(V, B, d)
         rows_of(bundle.running_sup)[:] = running.reshape(V, B)
         rows_of(bundle.exit_time)[:] = exit_time.reshape(V, B)

@@ -1,9 +1,12 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +323,19 @@ class TestExitBehaviour:
                            clamp_box=([1.0], [2.0]))
         with pytest.raises(ValueError, match="clamp box"):
             nl.simulate_paths(nl.AffineParameter.zero(1), [0.0], cfg, FULL)
+
+    @pytest.mark.parametrize("box", [([-3.0, -1.0], [3.0, 1.0]), ([np.nan], [3.0])],
+                             ids=["two coordinates for d = 1", "NaN bound"])
+    def test_clamp_box_of_bad_bounds_refused(self, box):
+        # the 2-vector box flagged 20 of these 100 paths, as if it were [-1, 1],
+        # and the NaN one all 100
+        theta = nl.AffineParameter.scalar(alpha0=0.5)
+        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=100, seed=1, clamp_box=box)
+        with pytest.raises(ValueError, match="clamp_box must be"):
+            nl.simulate_paths(theta, [0.0], cfg, FULL)
+        with pytest.raises(ValueError, match="clamp_box must be"):
+            nl.lower_bound_sublinear(nl.FiniteParameterSet([theta]), [0.0],
+                                     nl.make_payoff("square"), 1.0, cfg, FULL)
 
     def test_state_space_of_another_dimension_refused(self):
         # a 1-D tuple under a 2-D half-space: membership used to read only
@@ -814,6 +830,26 @@ def _half_line_exits():
     return nl.FiniteParameterSet([theta(0.3), theta(0.2), theta(0.0)])
 
 
+def _mixed():
+    """A state-free vertex between two whose diffusion and jump weights
+    depend on the state: the state-dependent runs are not consecutive."""
+    atoms = [[0.4], [-0.6]]
+
+    def theta(alpha1, w1):
+        return nl.AffineParameter.scalar(
+            beta0=0.1, alpha0=0.3, alpha1=alpha1, nu0=nl.AtomicLevyMeasure(atoms, [1.0, 1.5]),
+            nu1=nl.AtomicLevyMeasure([[0.4]], [w1]) if w1 else None)
+
+    return nl.FiniteParameterSet([theta(0.1, 0.5), theta(0.0, 0.0), theta(0.05, 0.3)])
+
+
+def _levy_with_exits():
+    """One state-free law with diffusion on the half-line: paths exit by
+    jumps and by diffusion."""
+    return nl.AffineParameter.scalar(
+        beta0=0.2, alpha0=0.2, nu0=nl.AtomicLevyMeasure([[0.3], [-0.5]], [2.0, 1.5]))
+
+
 THINNING_CASES = {
     # name: (parameter set, x0, mode, SimConfig)
     "hat, d = 1": (_hat_1d(), [0.2], nl.GeneratorMode.hat(),
@@ -825,12 +861,19 @@ THINNING_CASES = {
     "half-line exits": (_half_line_exits(), [0.3], HALF,
                         nl.SimConfig(dt=0.05, horizon=1.0, n_paths=300, seed=13,
                                      clamp_box=((-1.0,), (2.5,)))),
+    "mixed": (_mixed(), [0.5], FULL,
+              nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=14,
+                           clamp_box=((-1.5,), (2.5,)))),
+    "Levy law with exits": (_levy_with_exits(), [0.3], HALF,
+                            nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=15)),
 }
 
 
 class TestThinningReference:
-    """The stepper thins each step's candidate cells, a state-free run all
-    at once; it matches the plain rank-by-rank reference bit for bit."""
+    """The stepper decides a state-free run's candidates ahead of its steps
+    and thins the others' cells rank by rank; it matches the plain
+    rank-by-rank reference bit for bit.  "hat, d = 2", "constant weights"
+    and "Levy law with exits" are state-free laws with diffusion."""
 
     @pytest.mark.parametrize("batch_size", [7, 12 * montecarlo.BLOCK])
     @pytest.mark.parametrize("case", list(THINNING_CASES))
@@ -868,38 +911,119 @@ class TestThinningReference:
             reference_thinning(theta, [0.05], cfg, HALF)
         assert str(ours.value) == str(reference.value)
 
+    @pytest.mark.parametrize("theta, message", [
+        (nl.AffineParameter.scalar(alpha0=-0.2, nu0=nl.AtomicLevyMeasure([[0.5]], [1.0])),
+         "diffusion matrix not PSD at state [0.]"),
+        (nl.AffineParameter.scalar(nu0=nl.AtomicLevyMeasure([[0.5], [-0.3]], [1.0, -0.5])),
+         "negative jump weight at state [-0.0325]"),
+    ], ids=["constant alpha not PSD", "constant negative weight"])
+    def test_constant_inadmissible_coefficient_names_the_reference_state(self, theta, message):
+        # in a sweep after a state-dependent vertex, as a law of its own
+        other = nl.AffineParameter.scalar(alpha0=0.3, alpha1=0.1,
+                                          nu0=nl.AtomicLevyMeasure([[0.5]], [1.0]),
+                                          nu1=nl.AtomicLevyMeasure([[0.5]], [0.2]))
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=50, seed=1)
+        for law in (theta, nl.FiniteParameterSet([other, theta])):
+            with pytest.raises(CoefficientError) as ours:
+                nl.simulate_paths(law, [0.0], cfg, FULL)
+            with pytest.raises(CoefficientError) as reference:
+                reference_thinning(law, [0.0], cfg, FULL)
+            assert str(ours.value) == str(reference.value) == message
+
 
 class TestStateFreeThinning:
-    """A run whose jump weights do not depend on the state is weighed once
-    per step that has candidates, however many candidates it has."""
+    """A run whose coefficients do not depend on the state has them worked
+    out once per sweep, and its candidates decided in windows, however many
+    steps and candidates it has."""
 
     @staticmethod
-    def count_weight_calls(monkeypatch):
-        calls = []
-        weights = CoefficientForm.jump_weights
-        monkeypatch.setattr(CoefficientForm, "jump_weights",
-                            lambda form, xs: calls.append(len(xs)) or weights(form, xs))
+    def count_calls(monkeypatch, *names):
+        """The rows of each call of the CoefficientForm methods `names`."""
+        calls = {}
+        for name in names:
+            method, calls[name] = getattr(CoefficientForm, name), []
+            monkeypatch.setattr(CoefficientForm, name, lambda form, xs, f=method, c=calls[name]:
+                                c.append(len(xs)) or f(form, xs))
         return calls
 
     def test_one_weighing_per_step(self, monkeypatch):
-        calls = self.count_weight_calls(monkeypatch)
+        calls = self.count_calls(monkeypatch, "jump_weights")["jump_weights"]
         theta = nl.AffineParameter.scalar(
             alpha0=0.3, nu0=nl.AtomicLevyMeasure([[0.4], [-0.7]], [20.0, 20.0]))
         cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=500, seed=6)
         b = nl.simulate_paths(theta, [0.0], cfg, nl.GeneratorMode.hat())
         assert b.thinning_proposed > 10 * cfg.n_paths
-        assert len(calls) <= 1 + 10  # the bound's corners, then one per step
+        assert len(calls) == 1  # the bound's corners; no step weighs again
+
+    @pytest.mark.parametrize("theta, mode", [
+        (nl.AffineParameter.scalar(alpha0=0.3, nu0=nl.AtomicLevyMeasure([[0.4], [-0.7]],
+                                                                        [20.0, 20.0])),
+         nl.GeneratorMode.hat()),
+        (nl.AffineParameter.scalar(beta0=0.2, alpha0=0.3,
+                                   nu0=nl.AtomicLevyMeasure([[0.4], [-0.7]], [2.0, 3.0])),
+         FULL),
+    ], ids=["hat", "full line, constant weights"])
+    def test_coefficient_calls_do_not_grow_with_the_steps(self, monkeypatch, theta, mode):
+        calls = self.count_calls(monkeypatch, "drift", "diffusion", "jump_weights")
+        made = []
+        for horizon in (1.0, 4.0):  # 10 and 40 steps
+            cfg = nl.SimConfig(dt=0.1, horizon=horizon, n_paths=500, seed=6)
+            b = nl.simulate_paths(theta, [0.0], cfg, mode)
+            assert b.thinning_accepted > 0
+            made.append({name: len(rows) for name, rows in calls.items()})
+            for rows in calls.values():
+                rows.clear()
+        assert made[0] == made[1] == {"drift": 0, "diffusion": 0, "jump_weights": 1}
+
+    @pytest.mark.parametrize("window", [1, 7])
+    @pytest.mark.parametrize("case", ["constant weights", "half-line exits", "hat, d = 2"])
+    def test_windows_that_split_steps_and_cells(self, monkeypatch, case, window):
+        ps, x0, mode, cfg = THINNING_CASES[case]
+        whole = nl.simulate_paths(ps, x0, cfg, mode)
+        monkeypatch.setattr(montecarlo, "WINDOW", window)
+        split = nl.simulate_paths(ps, x0, cfg, mode)
+        assert split.terminal.tobytes() == whole.terminal.tobytes()
+        assert split.exit_time.tobytes() == whole.exit_time.tobytes()
+        assert split.events.tolist() == whole.events.tolist()
 
     @pytest.mark.parametrize("lam, candidates", [(1e6, 40_026), (1e8, 4_000_265)])
     def test_large_constant_intensity(self, monkeypatch, lam, candidates):
-        calls = self.count_weight_calls(monkeypatch)
+        calls = self.count_calls(monkeypatch, "jump_weights")["jump_weights"]
         cfg = nl.SimConfig(dt=0.01, horizon=0.01, n_paths=4, seed=3)
         start = time.perf_counter()
         b = nl.simulate_paths(unit_jump_theta(lam=lam), [0.0], cfg, FULL)
         assert time.perf_counter() - start < 10.0
         assert b.thinning_proposed == b.thinning_accepted == candidates
         assert b.terminal.sum() == candidates  # unit jumps, zero net drift
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_large_constant_intensity_memory(self):
+        # the weight-1e8 call above in a fresh process: its 8,000,530
+        # uniforms take 64 MB; deciding all 4,000,265 candidates at once
+        # took about 280 MB more.  VmHWM is this process's own peak RSS,
+        # where ru_maxrss would carry over the peak of the process that
+        # started it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import nlaffine as nl\n"
+                "def peak_mb():\n"
+                "    with open('/proc/self/status') as f:\n"
+                "        line = next(s for s in f if s.startswith('VmHWM:'))\n"
+                "    return int(line.split()[1]) / 1024\n"
+                "h = nl.TruncationFunction(1.0)\n"
+                "theta = nl.AffineParameter.scalar(beta0=1e8 * float(h([1.0])[0]),\n"
+                "    nu0=nl.AtomicLevyMeasure([[1.0]], [1e8]))\n"
+                "cfg = nl.SimConfig(dt=0.01, horizon=0.01, n_paths=4, seed=3)\n"
+                "mode = nl.GeneratorMode.standard(nl.StateSpace.full(1))\n"
+                "before = peak_mb()\n"
+                "b = nl.simulate_paths(theta, [0.0], cfg, mode)\n"
+                "print(b.thinning_accepted, peak_mb() - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.split()
+        assert int(out[0]) == 4_000_265
+        assert float(out[1]) <= 140.0  # MB
 
 
 class TestMomentBound:
