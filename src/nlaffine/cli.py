@@ -9,6 +9,7 @@ sibling meta.json / estimate.json (the CSV headers are pinned).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import resource
@@ -37,6 +38,16 @@ def _peak_rss_mb() -> float:
     """This process's peak resident set size so far (ru_maxrss is in KiB on
     Linux); forked writer processes are not included."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+@contextlib.contextmanager
+def _unusable_path(path):
+    """An OSError from writing the CSV file at path, whose partial file
+    write_chunks has removed, as a configuration error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -84,11 +95,8 @@ def cmd_solve(args) -> int:
             yield layer
 
     path = os.path.join(out, "surface.csv")
-    try:
+    with _unusable_path(path):
         writers = march.write_csv(path, layers())
-    except (NonFiniteError, MemoryError):
-        os.remove(path)  # it holds only the layers before the failing step
-        raise
     written = time.perf_counter()
     meta = {
         "version": __version__,
@@ -147,7 +155,9 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     lb = lower_bound_sublinear(theta_set, x0, payoff, t, sim, mode)
     swept = time.perf_counter()
-    bundle_to_csv(lb.bundle, os.path.join(out, "bundle.csv"))
+    path = os.path.join(out, "bundle.csv")
+    with _unusable_path(path):
+        bundle_to_csv(lb.bundle, path)
     written = time.perf_counter()
     estimate = {
         "config_hash": cfg.config_hash(),

@@ -81,7 +81,7 @@ from .params import (
     FiniteParameterSet,
     min_eigenvalue,
 )
-from .pide import NonFiniteError, grid_index, step_count, write_chunks
+from .pide import NonFiniteError, format_17g, grid_index, step_count, write_chunks
 
 
 BLOCK = 1024  # paths per Philox key (seed, block)
@@ -202,12 +202,16 @@ def _substream(rng: np.random.Generator, fresh: dict, kind: str) -> np.random.Ge
 
 def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
     """Intensity bound over the clamp box: per atom, the largest affine
-    weight over the box corners, positive part, summed."""
+    weight over the box corners, positive part, summed.  A coordinate that
+    no weight depends on adds nothing: where the box is infinite along it,
+    its corners sit at 0, so that inf * 0 makes no NaN."""
     if not form.atoms.shape[0]:
         return 0.0
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
-    vals = form.jump_weights(corners)  # (2^d, m)
-    with np.errstate(over="ignore"):  # an inf bound is refused by _Sweep
+    free = ~(np.isfinite(lo) & np.isfinite(hi)) & ~form.W[:, 1:].any(axis=0)
+    corners = np.array(list(itertools.product(*zip(np.where(free, 0.0, lo),
+                                                   np.where(free, 0.0, hi)))))
+    with np.errstate(over="ignore", invalid="ignore"):  # _Sweep refuses inf or nan
+        vals = form.jump_weights(corners)  # (2^d, m)
         return float(np.sum(np.clip(np.max(vals, axis=0), 0.0, None)))
 
 
@@ -743,21 +747,28 @@ _CSV_BLOCK = 4096  # rows per chunk of write_chunks; bounds the writer's memory
 
 def bundle_to_csv(bundle: PathBundle, path) -> None:
     """Rows path_index,seed,terminal,running_sup,exit_time (terminal columns
-    expand per coordinate for d = 2); LF endings, 17 significant digits, an
+    expand per coordinate for d = 2); LF endings, every float C's %.17g, an
     empty exit_time for a path that never left.  Each block of rows is one
-    item and one chunk of write_chunks: its columns, formatted together."""
+    item and one chunk of write_chunks: its terminal columns, running_sup
+    and the exit times of the paths that left go through one format_17g
+    pass."""
     d = bundle.terminal.shape[1]
     term_cols = ["terminal"] if d == 1 else [f"terminal{i+1}" for i in range(d)]
     header = ["path_index", "seed"] + term_cols + ["running_sup", "exit_time"]
-    row = "%d,%d," + "%.17g," * (d + 1) + "%s\n"
+    row = b"%d,%d," + b"%s," * (d + 1) + b"%s\n"
     starts = range(0, bundle.n_paths, _CSV_BLOCK)
 
     def block(k: int, cols) -> bytes:
         seeds, terminal, running_sup, exit_time = cols
-        exits = ["" if math.isnan(e) else "%.17g" % e for e in exit_time.tolist()]
-        rows = zip(range(starts[k], starts[k] + len(exits)), seeds.tolist(),
-                   *terminal.T.tolist(), running_sup.tolist(), exits)
-        return "".join(map(row.__mod__, rows)).encode()
+        m = len(seeds)
+        left = np.flatnonzero(~np.isnan(exit_time))
+        text = format_17g(np.concatenate([terminal.T.ravel(), running_sup, exit_time[left]]))
+        exits = [b""] * m
+        for i, e in zip(left.tolist(), text[(d + 1) * m:]):
+            exits[i] = e
+        rows = zip(range(starts[k], starts[k] + m), seeds.tolist(),
+                   *(text[c * m:(c + 1) * m] for c in range(d + 1)), exits)
+        return b"".join(map(row.__mod__, rows))
 
     cols = (bundle.seeds, bundle.terminal, bundle.running_sup, bundle.exit_time)
     blocks = (tuple(c[b0:b0 + _CSV_BLOCK] for c in cols) for b0 in starts)

@@ -37,6 +37,7 @@ boundary is the largest atom norm or 10 grid steps, whichever is more.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -86,6 +87,124 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of every g < 10,000 as one uint32 word each,
+    then the same words with the digits that end g in zeros NUL: words
+    copied whole, so byte order does not matter.  Built at the first
+    format_17g call, so that a command that writes no CSV does not."""
+    ascii = np.arange(48, 58, dtype=np.uint8)
+    words = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+    kept = False  # a nonzero digit here or after
+    for i in (3, 2, 1, 0):
+        digit = ascii.reshape((10,) + (1,) * (3 - i))  # along the axis of digit i
+        kept = kept | (digit != 48)
+        words[0, ..., i] = digit
+        words[1, ..., i] = digit * kept
+    return words.view(np.uint32).ravel()
+
+
+_POW10 = np.array([float(10 ** s) for s in range(23)])  # exact doubles
+_POW5 = np.array([5 ** s for s in range(23)], dtype=np.uint64)
+_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)
+
+
+def _round17(a: np.ndarray, mant: np.ndarray, ex: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """N = round_half_even(a * 10^(16 - E)) for a = mant * 2^(ex - 53),
+    exactly.  The float estimate N0 is exact to a few units and even (it
+    exceeds 2^53 wherever N has 17 digits); the rest, D / 2^k with
+    D = mant * 5^s - N0 * 2^k and k = 53 - s - ex >= 1, is exact in
+    wrapping uint64 arithmetic because |D| < 2^52, and exact as a double."""
+    s = 16 - E
+    k = 53 - s - ex
+    N0 = np.rint(a * _POW10[s])
+    D = (mant * _POW5[s] - (N0.astype(np.uint64) << k.astype(np.uint64))).view(np.int64)
+    return N0.astype(np.int64) + np.rint(np.ldexp(D.astype(float), -k)).astype(np.int64)
+
+
+def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, E, N) for the flat array v: fast marks 1e-4 <= |v| < 1e15,
+    and there |v| rounds to N * 10^(E - 16) with 10^16 <= N < 10^17, so
+    that E is the exponent %.17g prints.  E starts as floor(log10 |v|) and
+    moves by one where N shows it was off."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0  # a stand-in: format_17g gives these to Python
+    m, ex = np.frexp(a)
+    mant = (m * 2.0 ** 53).astype(np.uint64)
+    del m
+    E = np.floor(np.log10(a)).astype(np.int32)
+    N = _round17(a, mant, ex, E)
+    off = np.flatnonzero((N >= 10 ** 17) | (N < 10 ** 16))
+    while off.size:
+        E[off] += np.where(N[off] >= 10 ** 17, 1, -1)
+        N[off] = _round17(a[off], mant[off], ex[off], E[off])
+        off = off[(N[off] >= 10 ** 17) | (N[off] < 10 ** 16)]
+    return fast, E, N
+
+
+def _ascii17(N: np.ndarray) -> np.ndarray:
+    """The 17 digits of each N as an (n, 17) uint8 ASCII array, its
+    trailing zeros NUL: d0, then four groups of four from the word table."""
+    hi, lo = (half.astype(np.uint32) for half in np.divmod(N, 10 ** 8))
+    d0, hi = np.divmod(hi, 10 ** 8)
+    g1, g2 = np.divmod(hi, 10_000)
+    g3, g4 = np.divmod(lo, 10_000)
+    # group i takes the stripped word where every later group is 0
+    table = _digit_words()
+    words = np.empty((N.size, 5), dtype=np.uint32)
+    words[:, 1] = table[g1 + 10_000 * ((lo == 0) & (g2 == 0))]
+    words[:, 2] = table[g2 + 10_000 * (lo == 0)]
+    words[:, 3] = table[g3 + 10_000 * (g4 == 0)]
+    words[:, 4] = table[g4 + 10_000]
+    digits = words.view(np.uint8)[:, 3:]
+    digits[:, 0] = d0 + 48
+    return digits
+
+
+def _rows17(E: np.ndarray, sign: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """The fixed-notation text of sign * N * 10^(E - 16) for each row, as
+    an S24 array: laid out in blocks of equal (E, sign) with slices,
+    NUL-padded."""
+    key = ((E + 4) * 2 + sign).astype(np.int16)  # E is -4 .. 14
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    digits = _ascii17(N[order])
+    out = np.zeros((N.size, 24), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    for p, q in zip(starts, starts[1:] + [N.size]):
+        e, s = divmod(int(key[p]), 2)
+        e -= 4
+        row, d = out[p:q], digits[p:q]
+        if s:
+            row[:, 0] = 45  # '-'
+        if e >= 0:  # integer digits, a point unless no fraction is left, fraction
+            np.maximum(d[:, :e + 1], 48, out=row[:, s:s + e + 1])
+            row[:, s + e + 1] = (d[:, e + 1] != 0) * 46
+            row[:, s + e + 2:s + 18] = d[:, e + 1:]
+        else:  # 0.000 and the digits
+            row[:, s:s + 1 - e] = _LEAD[:1 - e]
+            row[:, s + 1 - e:s + 18 - e] = d
+    rows = np.empty(N.size, dtype="S24")
+    rows[order] = out.view("S24").ravel()
+    return rows
+
+
+def format_17g(values) -> list[bytes]:
+    """[b"%.17g" % v for v in values], byte for byte, in one array pass.
+
+    A finite v with 1e-4 <= |v| < 1e15 prints in fixed notation from its
+    17 correctly rounded digits (_digits17, _rows17), read back as
+    NUL-stripped bytes.  Every other value (zeros, subnormals, tiny, huge,
+    inf and nan) takes Python's own formatting."""
+    v = np.asarray(values, dtype=float).ravel()
+    fast, E, N = _digits17(v)
+    text = _rows17(E, np.signbit(v), N).tolist()
+    for i in np.flatnonzero(~fast).tolist():
+        text[i] = b"%.17g" % v[i]
+    return text
+
+
 def write_chunks(path, header: bytes, chunk, items, n: int) -> int:
     """Write header, then chunk(j, item) for the first n items of the
     iterable `items`, to path and return W, the number of processes that
@@ -103,42 +222,48 @@ def write_chunks(path, header: bytes, chunk, items, n: int) -> int:
     other.  The file is written in chunk order, so its bytes do not depend
     on W.  The path is opened before any fork.  Every writer is reaped
     before this returns or raises; one that fails or sends short raises
-    OSError."""
-    with open(path, "wb") as fh:
-        fh.write(header)
-        w = max(1, min(usable_cpus(), n)) if hasattr(os, "fork") else 1
-        ends, pids = [], []  # per writer: this process's (send, receive) pipe ends
-        try:
-            for c in range(1, w):
-                down, up = os.pipe(), os.pipe()
-                ends.append((open(down[1], "wb"), open(up[0], "rb")))
-                # this process's copies of the writer's ends close once forked
-                with open(down[0], "rb") as inp, open(up[1], "wb") as out:
-                    pid = os.fork()
-                    if pid == 0:
-                        _writer(inp, out, ends, chunk, range(c, n, w))
-                pids.append(pid)
-            sent = []  # writers owing a chunk, in chunk order
-            for j, item in zip(range(n), items):
-                if j % w:
-                    _send(ends[j % w - 1][0], pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-                    sent.append(j % w)
-                    continue
-                data = chunk(j, item)
+    OSError.  Whatever is raised once the path is open, the partial file is
+    removed."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            w = max(1, min(usable_cpus(), n)) if hasattr(os, "fork") else 1
+            ends, pids = [], []  # per writer: this process's (send, receive) pipe ends
+            try:
+                for c in range(1, w):
+                    down, up = os.pipe(), os.pipe()
+                    ends.append((open(down[1], "wb"), open(up[0], "rb")))
+                    # this process's copies of the writer's ends close once forked
+                    with open(down[0], "rb") as inp, open(up[1], "wb") as out:
+                        pid = os.fork()
+                        if pid == 0:
+                            _writer(inp, out, ends, chunk, range(c, n, w))
+                    pids.append(pid)
+                sent = []  # writers owing a chunk, in chunk order
+                for j, item in zip(range(n), items):
+                    if j % w:
+                        _send(ends[j % w - 1][0], pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                        sent.append(j % w)
+                        continue
+                    data = chunk(j, item)
+                    for c in sent:
+                        fh.write(_receive(ends[c - 1][1]))
+                    sent.clear()
+                    fh.write(data)
                 for c in sent:
                     fh.write(_receive(ends[c - 1][1]))
-                sent.clear()
-                fh.write(data)
-            for c in sent:
-                fh.write(_receive(ends[c - 1][1]))
-        finally:
-            for pair in ends:
-                for end in pair:  # a writer still reading or sending sees the pipe end
-                    with contextlib.suppress(BrokenPipeError):  # unsent bytes of a dead writer
-                        end.close()
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        if any(codes):
-            raise OSError(f"writer processes of {path} exited with status {codes}")
+            finally:
+                for pair in ends:
+                    for end in pair:  # a writer still reading or sending sees the pipe end
+                        with contextlib.suppress(BrokenPipeError):  # unsent bytes of a dead writer
+                            end.close()
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            if any(codes):
+                raise OSError(f"writer processes of {path} exited with status {codes}")
+    except BaseException:
+        os.remove(path)  # what was written before the failure is no use
+        raise
     return w
 
 
@@ -328,18 +453,19 @@ class March:
         The rows are time-major: one block of grid-node rows per layer, in
         stable node order (x1 outer, x2 inner), with the layer time j * dt
         nondecreasing down the file; `nlaffine compare` bisects the file on
-        that order to read one layer.  The node coordinates are formatted
-        once, into a template with a time and a value slot per node; each
-        layer is one formatting pass, and write_chunks spreads the layers
+        that order to read one layer.  Every float is C's %.17g.  The node
+        coordinates are formatted once, into a template with a time and a
+        value slot per node; each layer fills its time slot once and its
+        values in one format_17g pass, and write_chunks spreads the layers
         over processes as they come.  Returns their number; the bytes do not
         depend on it."""
-        fmt = b"%%s" + b"%.17g," * self.grid.dim + b"%%.17g\n"
+        fmt = b"%%s" + b"%.17g," * self.grid.dim + b"%%s\n"
         template = b"".join(fmt % tuple(p) for p in self.grid.points().tolist())
         cols = ["t", "x1", "v"] if self.grid.dim == 1 else ["t", "x1", "x2", "v"]
 
         def layer(j: int, v: np.ndarray) -> bytes:
             slots = [b"%.17g," % (j * self.dt)] * (2 * v.shape[0])
-            slots[1::2] = v.tolist()
+            slots[1::2] = format_17g(v)
             return template % tuple(slots)
 
         return write_chunks(path, ",".join(cols).encode() + b"\n", layer, layers,

@@ -955,6 +955,33 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
 
+    @pytest.mark.parametrize("where", ["writer", "here"])
+    @pytest.mark.parametrize("command, module, name", [
+        ("solve", pide, "surface.csv"),
+        ("simulate", nl.montecarlo, "bundle.csv"),
+    ], ids=["solve", "simulate"])
+    def test_failed_csv_write_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                      module, name, where):
+        """A full disk while formatting, in a forked writer or in this
+        process: one line naming the file, exit 2, no partial file left."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, paths=5000))  # two bundle blocks
+        here, real = os.getpid(), module.format_17g
+
+        def full_disk(values):
+            if (os.getpid() == here) == (where == "here"):
+                raise OSError(28, "No space left on device")
+            return real(values)
+
+        monkeypatch.setattr(module, "format_17g", full_disk)
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
+        assert main([command, "--config", path]) == 2
+        assert no_child_left()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert not (out / name).exists()
+
 
 def test_library_has_no_assert_statements():
     """An input check written as `assert` vanishes under python -O."""

@@ -17,6 +17,7 @@ from nlaffine.config import generalized_compound_poisson_set
 from nlaffine.generator import CoefficientForm
 from nlaffine.montecarlo import _draw_batch, _payoff_moments, bundle_to_csv
 from nlaffine.params import WEIGHT_TOL, CoefficientError
+from test_pide import edge_values
 
 
 FULL = nl.GeneratorMode.standard(nl.StateSpace.full(1))
@@ -336,6 +337,43 @@ class TestExitBehaviour:
         with pytest.raises(ValueError, match="clamp_box must be"):
             nl.lower_bound_sublinear(nl.FiniteParameterSet([theta]), [0.0],
                                      nl.make_payoff("square"), 1.0, cfg, FULL)
+
+    def test_state_free_weights_under_an_infinite_box(self):
+        # the corners at +-inf made inf * 0 = nan and a refused bound
+        theta = nl.AffineParameter.scalar(alpha0=0.5,
+                                          nu0=nl.AtomicLevyMeasure([[0.5]], [1.0]))
+        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=100, seed=1,
+                           clamp_box=([-np.inf], [np.inf]))
+        b = nl.simulate_paths(theta, [0.0], cfg, FULL)
+        assert b.thinning_bound == 1.0
+        assert b.thinning_proposed == b.thinning_accepted > 0
+
+    def test_state_dependent_weight_under_an_infinite_box_refused(self):
+        # one state-free atom beside a state-dependent one: inf * 0 in the
+        # first, inf in the second; refused, and no warning on the way
+        theta = nl.AffineParameter.scalar(
+            alpha0=0.5, nu0=nl.AtomicLevyMeasure([[0.5], [1.0]], [1.0, 1.0]),
+            nu1=nl.AtomicLevyMeasure([[1.0]], [1.0]))
+        cfg = nl.SimConfig(dt=0.1, horizon=1.0, n_paths=100, seed=1,
+                           clamp_box=([-np.inf], [np.inf]))
+        with pytest.raises(pide.NonFiniteError, match="jump intensity bound"):
+            nl.simulate_paths(theta, [0.0], cfg, FULL)
+
+    def test_finite_box_bound_is_the_corner_maximum(self):
+        # a finite box keeps the plain corner evaluation, bit for bit
+        m = nl.AtomicLevyMeasure([[0.3, -0.2], [-0.1, 0.4]], [0.7, 0.2], dim=2)
+        theta = nl.AffineParameter(
+            [[0.0, 0.0]] * 3, [[[0.5, 0.1], [0.1, 0.3]]] + [np.zeros((2, 2))] * 2,
+            (m, nl.AtomicLevyMeasure([[0.3, -0.2]], [0.1], dim=2),
+             nl.AtomicLevyMeasure([[-0.1, 0.4]], [0.3], dim=2)))
+        lo, hi = np.array([-1.5, -0.7]), np.array([2.0, 1.3])
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=20, seed=5, clamp_box=(lo, hi))
+        mode = nl.GeneratorMode.standard(nl.StateSpace.full(2))
+        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+        weights = mode.coefficients(theta).jump_weights(corners)
+        expected = float(np.sum(np.clip(np.max(weights, axis=0), 0.0, None)))
+        b = nl.simulate_paths(theta, [0.0, 0.0], cfg, mode)
+        assert b.thinning_bound == expected
 
     def test_state_space_of_another_dimension_refused(self):
         # a 1-D tuple under a 2-D half-space: membership used to read only
@@ -1121,6 +1159,35 @@ class TestBundleCsv:
         assert hashlib.sha256(p.read_bytes()).hexdigest() == HALF_LINE_BUNDLE_DIGEST
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_edge_values_row_by_row(self, tmp_path, monkeypatch, d):
+        """Terminal values near 0 and NaN exit times, in two blocks and two
+        writers, against rows formatted one by one."""
+        n = 5000
+        rng = np.random.default_rng(d)
+        near_zero = np.concatenate([[0.0, -0.0, 5e-324, 1e-4, -1e-5, 3e-7],
+                                    rng.normal(scale=1e-3, size=n * d)])
+        terminal = rng.permutation(np.resize(np.concatenate([near_zero, edge_values()]),
+                                             n * d)).reshape(n, d)
+        exit_time = np.where(rng.random(n) < 0.4, rng.random(n), np.nan)
+        exit_time[:3] = [np.nan, 0.0, 1e-5]
+        bundle = montecarlo.PathBundle(
+            x0=np.zeros(d), times=np.arange(3.0), terminal=terminal,
+            running_sup=np.abs(rng.normal(size=n)), exit_time=exit_time,
+            seeds=rng.integers(0, 2 ** 63, n, dtype=np.uint64), flagged=np.zeros(n, bool),
+            events=np.zeros((1, 3), dtype=np.int64), thinning_bound=0.0, sup_snapshots=None)
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
+        p = tmp_path / "bundle.csv"
+        bundle_to_csv(bundle, p)
+        rows = [b"%d,%d," % (i, s) + b"".join(b"%.17g," % x for x in term)
+                + b"%.17g," % sup + (b"" if math.isnan(e) else b"%.17g" % e) + b"\n"
+                for i, (s, term, sup, e) in enumerate(zip(
+                    bundle.seeds.tolist(), terminal.tolist(), bundle.running_sup.tolist(),
+                    exit_time.tolist()))]
+        header = (b"terminal" if d == 1 else b"terminal1,terminal2")
+        assert p.read_bytes() == (b"path_index,seed," + header + b",running_sup,exit_time\n"
+                                  + b"".join(rows))
 
     def test_golden_bytes_2d(self, tmp_path):
         theta = nl.AffineParameter(

@@ -540,6 +540,93 @@ class TestSurfaceExport:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def exact_ties(rng, count) -> np.ndarray:
+    """Values odd m / 2^k whose exact decimal m 5^k / 10^k has 18
+    significant digits, the last a 5: each lies halfway between two
+    17-digit decimals, from about 1e-8 to 1e15."""
+    out = []
+    for k in rng.integers(3, 26, count).tolist():
+        lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+        m = int(rng.integers(lo, hi)) | 1
+        if len(str(m * 5 ** k)) == 18:
+            out.append(math.ldexp(m, -k))
+    return np.array(out)
+
+
+def powers_of_ten() -> np.ndarray:
+    """10^k for k = -5 .. 17 with both neighbours, and their negatives."""
+    p = 10.0 ** np.arange(-5, 18)
+    near = np.concatenate([np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def edge_values() -> np.ndarray:
+    """Values at every edge of format_17g's fixed-notation path."""
+    return np.concatenate([
+        [0.0, -0.0, 1e-5, -3e-7, 5e-324, -5e-324, 9.99e14, 1e15, 1e16, 1.7e308,
+         -1.7e308, 1e-4, -1e-4, 120000.0, 0.5, 2.0 ** -14, np.inf, -np.inf, np.nan],
+        exact_ties(np.random.default_rng(29), 40), powers_of_ten()])
+
+
+def assert_formats_like_python(values) -> None:
+    values = np.asarray(values, dtype=float)
+    got = pide.format_17g(values)
+    want = [b"%.17g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+class TestFormat17g:
+    """format_17g(values)[i] == b"%.17g" % values[i], byte for byte."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2911)
+        for _ in range(4):  # 10^6 doubles of every exponent, sign and payload
+            bits = rng.integers(0, 2 ** 64, size=250_000, dtype=np.uint64, endpoint=False)
+            assert_formats_like_python(bits.view(np.float64))
+
+    def test_fixed_notation_range(self):
+        # random bit patterns put about 3% of their values on the fixed path
+        rng = np.random.default_rng(2912)
+        x = 10.0 ** rng.uniform(-4.5, 15.5, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        assert_formats_like_python(x)
+        assert_formats_like_python(np.round(x * 1000.0) / 10.0 ** rng.integers(0, 9, x.size))
+
+    def test_ties_and_powers_of_ten(self):
+        ties = exact_ties(np.random.default_rng(2913), 20_000)
+        assert ties.size > 15_000
+        assert_formats_like_python(ties)
+        assert_formats_like_python(-ties)
+        assert_formats_like_python(powers_of_ten())
+        assert_formats_like_python(edge_values())
+
+    @pytest.mark.parametrize("values", [[], [2.5], [[1.0, -0.0], [np.nan, 1e-300]]],
+                             ids=["empty", "one", "2-D"])
+    def test_shapes(self, values):
+        assert_formats_like_python(np.ravel(values))
+        assert len(pide.format_17g(values)) == np.size(values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_surface_of_edge_values(self, tmp_path, dim):
+        """write_csv of hand-made layers against rows formatted one by one."""
+        grid = (nl.Grid.line(-1.0, 2.0, 12) if dim == 1
+                else nl.Grid([-1.0, -0.5], [2.0, 1.0], [10, 11]))
+        ps = nl.FiniteParameterSet([nl.AffineParameter.zero(dim)])
+        mode = nl.GeneratorMode.standard(nl.StateSpace.full(dim))
+        march, _ = pide._prepare(ps, grid, nl.make_payoff("square"), 0.3, mode,
+                                 nl.SchemeConfig(dt=0.1))
+        values = np.resize(edge_values(), (march.n_steps + 1, grid.n_nodes))
+        np.random.default_rng(dim).shuffle(values.ravel())
+        path = tmp_path / "surface.csv"
+        march.write_csv(path, iter(values))
+        rows = [b"%.17g," % (j * march.dt) + b"".join(b"%.17g," % x for x in p)
+                + b"%.17g\n" % v
+                for j, layer in enumerate(values.tolist())
+                for p, v in zip(grid.points().tolist(), layer)]
+        header = b"t,x1,v\n" if dim == 1 else b"t,x1,x2,v\n"
+        assert path.read_bytes() == header + b"".join(rows)
+
+
 def no_child_left() -> bool:
     """True when this process has no child, running or unreaped."""
     try:
@@ -618,6 +705,7 @@ class TestWriterProcesses:
         with pytest.raises(OSError if failing % workers else ValueError):
             pide.write_chunks(tmp_path / "out", b"", chunk, range(8), 8)
         assert no_child_left()
+        assert not (tmp_path / "out").exists()  # the partial file is removed
 
     @pytest.mark.parametrize("workers, failing", [(1, 3), (2, 0), (3, 4), (3, 7)])
     def test_failing_items_raise_and_reap(self, tmp_path, monkeypatch, workers, failing):
@@ -634,6 +722,7 @@ class TestWriterProcesses:
             pide.write_chunks(tmp_path / "out", b"", lambda j, i: b"%d\n" % i * (1 << 18),
                               items(), 8)
         assert no_child_left()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_items_made_after_the_fork_reach_the_writers(self, tmp_path, monkeypatch,
