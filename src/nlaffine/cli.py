@@ -110,6 +110,8 @@ def cmd_solve(args) -> int:
             "max_rate": march.problem.operator.max_rate,
             "n_steps": n,
         },
+        "operator": dict(zip(("stencils", "vertices"), march.problem.operator.C.shape),
+                         state_free=march.problem.operator.state_free),
         "r_jump": march.r_jump,
         "mode": mode.kind,
         "payoff": march.payoff_name,

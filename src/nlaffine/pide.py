@@ -22,6 +22,8 @@ array coefficient form that the Monte Carlo stepper and the hypothesis gate
 read as well; its drift already carries the compensator -sum_j w_j h(z_j),
 so every jump weight stays nonnegative.  Outside the state space the form
 vanishes, so the same update keeps those nodes' values: no separate freeze.
+A state-free set (the same C at every node) stores one column of C per
+(stencil, vertex), broadcast over the nodes: the same bits in less memory.
 
 Monotonicity is checked on the assembled operator: C >= 0 on admissible
 nodes (only a cross term stronger than the diagonal terms can break it), and
@@ -269,9 +271,9 @@ def write_chunks(path, header: bytes, chunk, items, n: int) -> int:
 
 def _writer(inp, out, ends, chunk, js) -> None:
     """A forked writer's whole life: for j in js, receive item j from `inp`
-    and send chunk(j, item) down `out`; leave by os._exit, 1 on any
-    exception, so that no atexit handler runs and no inherited buffer is
-    flushed."""
+    and send chunk(j, item) down `out`, or the errno and message of an
+    exception; leave by os._exit, 1 on any exception, so that no atexit
+    handler runs and no inherited buffer is flushed."""
     code = 1
     try:
         for pair in ends:  # this process's ends of its own pipes and earlier writers'
@@ -280,24 +282,29 @@ def _writer(inp, out, ends, chunk, js) -> None:
         for j in js:
             _send(out, chunk(j, pickle.loads(_receive(inp))))
         code = 0
+    except BaseException as exc:  # write_chunks raises it as an OSError
+        with contextlib.suppress(OSError):  # write_chunks may have stopped reading
+            _send(out, pickle.dumps(exc.args if isinstance(exc, OSError) else (repr(exc),)), -1)
     finally:
         os._exit(code)
 
 
-def _send(fh, data: bytes) -> None:
-    """data, after its 8-byte length, down a pipe."""
-    fh.write(len(data).to_bytes(8, "little"))
+def _send(fh, data: bytes, sign: int = 1) -> None:
+    """data, after its 8-byte length (negated for a writer's error), down a pipe."""
+    fh.write((sign * len(data)).to_bytes(8, "little", signed=True))
     fh.write(data)
     fh.flush()
 
 
 def _receive(reader) -> bytes:
-    """The next length-prefixed message from a pipe."""
+    """The next length-prefixed message from a pipe; a writer's error is raised."""
     head = reader.read(8)
-    size = int.from_bytes(head, "little")
-    data = reader.read(size)
-    if len(head) < 8 or len(data) < size:
+    size = int.from_bytes(head, "little", signed=True)
+    data = reader.read(abs(size))
+    if len(head) < 8 or len(data) < abs(size):
         raise OSError("a process at the other end of a writer pipe ended early")
+    if size < 0:
+        raise OSError(*pickle.loads(data))
     return data
 
 
@@ -514,6 +521,11 @@ def _interpolation_stencil(offset: np.ndarray) -> tuple:
     return tuple(out)
 
 
+def _node_free(c: np.ndarray) -> bool:
+    """Whether each row of c holds one value at every node, bit for bit (+0.0 is not -0.0)."""
+    return bool((c.view(np.uint64) == c[:, :1].view(np.uint64)).all())
+
+
 class _Operator:
     """L_k v(x) = sum_g C[g, k, x] (D_g v)(x) for every vertex k, where each
     stencil D_g v(x) = sum of weight * (v(clip(x + offset)) - v(x)) over its
@@ -525,7 +537,10 @@ class _Operator:
     share), the two diagonal pairs of every cross term, and one multilinear
     corner stencil per distinct atom.  Identical stencils share one row.
     Inadmissible (vertex, node) pairs get zero coefficients and a -inf
-    penalty, so they never attain the max."""
+    penalty, so they never attain the max.  C, read-only (G, K, n), is a
+    broadcast of one column if every row is bitwise the same at every node
+    (state_free), else dense; pen is a broadcast of zeros if every pair is
+    admissible."""
 
     def __init__(self, vertices, grid: Grid, mode: GeneratorMode):
         d, n, dx = grid.dim, grid.n_nodes, grid.dx
@@ -550,12 +565,13 @@ class _Operator:
                      for f in forms]
 
         pts = grid.points()
-        self.C = np.zeros((len(stencils), len(vertices), n))
-        adm = np.empty((len(vertices), n), dtype=bool)
+        G, K = len(stencils), len(vertices)
+        C = compact = np.empty((G, K, 1))  # a column per vertex until a vertex's rows vary
+        adm = np.empty((K, n), dtype=bool)
         for k, (form, rows) in enumerate(zip(forms, atom_rows)):
             b, a, w = form.at(pts)
             adm[k] = admissible(a, w)
-            c = self.C[:, k]
+            c = np.zeros((G, n)) if C is compact else C[:, k]
             diag = 0.5 * np.clip(np.diagonal(a, axis1=1, axis2=2), 0.0, None) / dx**2
             for p, (i, j) in enumerate(pairs):
                 cross = 0.5 * a[:, i, j] / (dx[i] * dx[j])
@@ -573,11 +589,18 @@ class _Operator:
                     "cross-diffusion exceeds the diagonal terms; the 2-D "
                     "stencil cannot stay monotone on this problem"
                 )
+            if C is compact and _node_free(c):
+                C[:, k] = c[:, :1]
+            elif C is compact:  # the dense block, filled in place from here on
+                C = np.zeros((G, K, n))
+                C[:, :k], C[:, k] = compact[:, :k], c
+        self.state_free = C is compact
+        self.C = np.broadcast_to(C, (G, K, n))
         self.adm = adm
-        self.pen = np.where(adm, 0.0, -np.inf)
-        # dt * rate <= 1 keeps every weight of the explicit update nonnegative
+        self.pen = np.broadcast_to(0.0, (K, n)) if adm.all() else np.where(adm, 0.0, -np.inf)
+        # dt * rate <= 1 keeps the update's weights nonnegative; summed as einsum sums a dense C
         mass = np.array([sum(w for _, w in s) for s in stencils])
-        self.max_rate = float(np.max(np.einsum("gkn,g->kn", self.C, mass)))
+        self.max_rate = float(np.max(sum(m * c for m, c in zip(mass, C))))
 
         offsets = sorted({o for s in stencils for o, _ in s})
         column = {o: t for t, o in enumerate(offsets)}
@@ -597,7 +620,7 @@ class _Operator:
         # v(x + offset) - v(x), each stencil's sum of those, and apply's result
         self.diff = np.empty(self.nbr.shape)
         self.stencil_sums = np.empty((len(stencils), n))
-        self.inc = np.empty(self.pen.shape)
+        self.inc = np.empty((K, n))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(L_k v)(x) + pen for every vertex k and node x, shape (K, n), in

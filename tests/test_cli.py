@@ -24,7 +24,7 @@ from nlaffine.config import (
     measure_from_json,
     theta_from_json,
 )
-from test_pide import no_child_left
+from test_pide import hat_box_config, no_child_left
 
 
 def base_config(out_dir, paths=500):
@@ -213,6 +213,16 @@ class TestSolveCommand:
         want = min(pide.usable_cpus(), layers) if hasattr(os, "fork") else 1
         assert meta["surface_writers"] == want
 
+    @pytest.mark.parametrize("make, operator", [
+        (hat_box_config, {"stencils": 8, "vertices": 8, "state_free": True}),
+        (lambda out: dict(base_config(out), state_space={"kind": "half"}),
+         {"stencils": 2, "vertices": 1, "state_free": False}),
+    ], ids=["hat_box", "half_space"])
+    def test_meta_operator_block(self, tmp_path, make, operator):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, make(out))]) == 0
+        assert json.loads((out / "meta.json").read_text())["operator"] == operator
+
     def test_cfl_violation_exit_3(self, tmp_path, capsys):
         raw = base_config(tmp_path / "out")
         raw["scheme"]["dt"] = 0.25  # diffusion needs ~1e-3
@@ -295,29 +305,6 @@ class TestSolveCommand:
         meta = json.loads((out / "meta.json").read_text())
         # delta -> the largest nu_0 second moment of jumps of size <= delta
         assert meta["small_jump_table"][repr(1.0 + 1.5e-12)] == pytest.approx(0.5)
-
-
-def hat_box_config(out_dir):
-    """A 2-D hat-mode coefficient box: 8 vertices, two off-grid atoms."""
-    zero = [[0.0, 0.0], [0.0, 0.0]]
-    atom = [0.37, -0.61]
-    return {
-        "dimension": 2,
-        "parameter_set": {
-            "kind": "box",
-            "beta_lo": [[0.0, 0.0]] * 3,
-            "beta_hi": [[0.0, 0.0]] * 3,
-            "alpha_lo": [[[0.25, -0.1], [-0.1, 0.25]], zero, zero],
-            "alpha_hi": [[[1.0, 0.1], [0.1, 1.0]], zero, zero],
-            "nu_tuples": [[[[atom, 0.25], [[-z for z in atom], 0.25]], [], []]],
-        },
-        "mode": "hat",
-        "payoff": {"name": "square"},
-        "grid": {"lower": [-6.0, -6.0], "upper": [6.0, 6.0], "nodes": [31, 31]},
-        "horizon": 0.5,
-        "scheme": {"cfl": 0.4, "min_time_steps": 32},
-        "output_dir": str(out_dir),
-    }
 
 
 README_CONFIG = {
@@ -980,6 +967,7 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert "No space left on device" in err  # a writer's own error reaches the line
         assert not (out / name).exists()
 
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import os
@@ -8,6 +9,7 @@ import pytest
 
 import nlaffine as nl
 from nlaffine import pide
+from nlaffine.config import ExperimentConfig
 from nlaffine.pide import step_count
 
 
@@ -441,6 +443,45 @@ def half_line_surface(horizon=0.5):
                     scheme=nl.SchemeConfig(min_time_steps=32))
 
 
+def hat_box_config(out_dir):
+    """A 2-D hat-mode coefficient box: 8 vertices, two off-grid atoms."""
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    atom = [0.37, -0.61]
+    return {
+        "dimension": 2,
+        "parameter_set": {
+            "kind": "box",
+            "beta_lo": [[0.0, 0.0]] * 3,
+            "beta_hi": [[0.0, 0.0]] * 3,
+            "alpha_lo": [[[0.25, -0.1], [-0.1, 0.25]], zero, zero],
+            "alpha_hi": [[[1.0, 0.1], [0.1, 1.0]], zero, zero],
+            "nu_tuples": [[[[atom, 0.25], [[-z for z in atom], 0.25]], [], []]],
+        },
+        "mode": "hat",
+        "payoff": {"name": "square"},
+        "grid": {"lower": [-6.0, -6.0], "upper": [6.0, 6.0], "nodes": [31, 31]},
+        "horizon": 0.5,
+        "scheme": {"cfl": 0.4, "min_time_steps": 32},
+        "output_dir": str(out_dir),
+    }
+
+
+def hat_box_problem():
+    """hat_box_config as a library problem: every vertex is state-free."""
+    cfg = ExperimentConfig.from_dict(hat_box_config("out"))
+    return cfg.theta_set(), cfg.grid(), cfg.payoff(), cfg.horizon, cfg.mode(), cfg.scheme()
+
+
+def hat_box_operator():
+    theta_set, grid, _, _, mode, _ = hat_box_problem()
+    return pide._Operator(theta_set.vertices(), grid, mode)
+
+
+def hat_box_surface():
+    *problem, scheme = hat_box_problem()
+    return nl.solve(*problem, scheme=scheme)
+
+
 class TestOperator:
     @staticmethod
     def reference(op, v):
@@ -455,8 +496,9 @@ class TestOperator:
         return out + op.pen
 
     @pytest.mark.parametrize("make", [half_line_operator,
-                                      lambda: golden_2d_problem().problem.operator],
-                             ids=["half_line_1d", "half_space_2d"])
+                                      lambda: golden_2d_problem().problem.operator,
+                                      hat_box_operator],
+                             ids=["half_line_1d", "half_space_2d", "hat_box_2d"])
     def test_apply_is_the_stencil_sum(self, make):
         op = make()
         n = op.nbr.shape[1]
@@ -464,6 +506,76 @@ class TestOperator:
         assert op.nbr.min() >= 0 and op.nbr.max() < n  # take's "clip" moves nothing
         v = np.random.default_rng(5).standard_normal(n)
         assert np.array_equal(op.apply(v), self.reference(op, v))
+
+    @pytest.mark.parametrize("make, state_free, admissible", [
+        (lambda: criterion1_surface().problem.operator, True, True),
+        (hat_box_operator, True, True),
+        (half_line_operator, False, True),
+        (lambda: golden_2d_problem().problem.operator, False, True),
+        (lambda: pide._Operator([nl.AffineParameter.scalar(alpha0=0.2, alpha1=s)
+                                 for s in (-0.1, 0.1)],
+                                nl.Grid.line(-4.0, 4.0, 41), nl.GeneratorMode.hat()),
+         False, False),
+    ], ids=["criterion1", "hat_box_2d", "half_line_1d", "half_space_2d", "hat_two_covers"])
+    def test_state_free_coefficients_are_stored_once(self, make, state_free, admissible):
+        """A state-free set keeps one (stencil, vertex) column, read through
+        a (G, K, n) broadcast; a set whose coefficients vary stays dense.  The
+        penalty is a broadcast zero where every (vertex, node) is admissible."""
+        op = make()
+        _, K, n = op.C.shape
+        assert op.state_free is state_free and n == op.nbr.shape[1]
+        assert not op.C.flags.writeable
+        if state_free:
+            assert op.C.strides[-1] == 0  # one column, read at every node
+        else:
+            assert op.C.strides[-1] == op.C.itemsize
+        assert op.pen.shape == op.inc.shape == (K, n)
+        assert bool(op.adm.all()) is admissible
+        if admissible:
+            assert op.pen.strides[-1] == 0 and not op.pen.flags.writeable
+            assert not op.pen.any() and not np.signbit(op.pen).any()
+        else:
+            assert op.pen.strides[-1] == op.pen.itemsize
+            assert np.array_equal(op.pen, np.where(op.adm, 0.0, -np.inf))
+
+    def test_a_varying_vertex_after_state_free_ones_makes_the_block_dense(self):
+        """The block is allocated at the first vertex whose rows vary and
+        takes the columns before it: the same C as with that vertex first."""
+        E = nl.AtomicLevyMeasure
+        free = [nl.AffineParameter.scalar(beta0=b, alpha0=0.2, nu0=E([[0.37]], [0.3]))
+                for b in (0.1, -0.2)]
+        varying = nl.AffineParameter.scalar(beta0=0.1, beta1=-0.3, nu0=E([[0.37]], [0.3]))
+        grid = nl.Grid.line(-2.0, 2.0, 41)
+        op = pide._Operator(free + [varying], grid, FULL)
+        first = pide._Operator([varying] + free, grid, FULL)
+        assert not op.state_free and op.C.strides[-1] == op.C.itemsize
+        assert np.array_equal(op.C, first.C[:, [1, 2, 0]])
+        assert all(np.array_equal(op.C[:, k], pide._Operator([theta], grid, FULL).C[:, 0])
+                   for k, theta in enumerate(free))
+        assert op.max_rate == first.max_rate
+
+    def test_a_zero_of_the_other_sign_is_another_value(self):
+        c = np.zeros((2, 5))
+        assert pide._node_free(c) and pide._node_free(-c)
+        c[1, 3] = -0.0
+        assert not pide._node_free(c)
+        c[0] = 1.5
+        c[1] = -0.0
+        assert pide._node_free(c)
+
+    @pytest.mark.parametrize("make, rate", [
+        (hat_box_operator, "0x1.8bfffffffffffp+3"),
+        (lambda: pide._Operator(
+            [nl.AffineParameter.scalar(beta0=0.1, alpha0=0.1,
+                                       nu0=nl.AtomicLevyMeasure([[0.37]], [0.3]))],
+            nl.Grid.line(-2.0, 2.0, 81), FULL), "0x1.4428f5c28f5c1p+5"),
+    ], ids=["hat_box_2d", "one_atom_1d"])
+    def test_max_rate_keeps_the_dense_sum(self, make, rate):
+        """Recorded from an einsum over the dense C; summed over the stored
+        column in einsum's other order, the 1-D rate would end ...5c2p+5."""
+        op = make()
+        assert op.state_free
+        assert op.max_rate == float.fromhex(rate)
 
     def test_half_line_operator_has_zero_rows_and_two_sided_atoms(self):
         op = half_line_operator()
@@ -514,6 +626,8 @@ class TestSteps:
 GOLDEN_SURFACES = [
     ("criterion1", "7b0dbe2eea5c50dd7e9f5e997ace20d87b61a7101c8bb6ce157c0c6d041b3469"),
     ("half_space_2d", "8bdf014016390e4453b7db21c52a1212131016892c0add24eeb08e1e02627a9f"),
+    # the state-free 2-D path: a broadcast coefficient column
+    ("hat_box", "4a87444f1cc37888cd0bf3ac3b86c067c9bc4caa3b2d5c6cb900fc510691830a"),
 ]
 
 
@@ -534,7 +648,7 @@ class TestSurfaceExport:
     def test_golden_bytes(self, tmp_path, problem, digest):
         """sha256 of surface.csv as written by the row-at-a-time writer that
         the per-layer writer replaced."""
-        surf = criterion1_surface() if problem == "criterion1" else golden_2d_problem()
+        surf = golden_surface(problem)
         path = tmp_path / "surface.csv"
         surf.to_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -656,7 +770,7 @@ class TestWriterProcesses:
     @pytest.mark.parametrize("problem, digest", GOLDEN_SURFACES)
     def test_golden_bytes_for_any_writer_count(self, tmp_path, monkeypatch, problem,
                                                digest, workers):
-        surf = criterion1_surface() if problem == "criterion1" else golden_2d_problem()
+        surf = golden_surface(problem)
         monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
         path = tmp_path / "surface.csv"
         assert surf.to_csv(path) == workers
@@ -691,6 +805,19 @@ class TestWriterProcesses:
             surf.to_csv(tmp_path / "surface.csv")
         assert no_child_left()
 
+    def test_a_writer_error_keeps_its_errno_and_message(self, tmp_path, monkeypatch):
+        def chunk(j, _):
+            if j == 1:  # formatted by writer 1 of 2
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return b"%d\n" % j
+
+        monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
+        with pytest.raises(OSError) as raised:
+            pide.write_chunks(tmp_path / "out", b"", chunk, range(4), 4)
+        assert raised.value.errno == errno.ENOSPC
+        assert raised.value.strerror == "No space left on device"
+        assert no_child_left() and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers, failing", [(2, 1), (3, 2), (3, 3)])
     def test_any_failure_reaps_every_writer(self, tmp_path, monkeypatch, workers, failing):
         # 512 KB chunks fill the pipes, so writers are still sending when
@@ -702,7 +829,7 @@ class TestWriterProcesses:
             return b"%d\n" % j * (1 << 18)
 
         monkeypatch.setattr(pide, "usable_cpus", lambda: workers)
-        with pytest.raises(OSError if failing % workers else ValueError):
+        with pytest.raises(OSError if failing % workers else ValueError, match=f"chunk {failing}"):
             pide.write_chunks(tmp_path / "out", b"", chunk, range(8), 8)
         assert no_child_left()
         assert not (tmp_path / "out").exists()  # the partial file is removed
@@ -765,6 +892,11 @@ def criterion1_surface():
                     nl.make_payoff("min_cap", c=2.0), 1.0,
                     nl.GeneratorMode.standard(FULL.space, nl.TruncationFunction(1.0)),
                     scheme=nl.SchemeConfig(cfl=0.4, min_time_steps=512))
+
+
+def golden_surface(problem):
+    return {"criterion1": criterion1_surface, "half_space_2d": golden_2d_problem,
+            "hat_box": hat_box_surface}[problem]()
 
 
 def golden_2d_problem():
