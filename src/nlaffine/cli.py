@@ -35,9 +35,14 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size so far (ru_maxrss is in KiB on
-    Linux); forked writer processes are not included."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """This process's own peak resident set size so far, without forked
+    writer processes: VmHWM where /proc has it, as ru_maxrss (KiB on Linux)
+    carries the peak of a larger process that started this one."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(s.split()[1]) for s in fh if s.startswith("VmHWM:")) / 1024.0
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 @contextlib.contextmanager
@@ -259,9 +264,12 @@ def _read_layer(path, t_target: float):
 def _read_json(path) -> dict:
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} is not a JSON object")
+    return data
 
 
 def cmd_compare(args) -> int:
@@ -286,6 +294,14 @@ def cmd_compare(args) -> int:
         meta = {}
     else:
         meta = _read_json(meta_path)
+    grid = meta.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(f"{meta_path}: grid must be an object, got {grid!r}")
+    nodes = grid.get("nodes")
+    if nodes is not None and not (isinstance(nodes, list)
+                                  and all(type(n) is int for n in nodes)):
+        raise ConfigError(f"{meta_path}: grid.nodes must be a list of integers, "
+                          f"got {nodes!r}")
     if meta and meta.get("config_hash") != est.get("config_hash") and not args.force:
         raise ConfigError("surface and estimate come from different configs "
                           "(hash mismatch); pass --force to compare anyway")
@@ -293,7 +309,6 @@ def cmd_compare(args) -> int:
     d = len(header) - 2
     if rows.shape[0] == 0:
         raise ConfigError(f"surface carries no layer at t = {t_target}")
-    nodes = meta.get("grid", {}).get("nodes")
     if nodes is not None and rows.shape[0] != np.prod(nodes):
         raise ConfigError(f"{args.surface}: the layer at t = {t_target} has "
                           f"{rows.shape[0]} rows, but meta.json gives a grid of "

@@ -45,11 +45,12 @@ Block k of BLOCK = 1,024 paths owns the counter-based random stream
 Philox(key=(base seed, k)), one sub-stream per kind of draw, each kind
 drawn for the block's rows in one call: path i's draws depend only on
 (base seed, i // BLOCK, i % BLOCK), so results are bitwise reproducible and
-independent of the batch size and of the number of paths simulated
-alongside.  simulate_paths steps one parameter or a sweep of V vertices
-with one stepper over (vertex, path) rows: each block of paths is drawn
-once per sweep, and its V copies step on that one draw set (common random
-numbers), thinned at one bound, the largest of the vertices' lam_bar.
+independent of the batch size (BATCH_ROWS rows) and of the number of
+paths simulated alongside.  simulate_paths steps one parameter or a sweep
+of V vertices with one stepper over (vertex, path) rows: each block of
+paths is drawn once per sweep, and its V copies step on that one draw set
+(common random numbers), thinned at one bound, the largest of the
+vertices' lam_bar.
 Thinning at any bound at or above the intensity is exact in law, and a
 vertex whose own bound is the largest gets the paths of its own
 simulate_paths bit for bit.  Payoffs are scored on the (N, d) terminal
@@ -94,22 +95,24 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64)
 # candidates of the state-free jump runs decided at once; bounds the
 # decisions' working set at a few MB whatever the intensity
 WINDOW = 1 << 16
+# (vertex, path) rows per batch: a V-vertex sweep steps the most whole blocks
+# of paths whose V copies fit, or BATCH_ROWS // V paths of one block's draw
+# set at a time below one block (see _paths_per_batch)
+BATCH_ROWS = 12 * BLOCK
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """n_paths paths per vertex, stepped by dt to horizon on seed's streams."""
+
     dt: float
     horizon: float
     n_paths: int
     seed: int = 0
     clamp_box: tuple | None = None  # (lower, upper); default x0 +- 10 (1 + |x0|)
-    # (vertex, path) rows per batch: a V-vertex sweep steps the most whole
-    # blocks of paths whose V copies fit, or batch_size // V paths of one
-    # block's draw set at a time below one block (see _paths_per_batch)
-    batch_size: int = 12 * BLOCK
 
     def __post_init__(self):
-        for name in ("n_paths", "seed", "batch_size"):
+        for name in ("n_paths", "seed"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -118,22 +121,15 @@ class SimConfig:
             raise ValueError("need finite dt > 0, finite horizon >= 0 and at least one path")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-
-
-# PathBundle's fields with one entry per (vertex, path) row
-_PER_ROW = ("terminal", "running_sup", "exit_time", "seeds", "flagged")
 
 
 @dataclass
 class PathBundle:
     """The paths of V constant-vertex laws from one start, vertex-major: rows
-    k N .. (k + 1) N - 1 are vertex k's N paths (V = 1 for one parameter).
-    The sweep allocates these (V N)-row arrays up front and writes each
-    batch of paths into them in place."""
+    k N .. (k + 1) N - 1 are vertex k's N paths (V = 1 for one parameter),
+    one slice of each array.  The sweep allocates these (V N)-row arrays up
+    front and writes each batch of paths into them in place."""
 
-    x0: np.ndarray
     times: np.ndarray
     terminal: np.ndarray          # (V N, d)
     running_sup: np.ndarray       # (V N,) sup_s |X_s - X_0|
@@ -166,21 +162,6 @@ class PathBundle:
     def thinning_accepted(self) -> int:
         """Of those, the candidates accepted as jumps."""
         return int(self.events[:, 2].sum())
-
-    def vertex(self, k: int) -> PathBundle:
-        """Vertex k's paths as a bundle of their own (copies, so the sweep
-        can be released)."""
-        n = self.n_paths // self.events.shape[0]
-
-        def cut(a):
-            return a[k * n:(k + 1) * n].copy()
-
-        return replace(
-            self, events=self.events[k:k + 1].copy(),
-            **{f: cut(getattr(self, f)) for f in _PER_ROW},
-            sup_snapshots=None if self.sup_snapshots is None else
-            {j: cut(s) for j, s in self.sup_snapshots.items()},
-        )
 
 
 def _path_seed_labels(seed: int, count: int) -> np.ndarray:
@@ -305,12 +286,12 @@ def _across(op, a: np.ndarray) -> np.ndarray:
     return functools.reduce(op, a.T)
 
 
-def _paths_per_batch(batch_size: int, V: int) -> int:
+def _paths_per_batch(V: int) -> int:
     """Paths per batch of a V-vertex sweep: the most whole blocks whose
-    V-fold rows fit in batch_size, or batch_size // V (at least one) when
+    V-fold rows fit in BATCH_ROWS, or BATCH_ROWS // V (at least one) when
     that is below one block; such batches step one block's draw set in
     turn."""
-    P = max(batch_size // V, 1)
+    P = max(BATCH_ROWS // V, 1)
     return P - P % BLOCK if P >= BLOCK else P
 
 
@@ -394,7 +375,7 @@ class _Sweep:
                                  f"per step, not below the Poisson sampler's limit "
                                  f"{POISSON_LAM_MAX:.6g}")
         self.bundle = PathBundle(
-            x0=self.x0, times=self.dt * np.arange(self.n_steps + 1),
+            times=self.dt * np.arange(self.n_steps + 1),
             terminal=np.empty((V * N, d)), running_sup=np.zeros(V * N),
             exit_time=np.full(V * N, np.nan), seeds=None,  # set in simulate_paths
             flagged=np.zeros(V * N, dtype=bool), events=np.zeros((V, 3), dtype=np.int64),
@@ -597,7 +578,7 @@ class _Sweep:
 
 def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConfig,
                    mode: GeneratorMode, snapshot_steps: tuple[int, ...] = (),
-                   *, _stream: int = 0) -> PathBundle:
+                   *, _stream: int = 0, _batch_paths: int = 0) -> PathBundle:
     """Paths of the law with theta fixed, from x0; for a parameter set, one
     sweep of its vertices' constant laws, in one bundle of V N rows (see
     PathBundle).  A diffusion that is not PSD or a negative jump weight at
@@ -605,10 +586,11 @@ def simulate_paths(theta: AffineParameter | FiniteParameterSet, x0, cfg: SimConf
     law needs admissible coefficients at every such state, and it cannot
     mask the vertex per node the way the PIDE's sup does.  A jump
     intensity bound with no finite rate per step raises NonFiniteError.
-    _stream = PILOT_STREAM draws the pilot sweep's stream (see _draw_batch)."""
+    _stream = PILOT_STREAM draws the pilot sweep's stream (see _draw_batch);
+    _batch_paths > 0 paths per batch replace _paths_per_batch(V)."""
     thetas = theta.vertices() if isinstance(theta, FiniteParameterSet) else [theta]
     sweep = _Sweep(thetas, x0, cfg, mode, snapshot_steps, _stream)
-    P = _paths_per_batch(cfg.batch_size, len(thetas))
+    P = _batch_paths or _paths_per_batch(len(thetas))
     D = max(P, BLOCK)  # paths per draw set: whole blocks, so no row is drawn twice
     for d0 in range(0, cfg.n_paths, D):
         sweep.step_draw_set(d0, min(d0 + D, cfg.n_paths), P)
@@ -682,9 +664,7 @@ def lower_bound_sublinear(theta_set: FiniteParameterSet, x0, payoff: TestFunctio
         del pilot  # released before the winner's run
     # stepped at the full sweep's paths per batch, which bounds a batch's
     # memory as the sweep would; the bytes do not depend on the batch size
-    bundle = simulate_paths(thetas[best], x0,
-                            replace(cfg, batch_size=_paths_per_batch(cfg.batch_size, V)),
-                            mode)
+    bundle = simulate_paths(thetas[best], x0, cfg, mode, _batch_paths=_paths_per_batch(V))
     mean, se = _payoff_moments(payoff, bundle.terminal)
     return LowerBoundResult(mean, best, se, means or [mean], ses or [se], bundle,
                             pilot_paths)

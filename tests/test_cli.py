@@ -1004,6 +1004,27 @@ def test_cli_import_loads_no_process_pools():
     assert out == ["[]"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_peak_rss_is_the_commands_own(tmp_path):
+    # ru_maxrss carries a launcher's peak across exec; started from this
+    # process, holding a touched 150 MB buffer, a 61-node solve and its
+    # simulate (about 40 MB each) report their own peaks
+    buffer = np.ones(150 << 20, dtype=np.uint8)
+    out = tmp_path / "out"
+    raw = base_config(out, paths=300)
+    raw["grid"]["nodes"] = [61]
+    path = write_config(tmp_path, raw)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for command in ("solve", "simulate"):
+        subprocess.run([sys.executable, "-m", "nlaffine.cli", command, "--config", path],
+                       env=env, check=True, capture_output=True, timeout=120)
+    assert buffer[-1] == 1
+    for name in ("meta.json", "estimate.json"):
+        assert 0.0 < json.loads((out / name).read_text())["peak_rss_mb"] < 100.0
+
+
 class TestReadmeLibraryUse:
     def test_snippet_runs_as_written(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1359,6 +1380,24 @@ class TestCompareCommand:
         estimate.write_text("{" if edit == "estimate_not_json" else json.dumps(est))
         capsys.readouterr()
         assert self.compare(out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("meta, message", [
+        ([1, 2], "meta.json is not a JSON object"),
+        ({"grid": [1]}, "meta.json: grid must be an object, got [1]"),
+        ({"grid": {"nodes": "abc"}}, "meta.json: grid.nodes must be a list of integers, "
+                                     "got 'abc'"),
+        ({"grid": {"nodes": [81, "x"]}}, "meta.json: grid.nodes must be a list of "
+                                         "integers, got [81, 'x']"),
+    ], ids=["list", "grid_list", "nodes_string", "nodes_mixed"])
+    def test_malformed_meta_exits_2_with_one_line(self, tmp_path, capsys, meta, message):
+        out = self.run_pair(tmp_path, paths=300)
+        (out / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["compare", "--surface", str(out / "surface.csv"),
+                     "--estimate", str(out / "estimate.json"), "--force"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err

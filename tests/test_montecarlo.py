@@ -32,23 +32,25 @@ def unit_jump_theta(lam=1.0, h=None):
     return nl.AffineParameter.scalar(beta0=b0, nu0=m)
 
 
-def jump_diffusion_stream(batch_size, n_paths=250):
+def jump_diffusion_stream(batch_rows, n_paths=250):
     """Diffusion plus two atoms, one with a state-dependent weight, started
-    near the half-line boundary: thinning rejects and paths exit."""
+    near the half-line boundary: thinning rejects and paths exit.  Stepped
+    with montecarlo.BATCH_ROWS = batch_rows."""
     theta = nl.AffineParameter.scalar(
         beta0=0.1, alpha0=0.4,
         nu0=nl.AtomicLevyMeasure([[0.5], [-0.3]], [0.4, 0.6]),
         nu1=nl.AtomicLevyMeasure([[0.5]], [0.3]),
     )
-    cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=n_paths, seed=77,
-                       batch_size=batch_size)
-    return nl.simulate_paths(theta, [0.3], cfg, HALF)
+    cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=n_paths, seed=77)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "BATCH_ROWS", batch_rows)
+        return nl.simulate_paths(theta, [0.3], cfg, HALF)
 
 
-def stream_digest(bundle):
+def stream_digest(bundle, rows=slice(None)):
     h = hashlib.sha256()
     for a in (bundle.terminal, bundle.running_sup, bundle.exit_time):
-        h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.ascontiguousarray(a[rows]).tobytes())
     return h.hexdigest()
 
 
@@ -56,8 +58,6 @@ class TestSimConfig:
     @pytest.mark.parametrize("field, message", [
         ({"seed": -1}, "seed must lie in"),
         ({"seed": 2**64}, "seed must lie in"),
-        ({"batch_size": 0}, "batch_size must be at least 1"),
-        ({"batch_size": -3}, "batch_size must be at least 1"),
         ({"dt": math.nan}, "need finite dt > 0"),
         ({"dt": math.inf}, "need finite dt > 0"),
         ({"horizon": math.nan}, "finite horizon >= 0"),
@@ -69,16 +69,16 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("field", [
         {"seed": 1.5}, {"seed": True}, {"n_paths": 2.5}, {"n_paths": True},
-        {"n_paths": 10.0}, {"batch_size": 2.5}, {"batch_size": False},
+        {"n_paths": 10.0},
     ])
     def test_integer_fields_must_be_integers(self, field):
         name, value = next(iter(field.items()))
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             nl.SimConfig(**{"dt": 0.1, "horizon": 1.0, "n_paths": 10, **field})
 
-    def test_numpy_integers_accepted(self):
-        cfg = nl.SimConfig(dt=0.1, horizon=0.2, n_paths=np.int64(3), seed=np.uint64(5),
-                           batch_size=np.int32(2))
+    def test_numpy_integers_accepted(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH_ROWS", 2)
+        cfg = nl.SimConfig(dt=0.1, horizon=0.2, n_paths=np.int64(3), seed=np.uint64(5))
         assert nl.simulate_paths(nl.AffineParameter.scalar(alpha0=1.0), [0.0], cfg,
                                  FULL).n_paths == 3
 
@@ -132,19 +132,20 @@ class TestReproducibility:
         b_small = nl.simulate_paths(theta, [0.1], small, FULL)
         assert np.array_equal(b_big.terminal[:50], b_small.terminal)
 
-    def test_batching_invisible(self):
+    def test_batching_invisible(self, monkeypatch):
         theta = nl.AffineParameter.scalar(alpha0=0.5)
-        a = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=9, batch_size=300)
-        bsz = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=9, batch_size=64)
-        ba = nl.simulate_paths(theta, [0.0], a, FULL)
-        bb = nl.simulate_paths(theta, [0.0], bsz, FULL)
-        assert np.array_equal(ba.terminal, bb.terminal)
+        cfg = nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=9)
+        runs = []
+        for rows in (300, 64):
+            monkeypatch.setattr(montecarlo, "BATCH_ROWS", rows)
+            runs.append(nl.simulate_paths(theta, [0.0], cfg, FULL))
+        assert np.array_equal(runs[0].terminal, runs[1].terminal)
 
-    @pytest.mark.parametrize("batch_size", [64, 250])
-    def test_stream_golden_digest(self, batch_size):
+    @pytest.mark.parametrize("batch_rows", [64, 250])
+    def test_stream_golden_digest(self, batch_rows):
         """Pins the draws of every path: recorded with one Philox stream
         per (seed, 1,024-path block) and a sub-stream per kind of draw."""
-        b = jump_diffusion_stream(batch_size)
+        b = jump_diffusion_stream(batch_rows)
         assert np.any(np.isnan(b.exit_time)) and not np.all(np.isnan(b.exit_time))
         assert stream_digest(b) == (
             "bf6c27560e395143a856f0ed6242edd6aa7cfca361339328dc4a47c6f559d391")
@@ -167,9 +168,9 @@ class TestBlockKeys:
     paths cross two block boundaries."""
 
     @staticmethod
-    def bundle_bytes(tmp_path, batch_size, n_paths=2500):
-        p = tmp_path / f"bundle_{batch_size}_{n_paths}.csv"
-        bundle_to_csv(jump_diffusion_stream(batch_size, n_paths), p)
+    def bundle_bytes(tmp_path, batch_rows, n_paths=2500):
+        p = tmp_path / f"bundle_{batch_rows}_{n_paths}.csv"
+        bundle_to_csv(jump_diffusion_stream(batch_rows, n_paths), p)
         return p.read_bytes()
 
     def test_block_stream_is_the_documented_key(self):
@@ -185,7 +186,7 @@ class TestBlockKeys:
 
     def test_bundle_independent_of_batch_size(self, tmp_path):
         assert montecarlo.BLOCK == 1024
-        files = [self.bundle_bytes(tmp_path, bs) for bs in (1000, 1024, 2500, 25000)]
+        files = [self.bundle_bytes(tmp_path, rows) for rows in (1000, 1024, 2500, 25000)]
         assert files[0].count(b"\n") == 2501
         assert all(f == files[0] for f in files[1:])
 
@@ -232,7 +233,7 @@ class TestBlockKeys:
         # once for both vertices and started on a block boundary, so no row
         # is drawn twice
         cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=2 * 24576 + 1500, seed=3)
-        assert cfg.batch_size == 12 * montecarlo.BLOCK
+        assert montecarlo.BATCH_ROWS == 12 * montecarlo.BLOCK
         thetas = [nl.AffineParameter.scalar(
             alpha0=0.5, nu0=nl.AtomicLevyMeasure([[0.3]], [lam])) for lam in (0.5, 1.0)]
         made = self.record_generators(monkeypatch)
@@ -241,11 +242,11 @@ class TestBlockKeys:
             assert sum(g.rows[kind] for g in made) == cfg.n_paths
 
     def test_sub_block_batches_draw_every_row_once(self, monkeypatch):
-        # 13 vertices at the default batch_size step 945-path batches, which
+        # 13 vertices at the default BATCH_ROWS step 945-path batches, which
         # start mid-block; each block's draw set is drawn once and stepped
         # in turn, so 4,000 paths draw 4,000 rows of normals
         cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=4000, seed=3)
-        assert montecarlo._paths_per_batch(cfg.batch_size, 13) == 945
+        assert montecarlo._paths_per_batch(13) == 945
         thetas = [nl.AffineParameter.scalar(alpha0=0.1 * (k + 1)) for k in range(13)]
         made = self.record_generators(monkeypatch)
         nl.simulate_paths(nl.FiniteParameterSet(thetas), [0.0], cfg, FULL)
@@ -530,17 +531,24 @@ def hat_box_2d():
 
 
 SWEEPS = {
-    # name: (parameter set, x0, t, mode, payoff, SimConfig)
+    # name: (parameter set, x0, t, mode, payoff, SimConfig, BATCH_ROWS)
     "mixed bounds, several batches": (
         mixed_bounds(), [0.2], 0.5, FULL, nl.make_payoff("min_cap", c=0.5),
-        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=11, batch_size=3 * 128)),
+        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=300, seed=11), 3 * 128),
     "zero horizon": (
         mixed_bounds(), [0.2], 0.0, FULL, nl.make_payoff("square"),
-        nl.SimConfig(dt=0.05, horizon=0.0, n_paths=40, seed=11)),
+        nl.SimConfig(dt=0.05, horizon=0.0, n_paths=40, seed=11), 12 * montecarlo.BLOCK),
     "2-D with jumps, several batches": (
         hat_box_2d(), [0.0, 0.0], 0.5, nl.GeneratorMode.hat(), nl.make_payoff("square"),
-        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=500, seed=4, batch_size=8 * 200)),
+        nl.SimConfig(dt=0.05, horizon=0.5, n_paths=500, seed=4), 8 * 200),
 }
+
+
+def sweep_case(monkeypatch, case):
+    """SWEEPS[case] without its BATCH_ROWS, which it sets on montecarlo."""
+    *fields, rows = SWEEPS[case]
+    monkeypatch.setattr(montecarlo, "BATCH_ROWS", rows)
+    return fields
 
 
 def own_bound(theta, x0, cfg, mode):
@@ -553,14 +561,15 @@ class TestSweep:
     one draw set per batch, thinned at the largest vertex bound;
     lower_bound_sublinear picks its winner on such a sweep."""
 
-    def test_one_vertex_sweep_is_simulate_paths(self):
+    def test_one_vertex_sweep_is_simulate_paths(self, monkeypatch):
         # the golden stream of test_stream_golden_digest, through a sweep
         theta = nl.AffineParameter.scalar(
             beta0=0.1, alpha0=0.4,
             nu0=nl.AtomicLevyMeasure([[0.5], [-0.3]], [0.4, 0.6]),
             nu1=nl.AtomicLevyMeasure([[0.5]], [0.3]),
         )
-        cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=250, seed=77, batch_size=64)
+        cfg = nl.SimConfig(dt=0.04, horizon=0.6, n_paths=250, seed=77)
+        monkeypatch.setattr(montecarlo, "BATCH_ROWS", 64)
         res = nl.lower_bound_sublinear(nl.FiniteParameterSet([theta]), [0.3],
                                        nl.make_payoff("square"), 0.6, cfg, HALF)
         assert stream_digest(res.bundle) == (
@@ -571,12 +580,13 @@ class TestSweep:
             own.thinning_proposed, own.thinning_accepted)
 
     @pytest.mark.parametrize("case", list(SWEEPS))
-    def test_independent_of_batch_size(self, case):
-        ps, x0, t, mode, payoff, cfg = SWEEPS[case]
+    def test_independent_of_batch_size(self, monkeypatch, case):
+        ps, x0, t, mode, payoff, cfg, rows = SWEEPS[case]
         V = len(ps.vertices())
-        runs = [nl.lower_bound_sublinear(ps, x0, payoff, t, replace(cfg, batch_size=b),
-                                         mode)
-                for b in (cfg.batch_size, V * 7, V * montecarlo.BLOCK + 1, 10**6)]
+        runs = []
+        for b in (rows, V * 7, V * montecarlo.BLOCK + 1, 10**6):
+            monkeypatch.setattr(montecarlo, "BATCH_ROWS", b)
+            runs.append(nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode))
         for res in runs[1:]:
             assert (res.all_means, res.all_ses, res.vertex) == (
                 runs[0].all_means, runs[0].all_ses, runs[0].vertex)
@@ -585,10 +595,10 @@ class TestSweep:
                 runs[0].bundle.thinning_proposed, runs[0].bundle.thinning_accepted)
 
     @pytest.mark.parametrize("case", list(SWEEPS))
-    def test_vertices_at_the_sweep_bound_match_their_own_runs(self, case):
+    def test_vertices_at_the_sweep_bound_match_their_own_runs(self, monkeypatch, case):
         # thinning at a larger bound changes a vertex's draws, not its law;
         # a vertex whose own bound is the sweep's steps exactly as alone
-        ps, x0, t, mode, _, cfg = SWEEPS[case]
+        ps, x0, t, mode, _, cfg = sweep_case(monkeypatch, case)
         cfg = replace(cfg, horizon=t)
         sweep = nl.simulate_paths(ps, x0, cfg, mode)
         assert sweep.n_paths == len(ps.vertices()) * cfg.n_paths
@@ -596,13 +606,14 @@ class TestSweep:
         for k, theta in enumerate(ps.vertices()):
             if own_bound(theta, x0, cfg, mode) == sweep.thinning_bound:
                 own = nl.simulate_paths(theta, x0, cfg, mode)
-                assert stream_digest(sweep.vertex(k)) == stream_digest(own)
-                assert sweep.vertex(k).events.tolist() == own.events.tolist()
+                rows = slice(k * cfg.n_paths, (k + 1) * cfg.n_paths)
+                assert stream_digest(sweep, rows) == stream_digest(own)
+                assert sweep.events[k:k + 1].tolist() == own.events.tolist()
                 matched += 1
         assert matched >= 1
 
-    def test_mixed_bounds_thin_at_the_largest(self):
-        ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
+    def test_mixed_bounds_thin_at_the_largest(self, monkeypatch):
+        ps, x0, t, mode, payoff, cfg = sweep_case(monkeypatch, "mixed bounds, several batches")
         sweep = nl.simulate_paths(ps, x0, cfg, mode)
         bounds = [own_bound(theta, x0, cfg, mode) for theta in ps.vertices()]
         assert bounds[0] == bounds[2] < bounds[1] == sweep.thinning_bound
@@ -665,7 +676,8 @@ class TestSweep:
     def test_one_generator_per_block(self, monkeypatch):
         built = self.count_generators(monkeypatch)
         ps = nl.FiniteParameterSet(mixed_bounds().vertices()[:2])
-        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=2500, seed=8, batch_size=2 * 128)
+        cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=2500, seed=8)
+        monkeypatch.setattr(montecarlo, "BATCH_ROWS", 2 * 128)
         nl.simulate_paths(ps, [0.2], cfg, FULL)
         # 20 batches of 128 paths, on the draw sets of blocks 0, 1 and 2
         assert built == [[8, 0], [8, 1], [8, 2]]
@@ -681,7 +693,7 @@ class TestSweep:
             return drawn
 
         monkeypatch.setattr(montecarlo, "_draw_batch", recording)
-        ps, x0, t, mode, _, cfg = SWEEPS["mixed bounds, several batches"]
+        ps, x0, t, mode, _, cfg = sweep_case(monkeypatch, "mixed bounds, several batches")
         nl.simulate_paths(ps, x0, replace(cfg, horizon=t, n_paths=2500), mode)
         # one draw per block, shared by the three vertices and stepped in
         # batches of 128 paths; the last block's set is gone before the
@@ -693,12 +705,13 @@ class TestSweep:
         assert all(a is not None and not a.flags.writeable for a in drawn)
         assert _draw_batch(5, 0, 10, 4, 1, False, 0.0) == (None, None, None, None)
 
-    @pytest.mark.parametrize("batch_size, V, paths", [
+    @pytest.mark.parametrize("batch_rows, V, paths", [
         (12 * 1024, 1, 12 * 1024), (12 * 1024, 3, 4 * 1024), (12 * 1024, 8, 1024),
         (12 * 1024, 12, 1024), (12 * 1024, 13, 945), (384, 3, 128), (5, 8, 1),
     ])
-    def test_paths_per_batch(self, batch_size, V, paths):
-        assert montecarlo._paths_per_batch(batch_size, V) == paths
+    def test_paths_per_batch(self, monkeypatch, batch_rows, V, paths):
+        monkeypatch.setattr(montecarlo, "BATCH_ROWS", batch_rows)
+        assert montecarlo._paths_per_batch(V) == paths
 
 
 class TestPilot:
@@ -720,17 +733,44 @@ class TestPilot:
         se = np.std(means, ddof=1) / math.sqrt(len(means))
         assert abs(np.mean(means) - 1.25) < 3 * se
 
-    def test_winner_is_its_own_run(self):
-        ps, x0, t, mode, payoff, cfg = SWEEPS["mixed bounds, several batches"]
+    def test_winner_is_its_own_run(self, monkeypatch):
+        ps, x0, t, mode, payoff, cfg = sweep_case(monkeypatch, "mixed bounds, several batches")
         cfg = replace(cfg, horizon=t)
         lb = nl.lower_bound_sublinear(ps, x0, payoff, t, cfg, mode)
         theta = ps.vertices()[lb.vertex]
         own = nl.simulate_paths(theta, x0, cfg, mode)
-        for field in montecarlo._PER_ROW:
+        for field in ("terminal", "running_sup", "exit_time", "seeds", "flagged"):
             np.testing.assert_array_equal(getattr(lb.bundle, field), getattr(own, field))
         assert lb.bundle.events.tolist() == own.events.tolist()
         assert lb.bundle.thinning_bound == own.thinning_bound
         assert (lb.mean, lb.se) == nl.estimate_expectation(theta, x0, payoff, t, cfg, mode)
+
+    def test_winner_steps_the_sweeps_batches(self, monkeypatch, tmp_path):
+        # the winner of 13 vertices steps at most _paths_per_batch(13) = 945
+        # paths at a time, as their sweep would, which bounds its memory;
+        # its own simulate_paths steps all 2,000 at once, to the same bytes
+        thetas = [nl.AffineParameter.scalar(alpha0=0.1 * (k + 1)) for k in range(13)]
+        cfg = nl.SimConfig(dt=0.25, horizon=0.5, n_paths=2000, seed=3)
+        batches = []  # (vertices, paths) per stepped batch
+        step_batch = montecarlo._Sweep.step_batch
+
+        def recording(sweep, p0, p1, drawn, rows):
+            batches.append((sweep.bundle.events.shape[0], p1 - p0))
+            return step_batch(sweep, p0, p1, drawn, rows)
+
+        monkeypatch.setattr(montecarlo._Sweep, "step_batch", recording)
+        lb = nl.lower_bound_sublinear(nl.FiniteParameterSet(thetas), [0.0],
+                                      nl.make_payoff("square"), 0.5, cfg, FULL)
+        # X = sqrt(alpha0) W on common draws: the largest alpha0 wins
+        assert lb.vertex == 12
+        assert montecarlo._paths_per_batch(13) == 945
+        # the pilot's 250 paths per vertex, then the winner's two draw sets
+        assert batches == [(13, 250), (1, 945), (1, 79), (1, 945), (1, 31)]
+        own = nl.simulate_paths(thetas[12], [0.0], cfg, FULL)
+        assert batches[-1] == (1, 2000)
+        bundle_to_csv(lb.bundle, tmp_path / "winner.csv")
+        bundle_to_csv(own, tmp_path / "own.csv")
+        assert (tmp_path / "winner.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
 
     def test_pilot_keys_are_marked(self, monkeypatch):
         # the pilot's 1,125 paths per vertex draw blocks 0 and 1 with the top
@@ -913,11 +953,12 @@ class TestThinningReference:
     rank-by-rank reference bit for bit.  "hat, d = 2", "constant weights"
     and "Levy law with exits" are state-free laws with diffusion."""
 
-    @pytest.mark.parametrize("batch_size", [7, 12 * montecarlo.BLOCK])
+    @pytest.mark.parametrize("batch_rows", [7, 12 * montecarlo.BLOCK])
     @pytest.mark.parametrize("case", list(THINNING_CASES))
-    def test_matches_reference(self, case, batch_size):
+    def test_matches_reference(self, monkeypatch, case, batch_rows):
         ps, x0, mode, cfg = THINNING_CASES[case]
-        b = nl.simulate_paths(ps, x0, replace(cfg, batch_size=batch_size), mode)
+        monkeypatch.setattr(montecarlo, "BATCH_ROWS", batch_rows)
+        b = nl.simulate_paths(ps, x0, cfg, mode)
         terminal, exit_time, flagged, events = reference_thinning(ps, x0, cfg, mode)
         assert b.terminal.tobytes() == terminal.tobytes()
         assert b.exit_time.tobytes() == exit_time.tobytes()
@@ -1173,7 +1214,7 @@ class TestBundleCsv:
         exit_time = np.where(rng.random(n) < 0.4, rng.random(n), np.nan)
         exit_time[:3] = [np.nan, 0.0, 1e-5]
         bundle = montecarlo.PathBundle(
-            x0=np.zeros(d), times=np.arange(3.0), terminal=terminal,
+            times=np.arange(3.0), terminal=terminal,
             running_sup=np.abs(rng.normal(size=n)), exit_time=exit_time,
             seeds=rng.integers(0, 2 ** 63, n, dtype=np.uint64), flagged=np.zeros(n, bool),
             events=np.zeros((1, 3), dtype=np.int64), thinning_bound=0.0, sup_snapshots=None)
