@@ -1,15 +1,15 @@
 """Config-driven command line: solve | simulate | check | compare.
 
-Exit codes: 0 success, 2 configuration error or unusable path, 3 numerical
-abort, an array that cannot be allocated included.  Every JSON artifact
-embeds the config hash; surface.csv and bundle.csv carry their hash in the
-sibling meta.json / estimate.json (the CSV headers are pinned).
+Exit codes: 0 success, 2 configuration error or unusable path (any OSError),
+3 numerical abort, an array that cannot be allocated included.  Every
+artifact goes through `_write`, so a failed write leaves no partial file.
+Every JSON artifact embeds the config hash; surface.csv and bundle.csv
+carry theirs in the sibling meta.json / estimate.json (pinned CSV headers).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import resource
@@ -24,14 +24,22 @@ from .config import ConfigError, ExperimentConfig
 from .generator import NoAdmissibleVertexError
 from .montecarlo import bundle_to_csv, lower_bound_sublinear
 from .params import CoefficientError, check_coefficient_bounds
-from .pide import CFLError, NonFiniteError, _prepare, grid_tol
+from .pide import CFLError, NonFiniteError, _prepare, grid_tol, write_chunks
 from . import __version__
 
 
+def _write(path, write, *args):
+    """write(path, *args), an OSError raised as a config error naming path."""
+    try:
+        return write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """payload as sorted, indented JSON: the header of a file of no chunks."""
+    text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+    write_chunks(path, text.encode(), None, (), 0)
 
 
 def _peak_rss_mb() -> float:
@@ -43,16 +51,6 @@ def _peak_rss_mb() -> float:
             return next(int(s.split()[1]) for s in fh if s.startswith("VmHWM:")) / 1024.0
     except (OSError, StopIteration):
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-@contextlib.contextmanager
-def _unusable_path(path):
-    """An OSError from writing the CSV file at path, whose partial file
-    write_chunks has removed, as a configuration error that names it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -99,9 +97,7 @@ def cmd_solve(args) -> int:
                 kept[k] = layer
             yield layer
 
-    path = os.path.join(out, "surface.csv")
-    with _unusable_path(path):
-        writers = march.write_csv(path, layers())
+    writers = _write(os.path.join(out, "surface.csv"), march.write_csv, layers())
     written = time.perf_counter()
     meta = {
         "version": __version__,
@@ -138,14 +134,13 @@ def cmd_solve(args) -> int:
     }
     if gate is not None:
         meta["uniqueness_gate_status"] = gate.status
-    _write_json(os.path.join(out, "meta.json"), meta)
+    _write(os.path.join(out, "meta.json"), _write_json, meta)
     if split is not None:
         restarted = time.perf_counter()
         gap, steps = march.restart_gap(split, kept[n - j], kept[n], mask) if j else (0.0, 0)
-        _write_json(os.path.join(out, "dpp.json"),
-                    {"split": split, "gap": gap, "config_hash": cfg.config_hash(),
-                     "n_steps": steps,
-                     "march_s": time.perf_counter() - restarted})
+        _write(os.path.join(out, "dpp.json"), _write_json,
+               {"split": split, "gap": gap, "config_hash": cfg.config_hash(),
+                "n_steps": steps, "march_s": time.perf_counter() - restarted})
     return 0
 
 
@@ -162,9 +157,7 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     lb = lower_bound_sublinear(theta_set, x0, payoff, t, sim, mode)
     swept = time.perf_counter()
-    path = os.path.join(out, "bundle.csv")
-    with _unusable_path(path):
-        bundle_to_csv(lb.bundle, path)
+    _write(os.path.join(out, "bundle.csv"), lambda path: bundle_to_csv(lb.bundle, path))
     written = time.perf_counter()
     estimate = {
         "config_hash": cfg.config_hash(),
@@ -188,7 +181,7 @@ def cmd_simulate(args) -> int:
         "timings": {"sweep_s": swept - started, "write_s": written - swept},
         "peak_rss_mb": _peak_rss_mb(),
     }
-    _write_json(os.path.join(out, "estimate.json"), estimate)
+    _write(os.path.join(out, "estimate.json"), _write_json, estimate)
     return 0
 
 
@@ -201,7 +194,8 @@ def cmd_check(args) -> int:
     mode = cfg.mode()
     report = uniqueness_gate(theta_set, (grid.lower.tolist(), grid.upper.tolist()))
     report.config_hash = cfg.config_hash()
-    _write_json(os.path.join(out, "report.json"), dict(asdict(report), mode=mode.kind))
+    _write(os.path.join(out, "report.json"), _write_json,
+           dict(asdict(report), mode=mode.kind))
     if not mode.is_hat:
         print(f"warning: the uniqueness gate checked the hat-mode coefficient map, "
               f"not this config's {mode.kind}-mode one", file=sys.stderr)
@@ -325,8 +319,11 @@ def cmd_compare(args) -> int:
                               "pass --interpolate to allow interpolation")
         if d != 1:
             raise ConfigError("interpolation is only supported on 1-D surfaces")
+        lo, hi, x = float(xs.min()), float(xs.max()), float(x0[0])
+        if not lo <= x <= hi:
+            raise ConfigError(f"x0 = {x!r} lies outside the surface grid [{lo!r}, {hi!r}]")
         order = np.argsort(xs[:, 0])
-        pide_value = float(np.interp(x0[0], xs[order, 0], rows[order, -1]))
+        pide_value = float(np.interp(x, xs[order, 0], rows[order, -1]))
     else:
         pide_value = float(rows[j, -1])
     slack = 3.0 * se + 5e-3
@@ -343,7 +340,7 @@ def cmd_compare(args) -> int:
     }
     out = args.out or os.path.dirname(args.surface) or "."
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "comparison.json"), comparison)
+    _write(os.path.join(out, "comparison.json"), _write_json, comparison)
     print(
         f"pide {pide_value:.6g} vs mc lower bound {mc:.6g} "
         f"(bracket {pide_value - mc:+.3g}, ordering "
@@ -399,14 +396,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, ConfigError, NoAdmissibleVertexError,
-            CoefficientError, FileNotFoundError, FileExistsError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
+            CoefficientError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CFLError, NonFiniteError) as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:  # an array the config asks for does not fit
+    except (CFLError, NonFiniteError, MemoryError) as exc:
         print(f"numerical abort: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 

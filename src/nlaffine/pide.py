@@ -77,8 +77,12 @@ def grid_index(v: float, origin: float, step: float, count: int) -> int | None:
 
 def step_count(horizon: float, max_dt: float, floor: int = 0) -> tuple[int, float]:
     """(n_steps, dt) for the fewest steps, at least `floor`, no longer than
-    max_dt, that cover [0, horizon]; horizon 0 takes no step."""
-    n = max(floor, 1, math.ceil(horizon / max_dt - 1e-12)) if horizon else 0
+    max_dt, that cover [0, horizon]; horizon 0 takes no step.  A step that
+    is not positive, or a count that overflows, raises NonFiniteError."""
+    ratio = horizon / max_dt if max_dt > 0 else math.inf
+    if horizon and not ratio < math.inf:
+        raise NonFiniteError(f"horizon {horizon!r} in steps of {max_dt!r}: too many to count")
+    n = max(floor, 1, math.ceil(ratio - 1e-12)) if horizon else 0
     return n, horizon / max(n, 1)
 
 
@@ -323,6 +327,10 @@ class Grid:
         if not np.all(np.isfinite(lower) & np.isfinite(upper)):
             raise ValueError(f"grid bounds must be finite, got {lower.tolist()} .. "
                              f"{upper.tolist()}")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):
+                raise ValueError(f"grid spacing overflows: {lower.tolist()} .. "
+                                 f"{upper.tolist()} spans more than the largest float")
         if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
             raise ValueError(f"node counts must be integers, got {counts.tolist()}")
         nodes = counts.astype(int)

@@ -1,6 +1,8 @@
 import ast
+import errno
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -428,6 +430,24 @@ def _huge_jump_weight(raw):
     raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1e21]], []]
 
 
+def _uncountable_dt(raw):
+    raw["horizon"] = 1e308
+    raw["scheme"] = {"dt": 1e-10}
+
+
+def _uncountable_cfl(raw):
+    raw["horizon"] = 1e308
+    raw["scheme"] = {"cfl": 1e-320}
+
+
+def _uncountable_sim_dt(raw):
+    raw["sim"]["dt"] = 1e-320
+
+
+def _stable_step_underflows(raw):
+    raw["scheme"] = {"cfl": 5e-324}  # the stable step rounds to 0
+
+
 def _billion_jump_weight(raw):
     raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1e9]], []]
     raw["horizon"] = 1.0
@@ -635,6 +655,10 @@ def _boolean_grid_lower(raw):
     raw["grid"]["lower"] = [True]
 
 
+def _overflowing_grid_spacing(raw):
+    raw["grid"] = {"lower": [-1e308], "upper": [1e308], "nodes": [601]}
+
+
 def _boolean_box_alpha(raw):
     raw["parameter_set"] = {"kind": "box", "beta_lo": [[0.0], [0.0]],
                             "beta_hi": [[0.0], [0.0]],
@@ -782,6 +806,8 @@ class TestErrorContract:
         (_negative_gaussian_box_variance, "variance interval must be nonnegative"),
         (_boolean_payoff_parameter, "payoff 'min_cap' needs a number for 'c', got True"),
         (_boolean_grid_lower, "bad grid spec: expected a number, got True"),
+        (_overflowing_grid_spacing, "bad grid spec: grid spacing overflows: [-1e+308] .. "
+                                    "[1e+308] spans more than the largest float"),
         (_boolean_box_alpha, "expected a number, got True"),
         (_ragged_alpha, "expected coefficients of shape (2, 1, 1), got [[0.5, 0.7], [0.0]]"),
         (_box_corners_of_two_dimensions, "expected coefficients of shape (2, 1), got "
@@ -835,6 +861,10 @@ class TestErrorContract:
         ("simulate", _overflowing_jump_weights, "jump intensity bound inf"),
         ("simulate", _huge_jump_weight, "candidate mean of 1e+19 per step, not below "
                                         "the Poisson sampler's limit 9.22337e+18"),
+        ("solve", _uncountable_dt, "horizon 1e+308 in steps of 1e-10: too many to count"),
+        ("solve", _uncountable_cfl, "horizon 1e+308 in steps of 5e-323: too many to count"),
+        ("simulate", _uncountable_sim_dt, "horizon 0.5 in steps of 1e-320: too many to count"),
+        ("solve", _stable_step_underflows, "horizon 0.5 in steps of 0.0: too many to count"),
     ])
     def test_numerical_abort_exits_3_with_one_line(self, tmp_path, capsys, command,
                                                    edit, message):
@@ -927,48 +957,77 @@ class TestErrorContract:
         ("check", None, "File exists"),
         ("solve", "surface.csv", "Is a directory"),
         ("simulate", "bundle.csv", "Is a directory"),
+        ("solve", "long_name", "File name too long"),
+        ("simulate", "long_name", "File name too long"),
+        ("check", "long_name", "File name too long"),
     ], ids=["solve_out_is_a_file", "simulate_out_is_a_file", "check_out_is_a_file",
-            "surface_csv_is_a_directory", "bundle_csv_is_a_directory"])
+            "surface_csv_is_a_directory", "bundle_csv_is_a_directory",
+            "solve_out_name_too_long", "simulate_out_name_too_long",
+            "check_out_name_too_long"])
     def test_unusable_output_path_exits_2(self, tmp_path, capsys, command, blocked,
                                           message):
-        out = tmp_path / "out"
+        out = tmp_path / ("x" * 300 if blocked == "long_name" else "out")
         path = write_config(tmp_path, base_config(out))
         if blocked is None:
             out.write_text("")
-        else:
+        elif blocked != "long_name":
             (out / blocked).mkdir(parents=True)
         assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
 
-    @pytest.mark.parametrize("where", ["writer", "here"])
-    @pytest.mark.parametrize("command, module, name", [
-        ("solve", pide, "surface.csv"),
-        ("simulate", nl.montecarlo, "bundle.csv"),
-    ], ids=["solve", "simulate"])
-    def test_failed_csv_write_exits_2(self, tmp_path, monkeypatch, capsys, command,
-                                      module, name, where):
-        """A full disk while formatting, in a forked writer or in this
-        process: one line naming the file, exit 2, no partial file left."""
+    @pytest.mark.parametrize("command, name, where", [
+        ("solve", "surface.csv", "writer"), ("solve", "surface.csv", "here"),
+        ("simulate", "bundle.csv", "writer"), ("simulate", "bundle.csv", "here"),
+        ("solve", "meta.json", "open"), ("solve", "dpp.json", "open"),
+        ("simulate", "estimate.json", "open"), ("check", "report.json", "open"),
+        ("compare", "comparison.json", "open"),
+    ])
+    def test_failed_artifact_write_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                           name, where):
+        """A full disk while formatting a CSV, in a forked writer or in this
+        process, or while writing any file once it is open: one line naming
+        the file, exit 2, no partial file left."""
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out, paths=5000))  # two bundle blocks
-        here, real = os.getpid(), module.format_17g
+        argv = [command, "--config", path]
+        if command == "compare":
+            assert main(["solve", *argv[1:]]) == main(["simulate", *argv[1:]]) == 0
+            argv = ["compare", "--surface", str(out / "surface.csv"),
+                    "--estimate", str(out / "estimate.json")]
+        elif name == "dpp.json":
+            argv += ["--dpp-split", "0.5"]
+        module = pide if name == "surface.csv" else nl.montecarlo
+        here, real, target = os.getpid(), module.format_17g, str(out / name)
 
         def full_disk(values):
             if (os.getpid() == here) == (where == "here"):
-                raise OSError(28, "No space left on device")
+                raise OSError(errno.ENOSPC, "No space left on device")
             return real(values)
 
-        monkeypatch.setattr(module, "format_17g", full_disk)
+        def open_on_a_full_disk(file, *args, **kwargs):
+            return FullDisk(file, "wb") if file == target else open(file, *args, **kwargs)
+
+        if where == "open":
+            monkeypatch.setattr(pide, "open", open_on_a_full_disk, raising=False)
+        else:
+            monkeypatch.setattr(module, "format_17g", full_disk)
         monkeypatch.setattr(pide, "usable_cpus", lambda: 2)
-        assert main([command, "--config", path]) == 2
+        assert main(argv) == 2
         assert no_child_left()
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert err.startswith(f"config error: cannot write {target}: ")
         assert "No space left on device" in err  # a writer's own error reaches the line
         assert not (out / name).exists()
+
+
+class FullDisk(io.FileIO):
+    """A file that opens, then fails every write as a full disk does."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def test_library_has_no_assert_statements():
@@ -1465,6 +1524,33 @@ class TestCompareCommand:
         ])
         assert rc == 0
 
+    def test_x0_outside_the_grid_not_extrapolated(self, tmp_path, capsys):
+        out = self.run_pair(tmp_path, paths=300)
+        est = json.loads((out / "estimate.json").read_text())
+        est["x0"] = [30.0]  # the grid spans [-4, 4]
+        (out / "estimate.json").write_text(json.dumps(est))
+        capsys.readouterr()
+        assert main(["compare", "--surface", str(out / "surface.csv"),
+                     "--estimate", str(out / "estimate.json"), "--interpolate"]) == 2
+        assert capsys.readouterr().err == ("config error: x0 = 30.0 lies outside the "
+                                           "surface grid [-4.0, 4.0]\n")
+        assert not (out / "comparison.json").exists()
+
+    @pytest.mark.parametrize("blocked, message", [
+        ("file", "File exists"), ("long_name", "File name too long"),
+    ], ids=["out_is_a_file", "out_name_too_long"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, blocked, message):
+        out = self.run_pair(tmp_path, paths=300)
+        dest = tmp_path / ("x" * 300 if blocked == "long_name" else "dest")
+        if blocked == "file":
+            dest.write_text("")
+        capsys.readouterr()
+        assert main(["compare", "--surface", str(out / "surface.csv"),
+                     "--estimate", str(out / "estimate.json"), "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert message in err
+
     def test_off_grid_x0_needs_interpolate(self, tmp_path):
         out = self.run_pair(tmp_path, paths=300)
         est = json.loads((out / "estimate.json").read_text())
@@ -1480,3 +1566,6 @@ class TestCompareCommand:
             "--estimate", str(out / "estimate.json"), "--interpolate",
         ])
         assert rc == 0
+        _, layer = cli._read_layer(out / "surface.csv", 0.5)
+        want = float(np.interp(0.012, layer[:, 1], layer[:, 2]))
+        assert json.loads((out / "comparison.json").read_text())["pide_value"] == want

@@ -360,6 +360,12 @@ class TestExitBehaviour:
         with pytest.raises(pide.NonFiniteError, match="jump intensity bound"):
             nl.simulate_paths(theta, [0.0], cfg, FULL)
 
+    def test_uncountable_step_count_refused(self):
+        # 1 / 5e-324 overflows to inf: no step count to march
+        cfg = nl.SimConfig(dt=5e-324, horizon=1.0, n_paths=1)
+        with pytest.raises(pide.NonFiniteError, match="too many to count"):
+            nl.simulate_paths(nl.AffineParameter.scalar(alpha0=0.5), [0.0], cfg, FULL)
+
     def test_finite_box_bound_is_the_corner_maximum(self):
         # a finite box keeps the plain corner evaluation, bit for bit
         m = nl.AtomicLevyMeasure([[0.3, -0.2], [-0.1, 0.4]], [0.7, 0.2], dim=2)

@@ -65,7 +65,9 @@ class TestGrid:
         ([0.0, -math.inf], [1.0, 1.0], [10, 10],
          "grid bounds must be finite, got [0.0, -inf] .. [1.0, 1.0]"),
         ([0.0], [1.0], [10.7], "node counts must be integers, got [10.7]"),
-    ], ids=["nan_bound", "infinite_bound", "fractional_nodes"])
+        ([-1e308], [1e308], [601], "grid spacing overflows: [-1e+308] .. [1e+308] spans "
+                                   "more than the largest float"),
+    ], ids=["nan_bound", "infinite_bound", "fractional_nodes", "overflowing_spacing"])
     def test_bad_bounds_or_node_counts_refused(self, lower, upper, nodes, message):
         with pytest.raises(ValueError) as info:
             nl.Grid(lower, upper, nodes)
@@ -289,6 +291,12 @@ class TestTimeGrid:
     def test_step_count(self, horizon, max_dt, floor, n_steps):
         assert step_count(horizon, max_dt, floor) == (
             n_steps, horizon / n_steps if n_steps else 0.0)
+
+    @pytest.mark.parametrize("horizon, max_dt", [(1e308, 1e-10), (1.0, 5e-324), (0.5, 0.0)])
+    def test_uncountable_step_count_refused(self, horizon, max_dt):
+        with pytest.raises(pide.NonFiniteError) as info:
+            step_count(horizon, max_dt)
+        assert str(info.value) == f"horizon {horizon!r} in steps of {max_dt!r}: too many to count"
 
     def test_zero_horizon_surface_reads_the_payoff(self):
         grid = nl.Grid.line(-1.0, 1.0, 21)
