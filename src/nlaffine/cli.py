@@ -311,9 +311,10 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"{args.estimate}: x0 has {x0.shape[0]} coordinates, "
                           f"the surface {d}")
     xs = rows[:, 1:1 + d]
-    dist = np.linalg.norm(xs - x0[None, :], axis=1)
-    j = int(np.argmin(dist))
-    if dist[j] > grid_tol(float(np.linalg.norm(x0))):
+    # Grid.node_index's rule, coordinate by coordinate: the first such node
+    near = (np.abs(xs - x0) <= [grid_tol(v) for v in x0.tolist()]).all(axis=1)
+    j = int(np.argmax(near))
+    if not near[j]:
         if not args.interpolate:
             raise ConfigError("x0 is not a node of the surface grid; "
                               "pass --interpolate to allow interpolation")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -43,8 +44,10 @@ def _num(v) -> float:
 
 
 def _int(v, field: str) -> int:
-    """An integer field; a float is accepted only if it is integral."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+    """An integer field that a float can hold; a float is accepted only if
+    it is integral."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max or v != int(v)):
         raise ConfigError(f"{field} must be an integer, got {v!r}")
     return int(v)
 

@@ -16,10 +16,10 @@ batch decides every candidate's acceptance and atom before the steps that
 use them, in windows of at most WINDOW candidates (a step with more is
 split); a step then adds the fixed drift, multiplies the fixed root by its
 normals and adds its live rows' accepted atoms.  Only the other vertices
-have their coefficients evaluated at each step and their candidates
-thinned rank by rank, as do a constant diffusion that is not PSD and a
-constant negative weight, so CoefficientError names the state a path
-meets it at.
+have their coefficients evaluated at each step, run by run into the
+run's own rows, and their candidates thinned rank by rank, as do a
+constant diffusion that is not PSD and a constant negative weight, so
+CoefficientError names the state a path meets it at.
 
 Drift convention: the drift coefficient b is the rate of the finite-variation
 part relative to the mode's truncation function h, so the simulated
@@ -42,8 +42,9 @@ tuple has a net drift of exactly zero and a path started on the boundary of
 the half-line leaves it only by a jump.
 
 Block k of BLOCK = 1,024 paths owns the counter-based random stream
-Philox(key=(base seed, k)), one sub-stream per kind of draw, each kind
-drawn for the block's rows in one call: path i's draws depend only on
+Philox(key=(base seed, k)); kind i of draw starts its own sub-stream at
+counter (0, 0, i, 0), 2**128 i steps in, and is drawn for the block's rows
+in one call: path i's draws depend only on
 (base seed, i // BLOCK, i % BLOCK), so results are bitwise reproducible and
 independent of the batch size (BATCH_ROWS rows) and of the number of
 paths simulated alongside.  simulate_paths steps one parameter or a sweep
@@ -171,16 +172,6 @@ def _path_seed_labels(seed: int, count: int) -> np.ndarray:
         return (np.uint64(seed) * mix + idx) * mix
 
 
-_KINDS = ("normal", "count", "uniform")  # sub-stream i starts 2**128 * i counter steps in
-
-
-def _substream(rng: np.random.Generator, fresh: dict, kind: str) -> np.random.Generator:
-    """rng reset to its fresh state and moved to the start of `kind`'s sub-stream."""
-    rng.bit_generator.state = fresh
-    rng.bit_generator.advance(_KINDS.index(kind) << 128)
-    return rng
-
-
 def _lam_bar(form: CoefficientForm, lo: np.ndarray, hi: np.ndarray) -> float:
     """Intensity bound over the clamp box: per atom, the largest affine
     weight over the box corners, positive part, summed.  A coordinate that
@@ -246,32 +237,33 @@ def _draw_batch(seed: int, b0: int, B: int, n_steps: int, d: int,
     the law diffuses; when lam_dt > 0, candidate jump counts (B, n_steps)
     of mean lam_dt and two uniforms per candidate in `pool`, path i's from
     pool_off[i] on.  Absent draws are None; the arrays are read-only.
-    Block k's paths draw from Philox(key=(seed, k | stream)), each kind
-    from its own sub-stream in one path-major call into the batch's array,
-    from the block's first row on; stream is 0 or PILOT_STREAM."""
+    Block k's draws of kind i (0 normals, 1 counts, 2 uniforms) come from
+    Philox(key=(seed, k | stream), counter=(0, 0, i, 0)), in one path-major
+    call into the batch's array, from the block's first row on; stream is 0
+    or PILOT_STREAM."""
     Z = counts = pool = pool_off = None
-    if n_steps and (has_diffusion or lam_dt > 0.0):
-        blocks = []  # (generator, fresh state, batch rows) per block
+
+    def blocks(kind: int):
+        """(generator of kind's sub-stream, batch rows) of each block."""
         for r0 in range(0, B, BLOCK):
             key = np.array([seed, (b0 + r0) // BLOCK | stream], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            blocks.append((rng, rng.bit_generator.state, slice(r0, min(r0 + BLOCK, B))))
-        if has_diffusion:
-            Z = np.empty((B, n_steps, d))
-            for rng, fresh, rows in blocks:
-                _substream(rng, fresh, "normal").standard_normal(out=Z[rows])
-        if lam_dt > 0.0:
-            counts = np.empty((B, n_steps), dtype=np.int64)
-            for rng, fresh, rows in blocks:
-                counts[rows] = _substream(rng, fresh, "count").poisson(
-                    lam_dt, (rows.stop - rows.start, n_steps))
-            lens = 2 * counts.sum(axis=1)
-            ends = np.cumsum(lens)
-            pool_off = ends - lens
-            pool = np.empty(int(ends[-1]))
-            for rng, fresh, rows in blocks:
-                _substream(rng, fresh, "uniform").random(
-                    out=pool[pool_off[rows.start]:ends[rows.stop - 1]])
+            bitgen = np.random.Philox(key=key, counter=[0, 0, kind, 0])
+            yield np.random.Generator(bitgen), slice(r0, min(r0 + BLOCK, B))
+
+    if n_steps and has_diffusion:
+        Z = np.empty((B, n_steps, d))
+        for rng, rows in blocks(0):
+            rng.standard_normal(out=Z[rows])
+    if n_steps and lam_dt > 0.0:
+        counts = np.empty((B, n_steps), dtype=np.int64)
+        for rng, rows in blocks(1):
+            counts[rows] = rng.poisson(lam_dt, (rows.stop - rows.start, n_steps))
+        lens = 2 * counts.sum(axis=1)
+        ends = np.cumsum(lens)
+        pool_off = ends - lens
+        pool = np.empty(int(ends[-1]))
+        for rng, rows in blocks(2):
+            rng.random(out=pool[pool_off[rows.start]:ends[rows.stop - 1]])
     drawn = (Z, counts, pool, pool_off)
     for a in drawn:
         if a is not None:
@@ -319,14 +311,6 @@ def _split(runs, fixed) -> tuple[list, list]:
     return varying, constant
 
 
-def _row_index(runs, B: int):
-    """The rows v B .. (v + 1) B - 1 of the runs' vertices v: a slice when
-    the runs are consecutive."""
-    if all(a[1] == b[0] for a, b in zip(runs, runs[1:])):
-        return slice(runs[0][0] * B, runs[-1][1] * B)
-    return np.concatenate([np.arange(v0 * B, v1 * B) for v0, v1, _ in runs])
-
-
 class _Sweep:
     """The V coefficient forms of a sweep, stepped over (vertex, path) rows,
     row v B + i for vertex v and the batch's path i, into `bundle`: its
@@ -334,10 +318,11 @@ class _Sweep:
     batch at a time through (V, N) reshape views.
 
     Each coefficient is split by runs of equal vertices (_runs) into the
-    runs evaluated at each step (drift_runs, diffusion_runs, jump_runs) and
-    the state-free ones worked out here: fixed_drift holds dt b,
-    fixed_root the PSD root, and fixed_jumps the atoms, the intensity and
-    the cumulated weights (see the module docstring)."""
+    runs evaluated at each step, each into its own rows (drift_runs,
+    diffusion_runs, jump_runs), and the state-free ones worked out here:
+    fixed_drift holds dt b, fixed_root the PSD root, and fixed_jumps the
+    atoms, the intensity and the cumulated weights (see the module
+    docstring)."""
 
     def __init__(self, thetas, x0, cfg: SimConfig, mode: GeneratorMode,
                  snapshot_steps: tuple[int, ...], stream: int):
@@ -411,8 +396,6 @@ class _Sweep:
             root = np.empty((V * B, d, d))
             for v0, v1, c in self.fixed_root:
                 root[v0 * B:v1 * B] = c
-            if self.diffusion_runs:
-                varying = _row_index(self.diffusion_runs, B)
         drift = np.empty((V * B, d))  # dt b
         for v0, v1, c in self.fixed_drift:
             drift[v0 * B:v1 * B] = c
@@ -449,10 +432,6 @@ class _Sweep:
             """Freeze the rows of mask `now`, counting the candidates they saw."""
             frozen[now] = True
             events[1, now] = seen[np.flatnonzero(now) % B]
-
-        def by_run(runs, coefficient):
-            parts = [getattr(form, coefficient)(X[v0 * B:v1 * B]) for v0, v1, form in runs]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         def jump(hit, z):
             """Add z[i] to row hit[i] of Xn, in order."""
@@ -512,9 +491,9 @@ class _Sweep:
                     drift[v0 * B:v1 * B] = dt * form.drift(X[v0 * B:v1 * B])
                 Xn = X + drift
                 if Z is not None:
-                    if self.diffusion_runs:
-                        root[varying] = _diffusion_root(by_run(self.diffusion_runs, "diffusion"),
-                                                        X[varying], alive[varying])
+                    for v0, v1, form in self.diffusion_runs:
+                        r = slice(v0 * B, v1 * B)
+                        root[r] = _diffusion_root(form.diffusion(X[r]), X[r], alive[r])
                     z = np.broadcast_to(Z[:, j], (V, B, d)).reshape(V * B, d)
                     Xn = Xn + sqdt * np.einsum("nij,nj->ni", root, z)
                 if any_frozen:

@@ -31,7 +31,9 @@ class DimensionError(ValueError):
 
 class CoefficientError(ValueError):
     """A coefficient map evaluated where it is not admissible: a diffusion
-    that is not positive semidefinite or a negative jump weight."""
+    that is not positive semidefinite or a negative jump weight; or a 2-D
+    cross term stronger than the diagonal terms on the grid, which no
+    monotone stencil can carry."""
 
 
 def _as_vector(x, d: int) -> np.ndarray:

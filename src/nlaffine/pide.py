@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .generator import GeneratorMode, NoAdmissibleVertexError, TestFunction, admissible
-from .params import FiniteParameterSet, atom_norms
+from .params import CoefficientError, FiniteParameterSet, atom_norms
 
 
 class CFLError(RuntimeError):
@@ -78,11 +78,15 @@ def grid_index(v: float, origin: float, step: float, count: int) -> int | None:
 def step_count(horizon: float, max_dt: float, floor: int = 0) -> tuple[int, float]:
     """(n_steps, dt) for the fewest steps, at least `floor`, no longer than
     max_dt, that cover [0, horizon]; horizon 0 takes no step.  A step that
-    is not positive, or a count that overflows, raises NonFiniteError."""
+    is not positive, a count that overflows or one that no array index can
+    hold raises NonFiniteError."""
     ratio = horizon / max_dt if max_dt > 0 else math.inf
     if horizon and not ratio < math.inf:
         raise NonFiniteError(f"horizon {horizon!r} in steps of {max_dt!r}: too many to count")
     n = max(floor, 1, math.ceil(ratio - 1e-12)) if horizon else 0
+    if n > np.iinfo(np.intp).max:
+        why = "a floor of" if n == floor else f"horizon {horizon!r} in steps of {max_dt!r}:"
+        raise NonFiniteError(f"{why} {n:.6g} steps, more than an array index can hold")
     return n, horizon / max(n, 1)
 
 
@@ -341,6 +345,8 @@ class Grid:
         self.lower, self.upper = lower, upper
         self.shape = tuple(int(n) for n in nodes)
         self.dx = (upper - lower) / (nodes - 1)
+        if not np.all(self.dx * self.dx > 0.0):  # the stencils divide by dx_i dx_j
+            raise ValueError(f"grid spacing underflows: {self.dx.tolist()} squares to 0")
         self.axes = [
             lower[i] + self.dx[i] * np.arange(nodes[i]) for i in range(len(nodes))
         ]
@@ -516,7 +522,10 @@ class ValueSurface(March):
 
 def _interpolation_stencil(offset: np.ndarray) -> tuple:
     """Multilinear interpolation at x + offset (in grid steps) as
-    (corner offset, weight) pairs."""
+    (corner offset, weight) pairs.  An offset is clipped at +-2**62 steps:
+    every corner past that reaches the boundary node anyway, and the
+    neighbour indices stay within int64."""
+    offset = np.clip(offset, -2.0**62, 2.0**62)
     base = np.floor(offset)
     frac = offset - base
     out = []
@@ -593,7 +602,7 @@ class _Operator:
                 c[g] += wz
             c[:, ~adm[k]] = 0.0
             if np.any(c[:, adm[k]] < -1e-9):
-                raise ValueError(
+                raise CoefficientError(
                     "cross-diffusion exceeds the diagonal terms; the 2-D "
                     "stencil cannot stay monotone on this problem"
                 )

@@ -448,6 +448,25 @@ def _stable_step_underflows(raw):
     raw["scheme"] = {"cfl": 5e-324}  # the stable step rounds to 0
 
 
+def _tiny_sim_dt(raw):
+    raw["sim"]["dt"] = 1e-300  # 5e299 steps: a finite count no array index holds
+
+
+def _huge_min_time_steps(raw):
+    raw["scheme"] = {"cfl": 0.4, "min_time_steps": 1e30}
+
+
+def _huge_gaussian_box(raw):
+    raw["parameter_set"] = {"kind": "example", "name": "gaussian_box",
+                            "drift": [-1e300, 1e300], "variance": [0.0, 1e300]}
+
+
+def _huge_net_drift(raw):
+    raw["parameter_set"]["parameter"]["beta"] = [[1e300], [1e300]]
+    raw["grid"] = {"lower": [-5.0], "upper": [10.0], "nodes": [61]}
+    raw["horizon"] = 1.0
+
+
 def _billion_jump_weight(raw):
     raw["parameter_set"]["parameter"]["nu"] = [[[1.0, 1e9]], []]
     raw["horizon"] = 1.0
@@ -617,6 +636,10 @@ def _fractional_paths(raw):
     raw["sim"]["paths"] = 10.5
 
 
+def _huge_integer_min_time_steps(raw):
+    raw["scheme"] = {"min_time_steps": 10**400}  # no float holds it
+
+
 def _boolean_cfl(raw):
     raw["scheme"]["cfl"] = True
 
@@ -749,6 +772,25 @@ def _hat_on_half_line(raw):
     raw["state_space"] = {"kind": "half"}
 
 
+def _cross_term_beyond_diagonal(raw):
+    # PSD, but on the grid's 0.6 by 0.15 cells the x2 stencil's coefficient
+    # 0.5 a22 / dx2^2 - 0.5 |a12| / (dx1 dx2) is negative
+    hat = hat_box_config(raw["output_dir"])
+    alpha = [[[1.0, 0.9], [0.9, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    hat["parameter_set"].update(alpha_lo=alpha, alpha_hi=alpha)
+    hat["grid"]["nodes"] = [21, 81]
+    raw.clear()
+    raw.update(hat)
+
+
+def _zero_grid_spacing(raw):
+    raw["grid"] = {"lower": [0.0], "upper": [5e-323], "nodes": [161]}
+
+
+def _underflowing_grid_spacing_square(raw):
+    raw["grid"] = {"lower": [-1e-300], "upper": [1e-300], "nodes": [161]}
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("edit, message", [
         (_atom_at_origin, "atom at the origin"),
@@ -795,6 +837,7 @@ class TestErrorContract:
         (_text_parameter, "parameter_set.parameter must be an object, got 'beta'"),
         (_fractional_grid_nodes, "grid.nodes must be an integer, got 160.5"),
         (_fractional_paths, "sim.paths must be an integer, got 10.5"),
+        (_huge_integer_min_time_steps, "scheme.min_time_steps must be an integer, got 1000"),
         (_boolean_cfl, "bad scheme spec: expected a number, got True"),
         (_negative_dt, "bad scheme spec: dt must be positive, got -0.1"),
         (_zero_dt, "bad scheme spec: dt must be positive, got 0.0"),
@@ -828,6 +871,10 @@ class TestErrorContract:
                                    "real number, not 'dict'"),
         (_hat_with_truncation_radius, "hat mode fixes truncation_radius at 1, got 2.0"),
         (_hat_on_half_line, "hat mode has no state space; state_space must be full"),
+        (_cross_term_beyond_diagonal, "cross-diffusion exceeds the diagonal terms"),
+        (_zero_grid_spacing, "bad grid spec: grid spacing underflows: [0.0] squares to 0"),
+        (_underflowing_grid_spacing_square, "bad grid spec: grid spacing underflows: "
+                                            "[1.25e-302] squares to 0"),
     ])
     def test_invalid_config_exits_2_with_one_line(self, tmp_path, capsys, edit, message):
         raw = base_config(tmp_path / "out")
@@ -865,6 +912,13 @@ class TestErrorContract:
         ("solve", _uncountable_cfl, "horizon 1e+308 in steps of 5e-323: too many to count"),
         ("simulate", _uncountable_sim_dt, "horizon 0.5 in steps of 1e-320: too many to count"),
         ("solve", _stable_step_underflows, "horizon 0.5 in steps of 0.0: too many to count"),
+        ("simulate", _tiny_sim_dt, "horizon 0.5 in steps of 1e-300: 5e+299 steps, more "
+                                   "than an array index can hold"),
+        ("solve", _huge_min_time_steps, "a floor of 1e+30 steps, more than an array index "
+                                        "can hold"),
+        ("solve", _huge_gaussian_box, "horizon 0.5 in steps of 9.523809523809526e-304: "
+                                      "5.25e+302 steps, more than an array index can hold"),
+        ("solve", _huge_net_drift, "1.1e+302 steps, more than an array index can hold"),
     ])
     def test_numerical_abort_exits_3_with_one_line(self, tmp_path, capsys, command,
                                                    edit, message):
@@ -1550,6 +1604,29 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert message in err
+
+    @pytest.mark.parametrize("x0, rc", [([6.0, 0.0], 0), ([6.0, 3e-9], 2)])
+    def test_x0_on_grid_coordinate_by_coordinate(self, tmp_path, capsys, x0, rc):
+        # Grid.node_index's rule: x2 = 3e-9 lies within grid_tol(|x0|) = 6e-9
+        # of the node (6, 0), but not within grid_tol(3e-9) = 1e-9
+        out = tmp_path / "out"
+        raw = hat_box_config(out)
+        assert main(["solve", "--config", write_config(tmp_path, raw)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        (out / "estimate.json").write_text(json.dumps(
+            {"t": 0.5, "x0": x0, "mean": 0.0, "se": 0.0, "config_hash": meta["config_hash"]}))
+        assert self.compare(out) == rc
+        grid = ExperimentConfig.from_dict(raw).grid()
+        if rc:
+            assert capsys.readouterr().err == (
+                "config error: x0 is not a node of the surface grid; "
+                "pass --interpolate to allow interpolation\n")
+            with pytest.raises(ValueError, match="is not a node"):
+                grid.node_index(x0)
+        else:
+            _, layer = cli._read_layer(out / "surface.csv", 0.5)
+            want = layer[np.ravel_multi_index(grid.node_index(x0), grid.shape), -1]
+            assert json.loads((out / "comparison.json").read_text())["pide_value"] == want
 
     def test_off_grid_x0_needs_interpolate(self, tmp_path):
         out = self.run_pair(tmp_path, paths=300)

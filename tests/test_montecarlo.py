@@ -217,16 +217,22 @@ class TestBlockKeys:
         monkeypatch.setattr(np.random, "Generator", Recording)
         return made
 
+    @staticmethod
+    def block_and_kind(g) -> tuple[int, int]:
+        """The block word of g's key and the kind of draw its counter starts at."""
+        state = g.bit_generator.state["state"]
+        return int(state["key"][1]), int(state["counter"][2])
+
     def test_each_block_is_drawn_once(self, monkeypatch):
         made = self.record_generators(monkeypatch)
         jump_diffusion_stream(1000, 2500)
         # batches of 1,000 paths step blocks 0 and 1 whole and block 2's
-        # 452 paths, each block drawn once: the batch [1000, 2000) steps on
-        # the draws of blocks 0 and 1, not on a redraw of either
-        drawn = [(int(g.bit_generator.state["state"]["key"][1]), g.rows["normal"])
-                 for g in made]
-        assert drawn == [(0, 1024), (1, 1024), (2, 452)]
-        assert all(g.rows["count"] == g.rows["normal"] for g in made)
+        # 452 paths, each block drawn once, one generator per kind of draw:
+        # the batch [1000, 2000) steps on the draws of blocks 0 and 1, not
+        # on a redraw of either
+        drawn = [(*self.block_and_kind(g), g.rows["normal"], g.rows["count"]) for g in made]
+        assert drawn == [(k, kind, rows * (kind == 0), rows * (kind == 1))
+                         for k, rows in ((0, 1024), (1, 1024), (2, 452)) for kind in range(3)]
 
     def test_default_batches_skip_no_rows(self, monkeypatch):
         # a two-vertex sweep runs default batches of 6,144 paths, each drawn
@@ -663,7 +669,7 @@ class TestSweep:
         philox = np.random.Philox
 
         def counting(*args, **kwargs):
-            built.append(kwargs["key"].tolist())
+            built.append((kwargs["key"].tolist(), kwargs["counter"][2]))
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
@@ -677,7 +683,8 @@ class TestSweep:
         built = self.count_generators(monkeypatch)
         cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=300, seed=8)
         nl.simulate_paths(ps, x0, cfg, mode)
-        assert built == [[8, 0]]
+        # block 0's one generator per kind of draw: normals, counts, uniforms
+        assert built == [([8, 0], kind) for kind in range(3)]
 
     def test_one_generator_per_block(self, monkeypatch):
         built = self.count_generators(monkeypatch)
@@ -685,8 +692,9 @@ class TestSweep:
         cfg = nl.SimConfig(dt=0.1, horizon=0.5, n_paths=2500, seed=8)
         monkeypatch.setattr(montecarlo, "BATCH_ROWS", 2 * 128)
         nl.simulate_paths(ps, [0.2], cfg, FULL)
-        # 20 batches of 128 paths, on the draw sets of blocks 0, 1 and 2
-        assert built == [[8, 0], [8, 1], [8, 2]]
+        # 20 batches of 128 paths, on the draw sets of blocks 0, 1 and 2,
+        # each drawn once by one generator per kind of draw
+        assert built == [([8, k], kind) for k in range(3) for kind in range(3)]
 
     def test_one_draw_set_alive(self, monkeypatch):
         alive, refs = [], []
@@ -788,12 +796,15 @@ class TestPilot:
         made = TestBlockKeys.record_generators(monkeypatch)
         lb = nl.lower_bound_sublinear(nl.FiniteParameterSet(thetas), [0.0],
                                       nl.make_payoff("square"), 0.5, cfg, FULL)
-        keys = [g.bit_generator.state["state"]["key"].tolist() for g in made]
-        assert keys == [[3, k | 2**63] for k in range(2)] + [[3, k] for k in range(9)]
+        # one generator per (block, kind of draw), the pilot's first
+        drawn = [TestBlockKeys.block_and_kind(g) for g in made]
+        assert sorted(drawn[:6]) == [(k | 2**63, kind) for k in range(2) for kind in range(3)]
+        assert sorted(drawn[6:]) == [(k, kind) for k in range(9) for kind in range(3)]
+        assert all(g.bit_generator.state["state"]["key"][0] == 3 for g in made)
         assert lb.pilot_paths == 1125
         for kind in ("normal", "count"):
-            assert sum(g.rows[kind] for g in made[:2]) == lb.pilot_paths
-            assert sum(g.rows[kind] for g in made[2:]) == cfg.n_paths
+            assert sum(g.rows[kind] for g in made[:6]) == lb.pilot_paths
+            assert sum(g.rows[kind] for g in made[6:]) == cfg.n_paths
 
 
 class TestThinningCounts:

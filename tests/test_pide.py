@@ -67,7 +67,11 @@ class TestGrid:
         ([0.0], [1.0], [10.7], "node counts must be integers, got [10.7]"),
         ([-1e308], [1e308], [601], "grid spacing overflows: [-1e+308] .. [1e+308] spans "
                                    "more than the largest float"),
-    ], ids=["nan_bound", "infinite_bound", "fractional_nodes", "overflowing_spacing"])
+        ([0.0], [5e-323], [601], "grid spacing underflows: [0.0] squares to 0"),
+        ([0.0, -1e-300], [1.0, 1e-300], [11, 601],
+         "grid spacing underflows: [0.1, 3.333333333333333e-303] squares to 0"),
+    ], ids=["nan_bound", "infinite_bound", "fractional_nodes", "overflowing_spacing",
+            "zero_spacing", "spacing_square_underflows"])
     def test_bad_bounds_or_node_counts_refused(self, lower, upper, nodes, message):
         with pytest.raises(ValueError) as info:
             nl.Grid(lower, upper, nodes)
@@ -297,6 +301,20 @@ class TestTimeGrid:
         with pytest.raises(pide.NonFiniteError) as info:
             step_count(horizon, max_dt)
         assert str(info.value) == f"horizon {horizon!r} in steps of {max_dt!r}: too many to count"
+
+    @pytest.mark.parametrize("horizon, max_dt, floor, message", [
+        (1.0, 1e-300, 0, "horizon 1.0 in steps of 1e-300: 1e+300 steps"),
+        (1.0, 0.5, 10**30, "a floor of 1e+30 steps"),
+        (1.0, 1.0, 2**63, "a floor of 9.22337e+18 steps"),
+    ])
+    def test_count_no_index_holds_refused(self, horizon, max_dt, floor, message):
+        with pytest.raises(pide.NonFiniteError) as info:
+            step_count(horizon, max_dt, floor)
+        assert str(info.value) == f"{message}, more than an array index can hold"
+
+    def test_largest_indexable_count_accepted(self):
+        n = int(np.iinfo(np.intp).max)
+        assert step_count(1.0, 1.0, n) == (n, 1.0 / n)
 
     def test_zero_horizon_surface_reads_the_payoff(self):
         grid = nl.Grid.line(-1.0, 1.0, 21)
@@ -604,6 +622,25 @@ class TestOperator:
         assert np.array_equal(inc[:, outside], np.zeros((inc.shape[0], 10)))
         layer, _ = next(op.steps(v, 1, 0.01))
         assert np.array_equal(layer[outside], v[outside])
+
+    def test_far_atom_offset_is_clipped(self):
+        # past 2**62 grid steps every corner is the boundary node; nearer
+        # offsets keep their stencils bit for bit
+        far = pide._interpolation_stencil(np.array([3e150, -0.25]))
+        assert far == (((2**62, -1), 0.25), ((2**62, 0), 0.75))
+        assert pide._interpolation_stencil(np.array([-2.0**62])) == (((-2**62,), 1.0),)
+        assert pide._interpolation_stencil(np.array([2.5, -1.25])) == (
+            ((2, -2), 0.125), ((2, -1), 0.375), ((3, -2), 0.125), ((3, -1), 0.375))
+
+    def test_far_atom_solves(self):
+        # criterion 1's law, no net drift: its unit atom lies 3e150 grid
+        # steps away and lands on the boundary node
+        theta = nl.AffineParameter.scalar(beta0=1.0, nu0=nl.AtomicLevyMeasure([[1.0]], [1.0]))
+        surf = nl.solve(nl.FiniteParameterSet([theta]), nl.Grid.line(-1e-149, 1e-149, 61),
+                        nl.make_payoff("min_cap", c=2.0), 1.0,
+                        nl.GeneratorMode.standard(FULL.space, nl.TruncationFunction(1.0)),
+                        scheme=nl.SchemeConfig(min_time_steps=16))
+        assert surf.n_steps == 16 and np.all(np.isfinite(surf.values))
 
 
 class TestSteps:
